@@ -193,7 +193,6 @@ def run_online_mode(cfg: RunConfig):
         window=on.window,
         ident_steps=on.ident_steps,
         sigma_excitation=on.sigma_excitation,
-        gamma=on.gamma,
         m0_scale=on.m0_scale,
         forgetting=on.forgetting,
         solver=_effective_solver(cfg),

@@ -42,7 +42,6 @@ class OnlineSection:
     window: int = 4
     ident_steps: int = 40
     sigma_excitation: float = 1.5
-    gamma: float = 0.9
     m0_scale: float = 1.0e5
     forgetting: float = 1.0
 
@@ -197,8 +196,6 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError("online.forgetting: must lie in (0, 1]")
         if not on.m0_scale > 0:
             raise ConfigError("online.m0_scale: must be > 0")
-        if not 0 < on.gamma < 1:
-            raise ConfigError("online.gamma: must lie in (0, 1)")
     if cfg.mode == "oracle-compare":
         oc = cfg.oracle
         if oc.horizon < 1 or oc.samples < 1 or oc.n_vehicles < 1:

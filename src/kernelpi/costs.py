@@ -41,26 +41,16 @@ def _sym_pd_check(M: np.ndarray, name: str, strict: bool = True) -> None:
 
 @dataclass
 class CollisionSpec:
-    """Soft proximity penalty parameters for a vehicle team.
-
-    position_extractor maps stacked states shaped (..., n) to per-vehicle
-    planar positions shaped (..., V, 2).
-    """
+    """Soft proximity penalty parameters for a vehicle team."""
 
     safety_distance: float
     softening: float
-    position_extractor: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if not self.safety_distance > 0:
             raise ValueError("safety_distance must be > 0")
         if not self.softening > 0:
             raise ValueError("softening must be > 0")
-
-    def penalty_of_state(self, x: np.ndarray) -> np.ndarray:
-        if self.position_extractor is None:
-            raise ValueError("no position extractor configured")
-        return collision_penalty(self.position_extractor(np.asarray(x, dtype=float)), self)
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +118,7 @@ class CostSpec:
 
 
 def _quad(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,ij,...j->...", x, M, x)
+    return ((x @ M) * x).sum(axis=-1)
 
 
 def stage_cost(x, u, spec: CostSpec):
@@ -208,17 +198,14 @@ class _StageExpansion:
             self.offset = kernel.offset
             self.degree = kernel.degree
 
-    def controls(self, X: np.ndarray) -> np.ndarray:
+    def controls(self, X: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
+        """Controls at the rows of X, given their squared norms."""
         if self.kind == "zero":
             return np.zeros((X.shape[0], self.m))
         if self.kind == "affine":
             return X @ self.coeffs
         if self.kind == "rbf":
-            sq = (
-                np.sum(X * X, axis=1)[:, None]
-                + self.sq_norms[None, :]
-                - 2.0 * (X @ self.points.T)
-            )
+            sq = row_sq_norms[:, None] + self.sq_norms[None, :] - 2.0 * (X @ self.points.T)
             np.maximum(sq, 0.0, out=sq)
             return np.exp(-self.scale * sq) @ self.coeffs
         return ((X @ self.points.T + self.offset) ** self.degree) @ self.coeffs
@@ -257,18 +244,20 @@ class TailEvaluator:
         X = np.atleast_2d(np.asarray(states, dtype=float))
         A_T = self.sys.A.T
         B_T = self.sys.B.T
-        guard = self.state_guard
+        guard_sq = self.state_guard**2
         total = np.zeros(X.shape[0])
         for offset, expansion in enumerate(self._stages):
-            bad = ~np.isfinite(X).all(axis=1) | (np.linalg.norm(X, axis=1) > guard)
-            if bad.any():
-                i = int(np.argmax(bad))
+            sq = np.einsum("ij,ij->i", X, X)
+            # NaN, inf and over-guard rows all fail this comparison
+            within = sq <= guard_sq
+            if not within.all():
+                i = int(np.argmin(within))
                 raise DivergenceError(
                     f"tail simulation diverged at sample {i}, stage {self.start_stage + offset}",
                     sample_index=i,
                     stage=self.start_stage + offset,
                 )
-            U = expansion.controls(X)
+            U = expansion.controls(X, sq)
             total += stage_cost(X, U, self.spec)
             X = X @ A_T + U @ B_T
         return total + terminal_cost(X, self.spec)

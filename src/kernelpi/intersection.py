@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .costs import CollisionSpec, CostSpec
+from .costs import CostSpec
 from .dynamics import LinearSystem, StateSpace, assemble_team_system, discretize_double_integrator
 
 __all__ = [
@@ -118,16 +118,6 @@ class Scenario:
                     pairs.append((i, j))
         return pairs
 
-    def path_arrays(self):
-        """Stacked (V, 2) path origins and directions, cached."""
-        arrs = getattr(self, "_path_arrays", None)
-        if arrs is None:
-            origins = np.array([v.path.origin for v in self.vehicles])
-            dirs = np.array([v.path.direction for v in self.vehicles])
-            arrs = (origins, dirs)
-            self._path_arrays = arrs
-        return arrs
-
     def min_distance(self, state) -> float:
         _, d = pairwise_distances(np.asarray(state, dtype=float), self)
         return float(d.min()) if d.size else float("inf")
@@ -185,33 +175,57 @@ def _road_cycle(lane_offset: float) -> list:
     ]
 
 
-def _make_penalties(scenario: Scenario, speed_weight: float, desired_speeds: np.ndarray):
-    """Stage and terminal penalties with the zero-state offset removed.
+def _path_arrays(scenario: Scenario):
+    """Stacked (V, 2) path origins and unit directions."""
+    origins = np.array([v.path.origin for v in scenario.vehicles])
+    dirs = np.array([v.path.direction for v in scenario.vehicles])
+    return origins, dirs
 
-    The stage penalty combines the pairwise proximity cost with a speed
-    tracking term sum_v w * ((v - v_des)^2 - v_des^2); both are shifted by
-    constants so the penalty vanishes exactly at the zero state, which keeps
-    the cost contract intact without affecting minimizers.
+
+class _ScenarioPenalty:
+    """Pairwise proximity cost plus speed tracking, shifted so psi(0) = 0.
+
+    The proximity cost is sum over pairs of d_safe^2 / (distance^2 + softening),
+    as in costs.collision_penalty; the tracking term is
+    sum_v w * ((v - v_des)^2 - v_des^2).  Paths are straight, so one affine
+    map z = x L + o of the stacked state gives every pair's planar
+    displacement (o_i - o_j) + arc_i d_i - arc_j d_j and every vehicle's
+    v - v_des.  A second fixed matrix sums the squares of z into each pair's
+    squared distance and the weighted tracking sum.  The value at the zero
+    state is subtracted, which keeps the cost contract intact without
+    affecting minimizers.  Inputs are batched (..., n).
     """
-    spec = CollisionSpec(
-        safety_distance=scenario.safety_distance,
-        softening=scenario.softening,
-        position_extractor=lambda x: positions_from_states(x, scenario),
-    )
-    v_idx = scenario.speed_indices
-    vdes = np.asarray(desired_speeds, dtype=float)
-    phi0 = float(spec.penalty_of_state(np.zeros(scenario.state_dim)))
 
-    def psi(x):
-        x = np.asarray(x, dtype=float)
-        v = x[..., v_idx]
-        track = speed_weight * np.sum((v - vdes) ** 2 - vdes**2, axis=-1)
-        return track + spec.penalty_of_state(x) - phi0
+    def __init__(self, scenario: Scenario, speed_weight: float, desired_speeds):
+        origins, dirs = _path_arrays(scenario)
+        V = scenario.n_vehicles
+        iu, ju = np.triu_indices(V, k=1)
+        P = iu.size
+        lin = np.zeros((2 * V, 2 * P + V))
+        offset = np.zeros(2 * P + V)
+        squares_to_sums = np.zeros((2 * P + V, P + 1))
+        for p, (i, j) in enumerate(zip(iu, ju)):
+            lin[2 * i, 2 * p : 2 * p + 2] = dirs[i]
+            lin[2 * j, 2 * p : 2 * p + 2] = -dirs[j]
+            offset[2 * p : 2 * p + 2] = origins[i] - origins[j]
+            squares_to_sums[2 * p : 2 * p + 2, p] = 1.0
+        lin[1::2, 2 * P :] = np.eye(V)
+        offset[2 * P :] = -np.asarray(desired_speeds, dtype=float)
+        squares_to_sums[2 * P :, P] = speed_weight
+        self.lin = lin
+        self.offset = offset
+        self.squares_to_sums = squares_to_sums
+        self.ones = np.ones(P)
+        self.d_safe_sq = scenario.safety_distance**2
+        self.softening = scenario.softening
+        self.value_at_zero = 0.0
+        self.value_at_zero = float(self(np.zeros(2 * V)))
 
-    def psi_F(x):
-        return spec.penalty_of_state(np.asarray(x, dtype=float)) - phi0
-
-    return psi, psi_F
+    def __call__(self, x):
+        z = np.asarray(x, dtype=float) @ self.lin + self.offset
+        sums = (z * z) @ self.squares_to_sums
+        proximity = (self.d_safe_sq / (sums[..., :-1] + self.softening)) @ self.ones
+        return proximity + sums[..., -1] - self.value_at_zero
 
 
 def build_intersection(cfg: ScenarioConfig):
@@ -282,7 +296,8 @@ def build_intersection(cfg: ScenarioConfig):
     Q = cfg.state_weight * np.eye(n)
     Q_F = cfg.terminal_state_weight * np.eye(n)
     R = cfg.control_weight * np.eye(learner.m)
-    psi, psi_F = _make_penalties(scenario, cfg.speed_weight, speeds)
+    psi = _ScenarioPenalty(scenario, cfg.speed_weight, speeds)
+    psi_F = _ScenarioPenalty(scenario, 0.0, speeds)
     cost = CostSpec(Q=Q, R=R, Q_F=Q_F, psi=psi, psi_F=psi_F)
     return scenario, learner, plant, cost
 
@@ -315,7 +330,7 @@ def positions_from_states(states, scenario: Scenario) -> np.ndarray:
     """Reconstruct planar vehicle positions, shape (..., V, 2), from stacked states."""
     x = np.asarray(states, dtype=float)
     arcs = x[..., 0::2]
-    origins, dirs = scenario.path_arrays()
+    origins, dirs = _path_arrays(scenario)
     return origins + arcs[..., None] * dirs
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 
-from .costs import CostSpec, TailEvaluator, empirical_stage_objective, evaluate_cost_to_go
+from .costs import CostSpec, TailEvaluator, evaluate_cost_to_go, stage_cost
 from .dynamics import DivergenceError, LinearSystem, rollout, STATE_GUARD
 from .kernels import (
     Dictionary,
@@ -183,51 +183,71 @@ def discrete_frechet_derivative(pi_new, pi_old, J_new: float, J_old: float) -> n
 
 
 class _StageWorkspace:
-    """Cached quantities for improving a single stage."""
+    """Cached quantities for improving a single stage.
 
-    def __init__(self, t, c_old, tail_values, states, grams, cfg, spec, sys, chol, ridge_abs):
-        self.t = t
+    The state part of the stage cost, x'Qx + psi(x), and the drift X A' do not
+    depend on the candidate coefficients, so they are computed once here
+    rather than on every objective evaluation.
+    """
+
+    def __init__(self, c_old, tail_values, states, grams, cfg, spec, sys, chol, ridge_abs):
+        states = np.atleast_2d(np.asarray(states, dtype=float))
         self.c_old = np.asarray(c_old, dtype=float)
         self.tail_values = tail_values
-        self.states = np.atleast_2d(np.asarray(states, dtype=float))
-        self.grams = grams
         self.cfg = cfg
         self.spec = spec
-        self.sys = sys
         self.chol = chol
-        self.ridge_abs = ridge_abs
         self.K_ridge = grams.gram + ridge_abs * np.eye(grams.gram.shape[0])
         self.cross = grams.cross
         self.pi_old = self.cross @ self.c_old
+        self.B = sys.B
+        self.drift = states @ sys.A.T
+        self.state_cost = stage_cost(states, np.zeros((states.shape[0], sys.m)), spec)
         self.evals = 0
 
     def objective_of(self, C) -> float:
+        """Sample-average stage cost plus continuation; equals empirical_stage_objective."""
         self.evals += 1
-        return empirical_stage_objective(
-            self.t, C, self.states, self.tail_values, self.sys, self.spec, self.grams
-        )
+        pi = self.cross @ np.asarray(C, dtype=float)
+        control_cost = ((pi @ self.spec.R) * pi).sum(axis=1)
+        continuation = np.asarray(self.tail_values(self.drift + pi @ self.B.T), dtype=float)
+        return float((self.state_cost + control_cost + continuation).mean())
 
-    def value_gradient(self) -> np.ndarray:
+    def trial_objective(self, C) -> float:
+        """Objective at a trial point; a diverging continuation scores +inf (no descent)."""
+        try:
+            return self.objective_of(C)
+        except DivergenceError:
+            return np.inf
+
+    def value_gradient(self) -> Optional[np.ndarray]:
         """Gradient of the stage objective with respect to the sampled controls.
 
         The continuation term is differentiated by forward differences on the
-        successor states, batched into a single tail evaluation.
+        successor states, batched into a single tail evaluation.  Returns None
+        when a perturbed row diverges; the unperturbed rows are the successors
+        under c_old, which the objective at c_old has already simulated.
         """
-        A, B = self.sys.A, self.sys.B
-        y0 = self.states @ A.T + self.pi_old @ B.T
+        B = self.B
+        y0 = self.drift + self.pi_old @ B.T
         N, n = y0.shape
         h = 1.0e-5 * (1.0 + np.abs(y0))
         Ybig = np.repeat(y0[None, :, :], n + 1, axis=0)
         for j in range(n):
             Ybig[j + 1, :, j] += h[:, j]
-        vals = np.asarray(self.tail_values(Ybig.reshape(-1, n))).reshape(n + 1, N)
         self.evals += n + 1
+        try:
+            vals = np.asarray(self.tail_values(Ybig.reshape(-1, n))).reshape(n + 1, N)
+        except DivergenceError:
+            return None
         dV = ((vals[1:] - vals[0]) / h.T).T  # (N, n)
         return (2.0 * self.pi_old @ self.spec.R + dV @ B) / N
 
     def descent_direction(self):
-        """Gram-preconditioned direction from the projected value gradient."""
+        """Gram-preconditioned direction from the projected value gradient, or None."""
         G = self.value_gradient()
+        if G is None:
+            return None
         W = self.cross.T @ G
         V = -cho_solve(self.chol, W)
         P = self.cross @ V
@@ -265,7 +285,10 @@ def _fallback(ws: _StageWorkspace, J0: float, reason: str) -> StageUpdateResult:
 
 def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
     cfg = ws.cfg
-    V, P, p2, s0 = ws.descent_direction()
+    direction = ws.descent_direction()
+    if direction is None:
+        return _fallback(ws, J0, "gradient-diverged")
+    V, P, p2, s0 = direction
     scale = 1.0 + abs(J0)
     if not np.isfinite(p2) or p2 <= 1e-300 or s0 >= -1e-14 * scale:
         return _fallback(ws, J0, "stationary")
@@ -274,7 +297,7 @@ def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
 
     def g(a: float) -> float:
         if a not in cache:
-            Ja = ws.objective_of(ws.c_old + a * V)
+            Ja = ws.trial_objective(ws.c_old + a * V)
             cache[a] = (Ja - J0 + (a * a) * p2 / delta, Ja)
         return cache[a][0]
 
@@ -292,12 +315,25 @@ def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
         a_lo *= 0.5
     else:
         return _fallback(ws, J0, "no-descent")
+    # a diverged trial scores +inf; bisect until the upper end is finite so
+    # that the root finder works on a proper bracket
+    for _ in range(60):
+        if np.isfinite(g(a_hi)):
+            break
+        a_mid = 0.5 * (a_lo + a_hi)
+        if g(a_mid) < 0:
+            a_lo = a_mid
+        else:
+            a_hi = a_mid
+    else:
+        return _fallback(ws, J0, "no-bracket")
     try:
         a_star = brentq(g, a_lo, a_hi, xtol=1e-13 * a_hi, rtol=4 * np.finfo(float).eps, maxiter=200)
     except (ValueError, RuntimeError):
         return _fallback(ws, J0, "bracket-failed")
     c_new = ws.c_old + a_star * V
-    J1 = cache[a_star][1] if a_star in cache else ws.objective_of(c_new)
+    g(a_star)
+    J1 = cache[a_star][1]
     if not np.isfinite(J1) or J1 > J0:
         return _fallback(ws, J0, "no-descent")
     value_sq, rkhs_sq, gap, resid = ws.diagnostics(c_new, J0, J1)
@@ -317,7 +353,10 @@ def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
 
 def _solve_fixed_point(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
     cfg = ws.cfg
-    V, P, p2, s0 = ws.descent_direction()
+    direction = ws.descent_direction()
+    if direction is None:
+        return _fallback(ws, J0, "gradient-diverged")
+    V, P, p2, s0 = direction
     scale = 1.0 + abs(J0)
     if not np.isfinite(p2) or p2 <= 1e-300 or s0 >= -1e-14 * scale:
         return _fallback(ws, J0, "stationary")
@@ -327,7 +366,7 @@ def _solve_fixed_point(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
     # nonzero step to evaluate the secant quotient on
     a0 = -s0 * delta / p2
     for _ in range(60):
-        if ws.objective_of(ws.c_old + a0 * V) <= J0:
+        if ws.trial_objective(ws.c_old + a0 * V) <= J0:
             break
         a0 *= 0.5
     else:
@@ -350,13 +389,13 @@ def _solve_fixed_point(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
             break
         target = ws.c_old - delta * cho_solve(ws.chol, ws.cross.T @ D)
         c_next = (1.0 - omega) * c + omega * target
-        Jn = ws.objective_of(c_next)
+        Jn = ws.trial_objective(c_next)
         # backtrack the damping factor whenever the objective would rise
         # above the starting value
         while Jn > J0 and omega > 1e-3:
             omega *= 0.5
             c_next = (1.0 - omega) * c + omega * target
-            Jn = ws.objective_of(c_next)
+            Jn = ws.trial_objective(c_next)
         if Jn > J0:
             break
         c = c_next
@@ -395,7 +434,10 @@ def solve_implicit_update(
     Guarantees objective_new <= objective_old: when the inner solver cannot
     find a descending step the old coefficients are returned unchanged.
     tail_values must evaluate the continuation cost at arbitrary successor
-    states (normally a TailEvaluator over the updated later stages).
+    states (normally a TailEvaluator over the updated later stages).  A trial
+    step whose continuation diverges counts as no descent and the step
+    shrinks; a DivergenceError propagates only when the old coefficients'
+    objective or value gradient diverges.
     """
     if ridge_abs is None:
         mean_diag = float(np.mean(np.diag(grams.gram)))
@@ -406,7 +448,7 @@ def solve_implicit_update(
             chol = cho_factor(grams.gram + ridge_abs * np.eye(M))
         except np.linalg.LinAlgError as exc:
             raise ValueError("stage Gram matrix is singular even after the ridge shift") from exc
-    ws = _StageWorkspace(t, c_old, tail_values, states_at_t, grams, cfg, spec, sys, chol, ridge_abs)
+    ws = _StageWorkspace(c_old, tail_values, states_at_t, grams, cfg, spec, sys, chol, ridge_abs)
     J0 = ws.objective_of(ws.c_old)
     if cfg.inner_solver == "fixed_point":
         return _solve_fixed_point(ws, J0)

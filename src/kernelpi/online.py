@@ -39,16 +39,12 @@ __all__ = [
 
 @dataclass
 class OnlineConfig:
-    """Settings for the online loop.
-
-    gamma is carried for interface compatibility but drives no behavior.
-    """
+    """Settings for the online loop."""
 
     horizon: int = 50
     window: int = 4
     ident_steps: int = 40
     sigma_excitation: float = 1.5
-    gamma: float = 0.9
     m0_scale: float = 1.0e5
     forgetting: float = 1.0
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -61,8 +57,6 @@ class OnlineConfig:
             raise ValueError("ident_steps must satisfy 0 <= ident_steps < horizon")
         if self.sigma_excitation < 0:
             raise ValueError("sigma_excitation must be >= 0")
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie in (0, 1)")
 
 
 class LinearPlant:

@@ -12,7 +12,7 @@ from kernelpi.costs import (
     stage_cost,
     terminal_cost,
 )
-from kernelpi.dynamics import DivergenceError, LinearSystem, TrajectoryBatch, rollout
+from kernelpi.dynamics import STATE_GUARD, DivergenceError, LinearSystem, TrajectoryBatch, rollout
 from kernelpi.kernels import Dictionary, GramPair, KernelPolicy, KernelSpec, StagePolicy, cross_gram, gram_matrix
 
 PAIR_SPEC = CollisionSpec(safety_distance=1.0, softening=0.1)
@@ -243,24 +243,72 @@ def test_tail_evaluator_reports_divergent_sample():
     stages = [StagePolicy(None, np.zeros((0, 1))) for _ in range(12)]
     policy = KernelPolicy(kernel, stages)
     tail = TailEvaluator(sys_, spec, policy, 0)
-    with pytest.raises(DivergenceError) as exc:
-        tail.values(np.array([[1.0], [1e5]]))
-    assert exc.value.sample_index == 1
+    cases = [
+        (1e5, 2),  # inside the guard, crosses it after two steps of A = 5
+        (np.nan, 0),
+        (np.inf, 0),
+        (STATE_GUARD * (1.0 + 1e-9), 0),
+    ]
+    for bad, stage in cases:
+        with pytest.raises(DivergenceError) as exc:
+            tail.values(np.array([[1.0], [bad], [-2.0]]))
+        assert exc.value.sample_index == 1
+        assert exc.value.stage == stage
 
 
-def test_tail_evaluator_snapshot_matches_rollout_cost():
-    rng = np.random.default_rng(21)
+def _intersection_problem(rng):
+    from kernelpi.intersection import ScenarioConfig, build_intersection, sample_initial_states
+
+    scen = ScenarioConfig(n_cav=2, horizon=4, entry_offsets=(12.0, 14.0), position_jitter=1.0)
+    scenario, sys_, _, spec = build_intersection(scen)
+    return sys_, spec, lambda N: sample_initial_states(scenario, rng, N)
+
+
+def _quadratic_problem(rng):
     sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.005], [0.1]], input_blocks=(1,))
     spec = CostSpec(Q=np.eye(2), R=[[0.3]], Q_F=np.eye(2))
-    kernel = KernelSpec(family="gaussian-rbf", length_scale=2.0)
+    return sys_, spec, lambda N: rng.normal(size=(N, 2))
+
+
+PROBLEMS = pytest.mark.parametrize(
+    "problem", [_quadratic_problem, _intersection_problem], ids=["quadratic", "intersection"]
+)
+
+
+@pytest.mark.parametrize("family", ["linear", "polynomial", "gaussian-rbf"])
+@PROBLEMS
+def test_tail_evaluator_snapshot_matches_rollout_cost(family, problem):
+    rng = np.random.default_rng(21)
+    sys_, spec, sample = problem(rng)
+    kernel = KernelSpec(family=family, length_scale=2.0)
+    scale = {"linear": 1e-2, "polynomial": 1e-4, "gaussian-rbf": 0.2}[family]
     stages = [
-        StagePolicy(Dictionary(points=rng.normal(size=(3, 2))), rng.normal(size=(3, 1)) * 0.2)
+        StagePolicy(Dictionary(points=sample(3)), rng.normal(size=(3, sys_.m)) * scale)
         for _ in range(4)
     ]
     policy = KernelPolicy(kernel, stages)
-    x0 = rng.normal(size=(5, 2))
+    x0 = sample(5)
     tail = TailEvaluator(sys_, spec, policy, 0)
     vals = tail.values(x0)
     batch = rollout(sys_, policy, x0)
     table = evaluate_cost_to_go(batch, spec)
     np.testing.assert_allclose(vals, table.values[:, 0], rtol=1e-10)
+
+
+@PROBLEMS
+def test_stage_workspace_objective_matches_empirical_stage_objective(problem):
+    from kernelpi.offline import SolverConfig, _StageWorkspace
+
+    rng = np.random.default_rng(4)
+    sys_, spec, sample = problem(rng)
+    kernel = KernelSpec(family="gaussian-rbf", length_scale=2.0)
+    d = Dictionary(points=sample(4))
+    states = sample(9)
+    grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, states, d))
+    stage = StagePolicy(Dictionary(points=sample(3)), rng.normal(size=(3, sys_.m)) * 0.2)
+    tail = TailEvaluator(sys_, spec, KernelPolicy(kernel, [stage] * 3), 1)
+    C0 = rng.normal(size=(4, sys_.m)) * 0.2
+    ws = _StageWorkspace(C0, tail.values, states, grams, SolverConfig(), spec, sys_, None, 0.0)
+    for C in [C0] + [rng.normal(size=(4, sys_.m)) for _ in range(4)]:
+        expected = empirical_stage_objective(0, C, states, tail.values, sys_, spec, grams)
+        assert ws.objective_of(C) == pytest.approx(expected, rel=1e-12)

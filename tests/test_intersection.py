@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from kernelpi.costs import CollisionSpec, collision_penalty
 from kernelpi.intersection import (
     NonConflictingPathsWarning,
     ScenarioConfig,
@@ -150,3 +153,39 @@ def test_conflict_pairs_for_default_geometry():
     pairs = scenario.conflict_pairs()
     # crossing movements conflict; the two opposite straight movements do not
     assert (0, 1) in pairs and (1, 2) in pairs and (0, 2) not in pairs
+
+
+@pytest.mark.parametrize("V", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(), (7,), (5, 3)])
+def test_penalties_match_collision_penalty_plus_tracking(V, shape):
+    # the fused penalties against the unfused definition: planar positions,
+    # pairwise proximity cost and the speed-tracking sum, both shifted to
+    # vanish at the zero state
+    speeds = (11.0, 8.0, 10.0, 9.5)[:V]
+    cfg = small_cfg(
+        n_cav=min(V, 2),
+        n_hdv=max(V - 2, 0),
+        entry_offsets=(12.0, 14.0, 13.0, 15.0)[:V],
+        desired_speeds=speeds,
+        speed_weight=0.7,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonConflictingPathsWarning)
+        scenario, _, _, cost = build_intersection(cfg)
+    rng = np.random.default_rng(V)
+    x = np.empty(shape + (2 * V,))
+    x[..., 0::2] = rng.uniform(-15.0, 15.0, size=shape + (V,))
+    x[..., 1::2] = rng.uniform(6.0, 13.0, size=shape + (V,))
+
+    spec = CollisionSpec(safety_distance=cfg.safety_distance, softening=cfg.softening)
+
+    def proximity(states):
+        return collision_penalty(positions_from_states(states, scenario), spec)
+
+    phi0 = proximity(np.zeros(2 * V))
+    vdes = np.asarray(speeds)
+    tracking = cfg.speed_weight * np.sum((x[..., 1::2] - vdes) ** 2 - vdes**2, axis=-1)
+    psi, psi_F = cost.psi(x), cost.psi_F(x)
+    assert np.shape(psi) == shape and np.shape(psi_F) == shape
+    np.testing.assert_allclose(psi, proximity(x) - phi0 + tracking, rtol=1e-12)
+    np.testing.assert_allclose(psi_F, proximity(x) - phi0, rtol=1e-12)

@@ -298,3 +298,21 @@ def test_complexity_probe_single_point():
     assert len(rows) == 1
     assert rows[0].mc_samples == 4 and rows[0].dict_size == 3 and rows[0].horizon == 3
     assert rows[0].seconds_per_iteration > 0
+
+
+@pytest.mark.parametrize("delta_lr", [1.0, 1e3, 1e9])
+def test_diverging_trial_step_shrinks_instead_of_aborting(delta_lr):
+    # open-loop unstable plant with nearly free control: long trial steps of
+    # the line search blow the tail simulation up, but the accepted policy
+    # never diverges, so the run must go on and keep descending
+    sys_ = LinearSystem(A=[[1.5]], B=[[1.0]], input_blocks=(1,))
+    spec = CostSpec(Q=[[1.0]], R=[[1e-6]], Q_F=[[1.0]])
+    cfg = SolverConfig(
+        delta_lr=delta_lr, max_outer_iters=20, mc_samples=20, seed=0, convergence_tol=0.0
+    )
+    _, records = policy_iteration(
+        sys_, spec, lambda rng, N: rng.uniform(-1.0, 1.0, size=(N, 1)), cfg, horizon=12
+    )
+    assert len(records) == 20
+    costs = [r.cost for r in records] + [records[-1].cost_after]
+    assert all(b <= a + 1e-9 * (1.0 + abs(a)) for a, b in zip(costs, costs[1:]))

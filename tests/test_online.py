@@ -72,8 +72,6 @@ def test_online_config_validation():
         OnlineConfig(horizon=10, ident_steps=10)
     with pytest.raises(ValueError):
         OnlineConfig(horizon=10, ident_steps=2, sigma_excitation=-0.5)
-    with pytest.raises(ValueError):
-        OnlineConfig(horizon=10, ident_steps=2, gamma=1.5)
 
 
 def test_plan_window_single_step_matches_one_step_gain():
