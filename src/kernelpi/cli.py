@@ -18,14 +18,14 @@ import argparse
 import dataclasses
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from .config import ConfigError, RunConfig, dump_config, load_config
+from .config import ConfigError, RunConfig, dump_config, load_config, online_config, seeded_solver
 from .costs import CostSpec
 from .dynamics import DivergenceError, LinearSystem, assemble_team_system, discretize_double_integrator, rollout
 from .intersection import Scenario, build_intersection, pairwise_distances, sample_initial_states
@@ -35,9 +35,8 @@ from .offline import (
     complexity_probe,
     policy_iteration,
 )
-from .online import OnlineConfig, OnlineLog, run_online
+from .online import OnlineLog, run_online
 from .riccati import lqr_cost, riccati_backward
-from .seeding import substreams
 
 __all__ = ["main", "export_run", "oracle_compare", "OracleReport", "run_offline_mode", "run_online_mode"]
 
@@ -163,23 +162,16 @@ def export_run(
 # mode runners
 
 
-def _effective_solver(cfg: RunConfig) -> SolverConfig:
-    return replace(cfg.solver, seed=cfg.seed)
-
-
 def run_offline_mode(cfg: RunConfig):
     """Full-horizon policy iteration on the configured intersection."""
     scenario, learner, _plant, cost = build_intersection(cfg.scenario)
-    solver = _effective_solver(cfg)
 
     def sampler(rng, N):
         return sample_initial_states(scenario, rng, N)
 
-    policy, records = policy_iteration(
-        learner, cost, sampler, solver, horizon=cfg.scenario.horizon
+    policy, records, x0 = policy_iteration(
+        learner, cost, sampler, seeded_solver(cfg), horizon=cfg.scenario.horizon
     )
-    x0 = sampler(substreams(cfg.seed, ("initial-states", "dictionary"))["initial-states"],
-                 solver.mc_samples)
     batch = rollout(learner, policy, x0)
     return scenario, policy, records, batch
 
@@ -187,18 +179,7 @@ def run_offline_mode(cfg: RunConfig):
 def run_online_mode(cfg: RunConfig):
     """Identification followed by receding-horizon control on the plant."""
     scenario, _learner, plant, cost = build_intersection(cfg.scenario)
-    on = cfg.online
-    ocfg = OnlineConfig(
-        horizon=cfg.scenario.horizon,
-        window=on.window,
-        ident_steps=on.ident_steps,
-        sigma_excitation=on.sigma_excitation,
-        m0_scale=on.m0_scale,
-        forgetting=on.forgetting,
-        solver=_effective_solver(cfg),
-        seed=cfg.seed,
-    )
-    log = run_online(plant, ocfg, cost, scenario=scenario)
+    log = run_online(plant, online_config(cfg), cost, scenario=scenario)
     return scenario, log
 
 
@@ -238,7 +219,6 @@ def oracle_compare(cfg: RunConfig) -> OracleReport:
     R = oc.control_weight * np.eye(m)
     Q_F = oc.terminal_weight * np.eye(n)
     spec = CostSpec(Q=Q, R=R, Q_F=Q_F)
-    solver = _effective_solver(cfg)
 
     def sampler(rng, N):
         X = np.empty((N, n))
@@ -246,9 +226,9 @@ def oracle_compare(cfg: RunConfig) -> OracleReport:
         X[:, 1::2] = rng.uniform(*oc.speed_range, size=(N, oc.n_vehicles))
         return X
 
-    policy, records = policy_iteration(sys_, spec, sampler, solver, horizon=oc.horizon)
-    x0 = sampler(substreams(cfg.seed, ("initial-states", "dictionary"))["initial-states"],
-                 solver.mc_samples)
+    policy, records, x0 = policy_iteration(
+        sys_, spec, sampler, seeded_solver(cfg), horizon=oc.horizon
+    )
     cost_policy = records[-1].cost_after
     sol = riccati_backward(sys_, Q, R, Q_F, oc.horizon)
     cost_r = lqr_cost(sol, x0)
@@ -289,7 +269,7 @@ def _scalar_instance_gain(seed: int) -> float:
     def sampler(rng, N):
         return rng.uniform(0.5, 1.5, size=(N, 1))
 
-    policy, _ = policy_iteration(sys_, spec, sampler, cfg, horizon=1)
+    policy, _, _ = policy_iteration(sys_, spec, sampler, cfg, horizon=1)
     stage = policy.stages[0]
     return float((stage.coefficients.T @ stage.dictionary.points).item())
 

@@ -17,6 +17,7 @@ import yaml
 
 from .intersection import ScenarioConfig
 from .offline import SolverConfig
+from .online import OnlineConfig
 
 __all__ = [
     "ConfigError",
@@ -28,6 +29,8 @@ __all__ = [
     "load_config",
     "config_from_mapping",
     "dump_config",
+    "seeded_solver",
+    "online_config",
 ]
 
 MODES = ("offline", "online", "oracle-compare", "complexity-probe")
@@ -168,6 +171,26 @@ def load_config(path) -> RunConfig:
     return config_from_mapping(data)
 
 
+def seeded_solver(cfg: RunConfig) -> SolverConfig:
+    """The solver settings with the run seed in place of the solver's own."""
+    return dataclasses.replace(cfg.solver, seed=cfg.seed)
+
+
+def online_config(cfg: RunConfig) -> OnlineConfig:
+    """The online-loop settings of a run; raises ValueError on a violated invariant."""
+    on = cfg.online
+    return OnlineConfig(
+        horizon=cfg.scenario.horizon,
+        window=on.window,
+        ident_steps=on.ident_steps,
+        sigma_excitation=on.sigma_excitation,
+        m0_scale=on.m0_scale,
+        forgetting=on.forgetting,
+        solver=seeded_solver(cfg),
+        seed=cfg.seed,
+    )
+
+
 def _validate(cfg: RunConfig) -> None:
     if cfg.mode not in MODES:
         raise ConfigError(f"mode: {cfg.mode!r} is not one of {MODES}")
@@ -185,17 +208,10 @@ def _validate(cfg: RunConfig) -> None:
     if sc.n_cav < 1:
         raise ConfigError("scenario.n_cav: need at least one CAV")
     if cfg.mode == "online":
-        on = cfg.online
-        if not 1 <= on.window <= sc.horizon:
-            raise ConfigError("online.window: must satisfy 1 <= window <= scenario.horizon")
-        if not 0 <= on.ident_steps < sc.horizon:
-            raise ConfigError("online.ident_steps: must satisfy 0 <= ident_steps < scenario.horizon")
-        if on.sigma_excitation < 0:
-            raise ConfigError("online.sigma_excitation: must be >= 0")
-        if not 0 < on.forgetting <= 1:
-            raise ConfigError("online.forgetting: must lie in (0, 1]")
-        if not on.m0_scale > 0:
-            raise ConfigError("online.m0_scale: must be > 0")
+        try:
+            online_config(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"online: {exc}") from exc
     if cfg.mode == "oracle-compare":
         oc = cfg.oracle
         if oc.horizon < 1 or oc.samples < 1 or oc.n_vehicles < 1:

@@ -13,8 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import DivergenceError, LinearSystem, TrajectoryBatch, STATE_GUARD
-from .kernels import GramPair, KernelPolicy
+from .dynamics import LinearSystem, TrajectoryBatch, check_guard
+from .kernels import GramPair, KernelPolicy, StageExpansion
 
 __all__ = [
     "CostSpec",
@@ -169,48 +169,6 @@ def evaluate_cost_to_go(batch: TrajectoryBatch, spec: CostSpec) -> CostToGoTable
     return CostToGoTable(V)
 
 
-class _StageExpansion:
-    """Snapshot of one stage policy, specialized per kernel family for speed."""
-
-    __slots__ = ("kind", "points", "sq_norms", "coeffs", "scale", "offset", "degree", "m")
-
-    def __init__(self, kernel, stage):
-        self.m = stage.input_dim
-        if stage.dictionary is None:
-            self.kind = "zero"
-            return
-        pts = stage.dictionary.points
-        C = stage.coefficients
-        if kernel.family == "linear":
-            # collapse sum_j (x . p_j) c_j into a single feedback matrix
-            self.kind = "affine"
-            self.coeffs = pts.T @ C
-        elif kernel.family == "gaussian-rbf":
-            self.kind = "rbf"
-            self.points = pts
-            self.sq_norms = np.sum(pts * pts, axis=1)
-            self.coeffs = C
-            self.scale = 1.0 / (2.0 * kernel.length_scale**2)
-        else:
-            self.kind = "poly"
-            self.points = pts
-            self.coeffs = C
-            self.offset = kernel.offset
-            self.degree = kernel.degree
-
-    def controls(self, X: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
-        """Controls at the rows of X, given their squared norms."""
-        if self.kind == "zero":
-            return np.zeros((X.shape[0], self.m))
-        if self.kind == "affine":
-            return X @ self.coeffs
-        if self.kind == "rbf":
-            sq = row_sq_norms[:, None] + self.sq_norms[None, :] - 2.0 * (X @ self.points.T)
-            np.maximum(sq, 0.0, out=sq)
-            return np.exp(-self.scale * sq) @ self.coeffs
-        return ((X @ self.points.T + self.offset) ** self.degree) @ self.coeffs
-
-
 class TailEvaluator:
     """Continuation values by re-simulating stages start_stage..T under given policies.
 
@@ -221,22 +179,14 @@ class TailEvaluator:
     object is not reflected.
     """
 
-    def __init__(
-        self,
-        sys: LinearSystem,
-        spec: CostSpec,
-        policy: KernelPolicy,
-        start_stage: int,
-        state_guard: float = STATE_GUARD,
-    ):
+    def __init__(self, sys: LinearSystem, spec: CostSpec, policy: KernelPolicy, start_stage: int):
         if not 0 <= start_stage <= policy.horizon:
             raise ValueError("start_stage out of range")
         self.sys = sys
         self.spec = spec
         self.start_stage = start_stage
-        self.state_guard = state_guard
         self._stages = [
-            _StageExpansion(policy.kernel, policy.stages[t])
+            StageExpansion(policy.kernel, policy.stages[t])
             for t in range(start_stage, policy.horizon)
         ]
 
@@ -244,19 +194,9 @@ class TailEvaluator:
         X = np.atleast_2d(np.asarray(states, dtype=float))
         A_T = self.sys.A.T
         B_T = self.sys.B.T
-        guard_sq = self.state_guard**2
         total = np.zeros(X.shape[0])
-        for offset, expansion in enumerate(self._stages):
-            sq = np.einsum("ij,ij->i", X, X)
-            # NaN, inf and over-guard rows all fail this comparison
-            within = sq <= guard_sq
-            if not within.all():
-                i = int(np.argmin(within))
-                raise DivergenceError(
-                    f"tail simulation diverged at sample {i}, stage {self.start_stage + offset}",
-                    sample_index=i,
-                    stage=self.start_stage + offset,
-                )
+        for t, expansion in enumerate(self._stages, start=self.start_stage):
+            sq = check_guard(X, t, "tail simulation")
             U = expansion.controls(X, sq)
             total += stage_cost(X, U, self.spec)
             X = X @ A_T + U @ B_T

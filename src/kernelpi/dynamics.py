@@ -15,13 +15,14 @@ __all__ = [
     "TrajectoryBatch",
     "DivergenceError",
     "STATE_GUARD",
+    "check_guard",
     "discretize_double_integrator",
     "assemble_team_system",
     "step",
     "rollout",
 ]
 
-# Any state whose norm exceeds this aborts a rollout as divergent.
+# Any state whose norm exceeds this aborts a simulation as divergent.
 STATE_GUARD = 1.0e6
 
 
@@ -175,14 +176,20 @@ def _policy_fn(policy: PolicyLike, m: int):
     return policy
 
 
-def _check_batch_finite(X: np.ndarray, t: int, guard: float) -> None:
-    bad = ~np.isfinite(X).all(axis=1)
-    bad |= np.linalg.norm(X, axis=1) > guard
-    if bad.any():
-        i = int(np.argmax(bad))
+def check_guard(X: np.ndarray, t: int, what: str = "trajectory") -> np.ndarray:
+    """Squared row norms of the states X at stage t, after the divergence guard.
+
+    A row whose squared norm is not <= STATE_GUARD^2 (NaN, inf, or beyond the
+    guard) raises a DivergenceError naming the first such sample and stage t.
+    """
+    sq = np.einsum("ij,ij->i", X, X)
+    within = sq <= STATE_GUARD**2
+    if not within.all():
+        i = int(np.argmin(within))
         raise DivergenceError(
-            f"trajectory diverged at sample {i}, stage {t}", sample_index=i, stage=t
+            f"{what} diverged at sample {i}, stage {t}", sample_index=i, stage=t
         )
+    return sq
 
 
 def rollout(
@@ -190,7 +197,6 @@ def rollout(
     policy: PolicyLike,
     x0_batch,
     horizon: Optional[int] = None,
-    state_guard: float = STATE_GUARD,
 ) -> TrajectoryBatch:
     """Simulate all samples forward under the policy, storing states and controls.
 
@@ -216,10 +222,10 @@ def rollout(
     states[:, 0] = X0
     X = X0
     for t in range(T):
-        _check_batch_finite(X, t, state_guard)
+        check_guard(X, t)
         U = np.asarray(fn(t, X), dtype=float)
         controls[:, t] = U
         X = X @ sys.A.T + U @ sys.B.T
         states[:, t + 1] = X
-    _check_batch_finite(X, T, state_guard)
+    check_guard(X, T)
     return TrajectoryBatch(states, controls)

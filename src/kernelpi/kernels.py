@@ -21,6 +21,7 @@ __all__ = [
     "KernelPolicy",
     "GramPair",
     "GramSingularityWarning",
+    "StageExpansion",
     "eval_kernel",
     "kernel_matrix",
     "gram_matrix",
@@ -70,23 +71,34 @@ def _as_points(arr, name: str) -> np.ndarray:
     return pts
 
 
+def _sq_norms(P: np.ndarray) -> np.ndarray:
+    return np.sum(P * P, axis=1)
+
+
+def _from_products(
+    spec: KernelSpec, XY: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray
+) -> np.ndarray:
+    """Kernel values from the inner products XY = X Y' and the squared row norms of X and Y.
+
+    This is the one place each family's formula is written; the norms are
+    read by the gaussian-rbf family only.
+    """
+    if spec.family == "gaussian-rbf":
+        sq = x_sq[:, None] + y_sq[None, :] - 2.0 * XY
+        np.maximum(sq, 0.0, out=sq)
+        return np.exp((-0.5 / spec.length_scale**2) * sq)
+    if spec.family == "linear":
+        return XY
+    return (XY + spec.offset) ** spec.degree
+
+
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     """Pairwise kernel evaluations: entry (i, j) is k(X[i], Y[j])."""
     X = _as_points(X, "X")
     Y = _as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    if spec.family == "gaussian-rbf":
-        sq = (
-            np.sum(X * X, axis=1)[:, None]
-            + np.sum(Y * Y, axis=1)[None, :]
-            - 2.0 * (X @ Y.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * spec.length_scale**2))
-    if spec.family == "linear":
-        return X @ Y.T
-    return (X @ Y.T + spec.offset) ** spec.degree
+    return _from_products(spec, X @ Y.T, _sq_norms(X), _sq_norms(Y))
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> float:
@@ -225,6 +237,40 @@ class KernelPolicy:
         )
 
 
+class StageExpansion:
+    """One stage policy compiled for repeated evaluation at batches of states.
+
+    The per-stage work that does not depend on the evaluation points is done
+    once here: the anchors' squared norms, and for the linear kernel the
+    collapse of sum_j (x . p_j) c_j into the single feedback matrix P' C.
+    The stage is snapshotted; later mutation of its coefficients is not
+    reflected.
+    """
+
+    __slots__ = ("kernel", "points", "sq_norms", "coeffs", "m")
+
+    def __init__(self, kernel: KernelSpec, stage: StagePolicy):
+        self.kernel = kernel
+        self.m = stage.input_dim
+        self.points = None if stage.dictionary is None else stage.dictionary.points
+        if self.points is None:
+            return
+        if kernel.family == "linear":
+            self.coeffs = self.points.T @ stage.coefficients
+        else:
+            self.coeffs = stage.coefficients
+            self.sq_norms = _sq_norms(self.points)
+
+    def controls(self, X: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
+        """(N, m) controls at the rows of X, given their squared norms."""
+        if self.points is None:
+            return np.zeros((X.shape[0], self.m))
+        if self.kernel.family == "linear":
+            return X @ self.coeffs
+        K = _from_products(self.kernel, X @ self.points.T, row_sq_norms, self.sq_norms)
+        return K @ self.coeffs
+
+
 def _check_stage(policy: KernelPolicy, t: int) -> StagePolicy:
     if not 0 <= t < policy.horizon:
         raise ValueError(f"stage {t} out of range for horizon {policy.horizon}")
@@ -234,11 +280,10 @@ def _check_stage(policy: KernelPolicy, t: int) -> StagePolicy:
 def eval_policy_batch(policy: KernelPolicy, t: int, states) -> np.ndarray:
     """Evaluate the stage-t policy at a batch of states, returning (N, m) controls."""
     stage = _check_stage(policy, t)
-    states = _as_points(states, "states")
-    if stage.dictionary is None:
-        return np.zeros((states.shape[0], stage.input_dim))
-    K = cross_gram(policy.kernel, states, stage.dictionary)
-    return K @ stage.coefficients
+    X = _as_points(states, "states")
+    if stage.dictionary is not None and X.shape[1] != stage.dictionary.dim:
+        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {stage.dictionary.dim}")
+    return StageExpansion(policy.kernel, stage).controls(X, _sq_norms(X))
 
 
 def eval_policy(policy: KernelPolicy, t: int, x) -> np.ndarray:

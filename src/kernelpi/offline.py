@@ -13,16 +13,9 @@ stage objective chains exactly into the next through the re-simulated
 continuation values, the recorded total cost is non-increasing across outer
 iterations by construction.
 
-Two inner solvers are available.  The default "secant" solver picks the
-Gram-preconditioned descent direction and finds the step length by 1-d root
-finding, which enforces the identity above to root-finder precision.  The
-"fixed_point" solver iterates the damped substitution
-
-    c <- c_old - delta K^-1 Ks' D(c)
-
-with backtracking on the damping factor; its fixed points solve the
-coefficient-space update equation exactly, at the price of restricting the
-step direction.
+The inner solver picks the Gram-preconditioned descent direction and finds
+the step length by 1-d root finding, which enforces the identity above to
+root-finder precision.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 
 from .costs import CostSpec, TailEvaluator, evaluate_cost_to_go, stage_cost
-from .dynamics import DivergenceError, LinearSystem, rollout, STATE_GUARD
+from .dynamics import DivergenceError, LinearSystem, rollout
 from .kernels import (
     Dictionary,
     GramPair,
@@ -70,13 +63,14 @@ class SolverConfig:
 
     delta_lr scales the implicit step: larger values permit longer steps per
     stage update.  ridge is a relative factor; the absolute shift added to a
-    stage Gram solve is ridge times the mean Gram diagonal.
+    stage Gram solve is ridge times the mean Gram diagonal.  inner_tol is the
+    tolerance callers check the solver's results against (per-stage secant
+    gaps, the recorded cost's rises); the solver itself does not read it.
     """
 
     delta_lr: float = 1.0
     max_outer_iters: int = 100
     inner_tol: float = 1.0e-6
-    inner_max_iters: int = 40
     mc_samples: int = 50
     dict_size: int = 30
     ridge: float = 1.0e-8
@@ -85,7 +79,6 @@ class SolverConfig:
     length_scale: Optional[float] = None
     poly_degree: int = 2
     poly_offset: float = 1.0
-    inner_solver: str = "secant"
     convergence_tol: float = 1.0e-8
 
     def __post_init__(self) -> None:
@@ -93,14 +86,12 @@ class SolverConfig:
             raise ValueError("delta_lr must be > 0")
         if not self.inner_tol > 0:
             raise ValueError("inner_tol must be > 0")
-        if self.inner_max_iters < 1 or self.max_outer_iters < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be >= 1")
         if self.mc_samples < 1 or self.dict_size < 1:
             raise ValueError("mc_samples and dict_size must be >= 1")
         if self.ridge < 0:
             raise ValueError("ridge must be >= 0")
-        if self.inner_solver not in ("secant", "fixed_point"):
-            raise ValueError("inner_solver must be 'secant' or 'fixed_point'")
         if self.convergence_tol < 0:
             raise ValueError("convergence_tol must be >= 0")
 
@@ -351,70 +342,17 @@ def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
     )
 
 
-def _solve_fixed_point(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
-    cfg = ws.cfg
-    direction = ws.descent_direction()
-    if direction is None:
-        return _fallback(ws, J0, "gradient-diverged")
-    V, P, p2, s0 = direction
-    scale = 1.0 + abs(J0)
-    if not np.isfinite(p2) or p2 <= 1e-300 or s0 >= -1e-14 * scale:
-        return _fallback(ws, J0, "stationary")
-    delta = cfg.delta_lr
-    res_scale = max(1.0, float(np.linalg.norm(ws.K_ridge @ ws.c_old)))
-    # bootstrap inside the descent region so the substitution map has a
-    # nonzero step to evaluate the secant quotient on
-    a0 = -s0 * delta / p2
-    for _ in range(60):
-        if ws.trial_objective(ws.c_old + a0 * V) <= J0:
-            break
-        a0 *= 0.5
-    else:
-        return _fallback(ws, J0, "no-descent")
-    c = ws.c_old + a0 * V
-    descending = None  # latest iterate with Jc <= J0
-    omega = 1.0
-    for _ in range(cfg.inner_max_iters):
-        dpi = ws.cross @ (c - ws.c_old)
-        nrm2 = float(np.sum(dpi * dpi))
-        if nrm2 == 0.0:
-            break
-        Jc = ws.objective_of(c)
-        if np.isfinite(Jc) and Jc <= J0:
-            descending = (Jc, c)
-        D = dpi * ((Jc - J0) / nrm2)
-        resid = float(np.linalg.norm(ws.K_ridge @ (c - ws.c_old) + delta * (ws.cross.T @ D)))
-        if resid <= cfg.inner_tol * res_scale and Jc <= J0:
-            descending = (Jc, c)
-            break
-        target = ws.c_old - delta * cho_solve(ws.chol, ws.cross.T @ D)
-        c_next = (1.0 - omega) * c + omega * target
-        Jn = ws.trial_objective(c_next)
-        # backtrack the damping factor whenever the objective would rise
-        # above the starting value
-        while Jn > J0 and omega > 1e-3:
-            omega *= 0.5
-            c_next = (1.0 - omega) * c + omega * target
-            Jn = ws.trial_objective(c_next)
-        if Jn > J0:
-            break
-        c = c_next
-    if descending is not None and descending[0] < J0:
-        best_J, best_c = descending
-        value_sq, rkhs_sq, gap, resid = ws.diagnostics(best_c, J0, best_J)
-        return StageUpdateResult(
-            c_new=best_c,
-            objective_old=J0,
-            objective_new=best_J,
-            evals=ws.evals,
-            value_step_sq=value_sq,
-            rkhs_step_sq=rkhs_sq,
-            secant_gap=gap,
-            update_residual=resid,
-            accepted=True,
-            reason="ok",
-        )
-    return _fallback(ws, J0, "no-descent")
+def _factor_gram(K: np.ndarray, ridge_rel: float, stage: int):
+    """Cholesky factor of K shifted by ridge_rel times its mean diagonal, and that shift."""
+    mean_diag = float(np.mean(np.diag(K)))
+    ridge_abs = ridge_rel * (mean_diag if mean_diag > 0 else 1.0)
+    try:
+        chol = cho_factor(K + ridge_abs * np.eye(K.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"Gram matrix for stage {stage} is singular even after the ridge shift"
+        ) from exc
+    return chol, ridge_abs
 
 
 def solve_implicit_update(
@@ -439,20 +377,10 @@ def solve_implicit_update(
     shrinks; a DivergenceError propagates only when the old coefficients'
     objective or value gradient diverges.
     """
-    if ridge_abs is None:
-        mean_diag = float(np.mean(np.diag(grams.gram)))
-        ridge_abs = cfg.ridge * (mean_diag if mean_diag > 0 else 1.0)
-    if chol is None:
-        M = grams.gram.shape[0]
-        try:
-            chol = cho_factor(grams.gram + ridge_abs * np.eye(M))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("stage Gram matrix is singular even after the ridge shift") from exc
+    if chol is None or ridge_abs is None:
+        chol, ridge_abs = _factor_gram(grams.gram, cfg.ridge, t)
     ws = _StageWorkspace(c_old, tail_values, states_at_t, grams, cfg, spec, sys, chol, ridge_abs)
-    J0 = ws.objective_of(ws.c_old)
-    if cfg.inner_solver == "fixed_point":
-        return _solve_fixed_point(ws, J0)
-    return _solve_secant(ws, J0)
+    return _solve_secant(ws, ws.objective_of(ws.c_old))
 
 
 def build_dictionaries(
@@ -477,14 +405,7 @@ def _prepare_stage_solvers(kernel: KernelSpec, dicts: Sequence[Dictionary], ridg
     grams, chols, ridges = [], [], []
     for d in dicts:
         K = gram_matrix(kernel, d, ridge=0.0)
-        mean_diag = float(np.mean(np.diag(K)))
-        ridge_abs = ridge_rel * (mean_diag if mean_diag > 0 else 1.0)
-        try:
-            chol = cho_factor(K + ridge_abs * np.eye(d.size))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(
-                f"Gram matrix for stage {d.stage} is singular even after the ridge shift"
-            ) from exc
+        chol, ridge_abs = _factor_gram(K, ridge_rel, d.stage)
         grams.append(K)
         chols.append(chol)
         ridges.append(ridge_abs)
@@ -499,7 +420,6 @@ def run_policy_iteration(
     cfg: SolverConfig,
     policy: Optional[KernelPolicy] = None,
     dict_rng: Optional[np.random.Generator] = None,
-    state_guard: float = STATE_GUARD,
 ):
     """Iterate forward simulation, backward evaluation, and stage improvement.
 
@@ -525,7 +445,7 @@ def run_policy_iteration(
     solvers = None
     for k in range(cfg.max_outer_iters):
         try:
-            batch = rollout(sys, policy, X0, horizon=horizon, state_guard=state_guard)
+            batch = rollout(sys, policy, X0, horizon=horizon)
         except DivergenceError as exc:
             raise PolicyIterationDiverged(
                 f"forward simulation diverged at iteration {k}: {exc}", records, policy, exc
@@ -549,7 +469,7 @@ def run_policy_iteration(
                 stage = policy.stages[t]
                 cross = cross_gram(kernel, batch.states[:, t], stage.dictionary)
                 grams = GramPair(gram_raw[t], cross)
-                tail = TailEvaluator(sys, spec, policy, t + 1, state_guard=state_guard)
+                tail = TailEvaluator(sys, spec, policy, t + 1)
                 res = solve_implicit_update(
                     t,
                     stage.coefficients,
@@ -600,11 +520,12 @@ def policy_iteration(
 
     p0_sampler(rng, N) must return an (N, n) batch.  The batch is drawn once
     per run from a dedicated substream and reused across iterations for
-    reproducibility.
+    reproducibility.  Returns (policy, records, X0) with X0 that batch.
     """
     rngs = substreams(cfg.seed, ("initial-states", "dictionary"))
     X0 = p0_sampler(rngs["initial-states"], cfg.mc_samples)
-    return run_policy_iteration(sys, spec, horizon, X0, cfg, dict_rng=rngs["dictionary"])
+    policy, records = run_policy_iteration(sys, spec, horizon, X0, cfg, dict_rng=rngs["dictionary"])
+    return policy, records, X0
 
 
 @dataclass
@@ -643,7 +564,7 @@ def complexity_probe(points: Sequence[tuple], iterations: int = 2, seed: int = 0
             seed=seed,
             convergence_tol=0.0,
         )
-        _, records = policy_iteration(
+        _, records, _ = policy_iteration(
             learner,
             cost,
             lambda rng, N: sample_initial_states(scenario, rng, N),

@@ -57,6 +57,10 @@ class OnlineConfig:
             raise ValueError("ident_steps must satisfy 0 <= ident_steps < horizon")
         if self.sigma_excitation < 0:
             raise ValueError("sigma_excitation must be >= 0")
+        if not self.m0_scale > 0:
+            raise ValueError("m0_scale must be > 0")
+        if not 0 < self.forgetting <= 1:
+            raise ValueError("forgetting must lie in (0, 1]")
 
 
 class LinearPlant:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kernelpi.dynamics import (
+    STATE_GUARD,
     DivergenceError,
     LinearSystem,
     StateSpace,
@@ -174,12 +175,18 @@ def test_assembly_commutes_with_stepping():
 
 def test_rollout_divergence_reports_sample_and_stage():
     sys_ = LinearSystem(A=[[10.0]], B=[[0.0]], input_blocks=(1,))
-    x0 = np.array([[1.0], [1e5]])
-    with pytest.raises(DivergenceError) as exc:
-        rollout(sys_, None, x0, horizon=30)
-    assert exc.value.sample_index == 1
-    assert exc.value.stage is not None and exc.value.stage <= 3
-    assert "sample 1" in str(exc.value)
+    cases = [
+        (1e5, 2),  # inside the guard, crosses it after two steps of A = 10
+        (np.nan, 0),
+        (np.inf, 0),
+        (STATE_GUARD * (1.0 + 1e-9), 0),
+    ]
+    for bad, stage in cases:
+        with pytest.raises(DivergenceError) as exc:
+            rollout(sys_, None, np.array([[1.0], [bad], [-2.0]]), horizon=30)
+        assert exc.value.sample_index == 1
+        assert exc.value.stage == stage
+        assert f"sample 1, stage {stage}" in str(exc.value)
 
 
 def test_trajectory_batch_shape_validation():

@@ -194,12 +194,15 @@ def test_eval_policy_linear_in_coefficients(seed, a, b):
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 10_000))
 def test_policy_batch_matches_cross_gram_product(seed):
+    # the linear case checks the collapsed feedback matrix P' C against K C
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(5, 3))
     C = rng.normal(size=(5, 2))
     X = rng.normal(size=(7, 3))
-    pol = _policy(pts, C)
-    stacked = eval_policy_batch(pol, 0, X)
-    np.testing.assert_allclose(stacked, cross_gram(RBF, X, Dictionary(points=pts)) @ C, rtol=1e-12)
-    single = np.array([eval_policy(pol, 0, x) for x in X])
-    np.testing.assert_allclose(stacked, single, rtol=1e-12)
+    for kernel in (LIN, KernelSpec(family="polynomial", degree=3, offset=0.5), RBF):
+        pol = _policy(pts, C, kernel)
+        stacked = eval_policy_batch(pol, 0, X)
+        expected = cross_gram(kernel, X, Dictionary(points=pts)) @ C
+        np.testing.assert_allclose(stacked, expected, rtol=1e-12)
+        single = np.array([eval_policy(pol, 0, x) for x in X])
+        np.testing.assert_allclose(stacked, single, rtol=1e-12)

@@ -72,6 +72,11 @@ def test_online_config_validation():
         OnlineConfig(horizon=10, ident_steps=10)
     with pytest.raises(ValueError):
         OnlineConfig(horizon=10, ident_steps=2, sigma_excitation=-0.5)
+    with pytest.raises(ValueError, match="m0_scale"):
+        OnlineConfig(horizon=10, ident_steps=2, m0_scale=0.0)
+    for forgetting in (0.0, 1.5):
+        with pytest.raises(ValueError, match="forgetting"):
+            OnlineConfig(horizon=10, ident_steps=2, forgetting=forgetting)
 
 
 def test_plan_window_single_step_matches_one_step_gain():
