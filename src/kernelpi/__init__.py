@@ -46,7 +46,6 @@ from .offline import (
     solve_implicit_update,
 )
 from .online import (
-    LinearPlant,
     OnlineConfig,
     OnlineLog,
     excitation_input,

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .config import ConfigError, RunConfig, dump_config, load_config, online_config, seeded_solver
+from .config import ConfigError, RunConfig, dump_config, load_config, online_config
 from .costs import CostSpec
 from .dynamics import DivergenceError, LinearSystem, assemble_team_system, discretize_double_integrator, rollout
 from .intersection import Scenario, build_intersection, pairwise_distances, sample_initial_states
@@ -170,7 +170,7 @@ def run_offline_mode(cfg: RunConfig):
         return sample_initial_states(scenario, rng, N)
 
     policy, records, x0 = policy_iteration(
-        learner, cost, sampler, seeded_solver(cfg), horizon=cfg.scenario.horizon
+        learner, cost, sampler, cfg.solver, horizon=cfg.scenario.horizon, seed=cfg.seed
     )
     batch = rollout(learner, policy, x0)
     return scenario, policy, records, batch
@@ -203,14 +203,11 @@ def _oracle_system(n_vehicles: int, dt: float) -> LinearSystem:
 def oracle_compare(cfg: RunConfig) -> OracleReport:
     """Run the solver on a penalty-free quadratic instance and compare.
 
-    Requires the linear kernel and disabled penalties; any penalty makes the
-    quadratic recursion an invalid reference and the comparison is refused.
+    The instance has no penalty terms, so the quadratic backward recursion is
+    its exact solution.  Requires the linear kernel; any other kernel is
+    refused with a ConfigError.
     """
     oc = cfg.oracle
-    if oc.include_collision_penalty:
-        raise ConfigError(
-            "oracle.include_collision_penalty: the comparison is only valid with penalties disabled"
-        )
     if cfg.solver.kernel_family != "linear":
         raise ConfigError("solver.kernel_family: oracle comparison requires the linear kernel")
     sys_ = _oracle_system(oc.n_vehicles, oc.dt)
@@ -227,7 +224,7 @@ def oracle_compare(cfg: RunConfig) -> OracleReport:
         return X
 
     policy, records, x0 = policy_iteration(
-        sys_, spec, sampler, seeded_solver(cfg), horizon=oc.horizon
+        sys_, spec, sampler, cfg.solver, horizon=oc.horizon, seed=cfg.seed
     )
     cost_policy = records[-1].cost_after
     sol = riccati_backward(sys_, Q, R, Q_F, oc.horizon)
@@ -261,7 +258,6 @@ def _scalar_instance_gain(seed: int) -> float:
         max_outer_iters=200,
         mc_samples=32,
         dict_size=3,
-        seed=seed,
         kernel_family="linear",
         convergence_tol=1.0e-14,
     )
@@ -269,7 +265,7 @@ def _scalar_instance_gain(seed: int) -> float:
     def sampler(rng, N):
         return rng.uniform(0.5, 1.5, size=(N, 1))
 
-    policy, _, _ = policy_iteration(sys_, spec, sampler, cfg, horizon=1)
+    policy, _, _ = policy_iteration(sys_, spec, sampler, cfg, horizon=1, seed=seed)
     stage = policy.stages[0]
     return float((stage.coefficients.T @ stage.dictionary.points).item())
 

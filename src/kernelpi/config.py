@@ -1,27 +1,28 @@
 """Run configuration: strict YAML loading, validation, and round-trip dump.
 
 The file format mirrors the RunConfig dataclass tree one-to-one.  Unknown
-keys are rejected with their dotted path, and every invariant violation is
-reported with the offending field path, so typos fail loudly instead of
-silently falling back to defaults.
+keys are rejected with their dotted path.  Each section dataclass checks its
+own invariants when it is built, whatever the mode, and a violation is
+reported with the section's path, so typos fail loudly instead of silently
+falling back to defaults.  Only the checks that span sections live here.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import Any, Tuple, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .intersection import ScenarioConfig
 from .offline import SolverConfig
-from .online import OnlineConfig
+from .online import OnlineConfig, OnlineSection
 
 __all__ = [
     "ConfigError",
-    "OnlineSection",
     "OracleSection",
     "ProbeSection",
     "RunConfig",
@@ -29,7 +30,6 @@ __all__ = [
     "load_config",
     "config_from_mapping",
     "dump_config",
-    "seeded_solver",
     "online_config",
 ]
 
@@ -38,15 +38,6 @@ MODES = ("offline", "online", "oracle-compare", "complexity-probe")
 
 class ConfigError(ValueError):
     """Configuration file is malformed or violates an invariant."""
-
-
-@dataclass
-class OnlineSection:
-    window: int = 4
-    ident_steps: int = 40
-    sigma_excitation: float = 1.5
-    m0_scale: float = 1.0e5
-    forgetting: float = 1.0
 
 
 @dataclass
@@ -62,8 +53,21 @@ class OracleSection:
     terminal_weight: float = 1.0
     position_range: Tuple[float, float] = (-2.0, 2.0)
     speed_range: Tuple[float, float] = (-1.0, 1.0)
-    include_collision_penalty: bool = False
     scalar_check: bool = True
+
+    def __post_init__(self) -> None:
+        if self.horizon < 1 or self.samples < 1 or self.n_vehicles < 1:
+            raise ValueError("horizon, samples, n_vehicles must be >= 1")
+        if not self.dt > 0:
+            raise ValueError("dt must be > 0")
+        if not self.control_weight > 0:
+            raise ValueError("control_weight must be > 0")
+        if not (self.state_weight >= 0 and self.terminal_weight >= 0):
+            raise ValueError("state_weight and terminal_weight must be >= 0")
+        for name in ("position_range", "speed_range"):
+            low, high = getattr(self, name)
+            if not low <= high:
+                raise ValueError(f"{name} must satisfy low <= high")
 
 
 @dataclass
@@ -72,6 +76,10 @@ class ProbeSection:
     dict_size: int = 6
     horizon: int = 6
     iterations: int = 2
+
+    def __post_init__(self) -> None:
+        if self.samples < 2 or self.dict_size < 1 or self.horizon < 2 or self.iterations < 1:
+            raise ValueError("samples/horizon must be >= 2, dict_size/iterations >= 1")
 
 
 @dataclass
@@ -108,11 +116,6 @@ def _coerce(value: Any, typ: Any, path: str) -> Any:
         if len(args) != len(value):
             raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
         return tuple(_coerce(v, a, f"{path}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
-    if origin in (list, Sequence) or typ in (Sequence,):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list")
-        args = get_args(typ) or (float,)
-        return tuple(_coerce(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
     if typ is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean")
@@ -124,6 +127,8 @@ def _coerce(value: Any, typ: Any, path: str) -> Any:
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number")
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int no float can hold
+            raise ConfigError(f"{path}: expected a finite number")
         return float(value)
     if typ is str:
         if not isinstance(value, str):
@@ -171,59 +176,25 @@ def load_config(path) -> RunConfig:
     return config_from_mapping(data)
 
 
-def seeded_solver(cfg: RunConfig) -> SolverConfig:
-    """The solver settings with the run seed in place of the solver's own."""
-    return dataclasses.replace(cfg.solver, seed=cfg.seed)
-
-
 def online_config(cfg: RunConfig) -> OnlineConfig:
     """The online-loop settings of a run; raises ValueError on a violated invariant."""
-    on = cfg.online
     return OnlineConfig(
+        **dataclasses.asdict(cfg.online),
         horizon=cfg.scenario.horizon,
-        window=on.window,
-        ident_steps=on.ident_steps,
-        sigma_excitation=on.sigma_excitation,
-        m0_scale=on.m0_scale,
-        forgetting=on.forgetting,
-        solver=seeded_solver(cfg),
+        solver=cfg.solver,
         seed=cfg.seed,
     )
 
 
 def _validate(cfg: RunConfig) -> None:
+    """The checks that span sections; each section has checked itself."""
     if cfg.mode not in MODES:
         raise ConfigError(f"mode: {cfg.mode!r} is not one of {MODES}")
-    sc = cfg.scenario
-    if sc.horizon < 1:
-        raise ConfigError("scenario.horizon: must be >= 1")
-    if not sc.dt > 0:
-        raise ConfigError("scenario.dt: must be > 0")
-    if not sc.intersection_length > 0:
-        raise ConfigError("scenario.intersection_length: must be > 0")
-    if not sc.safety_distance > 0:
-        raise ConfigError("scenario.safety_distance: must be > 0")
-    if not sc.softening > 0:
-        raise ConfigError("scenario.softening: must be > 0")
-    if sc.n_cav < 1:
-        raise ConfigError("scenario.n_cav: need at least one CAV")
     if cfg.mode == "online":
         try:
             online_config(cfg)
         except ValueError as exc:
             raise ConfigError(f"online: {exc}") from exc
-    if cfg.mode == "oracle-compare":
-        oc = cfg.oracle
-        if oc.horizon < 1 or oc.samples < 1 or oc.n_vehicles < 1:
-            raise ConfigError("oracle: horizon, samples, n_vehicles must be >= 1")
-        if not oc.dt > 0:
-            raise ConfigError("oracle.dt: must be > 0")
-        if not oc.control_weight > 0:
-            raise ConfigError("oracle.control_weight: must be > 0")
-    if cfg.mode == "complexity-probe":
-        pr = cfg.probe
-        if pr.samples < 2 or pr.dict_size < 1 or pr.horizon < 2 or pr.iterations < 1:
-            raise ConfigError("probe: samples/horizon must be >= 2, dict_size/iterations >= 1")
 
 
 def dump_config(cfg: RunConfig) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -138,7 +138,8 @@ class ScenarioConfig:
 
     Entry offsets, desired speeds, sampling boxes, and cost weights are
     configuration values; only the intersection length and the time step are
-    pinned by the reference setup (10 m, 0.1 s).
+    pinned by the reference setup (10 m, 0.1 s).  Unset entry offsets are
+    20 m and unset desired speeds 10 m/s for every vehicle.
     """
 
     n_cav: int = 2
@@ -147,8 +148,8 @@ class ScenarioConfig:
     dt: float = 0.1
     intersection_length: float = 10.0
     lane_offset: float = 1.75
-    entry_offsets: Optional[Sequence[float]] = None
-    desired_speeds: Optional[Sequence[float]] = None
+    entry_offsets: Optional[Tuple[float, ...]] = None
+    desired_speeds: Optional[Tuple[float, ...]] = None
     position_jitter: float = 2.0
     speed_range: Tuple[float, float] = (8.0, 12.0)
     safety_distance: float = 2.0
@@ -159,9 +160,44 @@ class ScenarioConfig:
     terminal_state_weight: float = 1.0e-4
     hdv_gain: float = 0.6
 
+    def __post_init__(self) -> None:
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        for name in ("dt", "intersection_length", "safety_distance", "softening", "control_weight"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("position_jitter", "state_weight", "speed_weight", "terminal_state_weight"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.n_cav < 1:
+            raise ValueError("n_cav must be >= 1")
+        if self.n_hdv < 0:
+            raise ValueError("n_hdv must be >= 0")
+        roads = len(_road_cycle(self.lane_offset))
+        if self.n_vehicles > roads:
+            raise ValueError(f"at most {roads} vehicles supported")
+        if len(self.offsets()) != self.n_vehicles or len(self.speeds()) != self.n_vehicles:
+            raise ValueError("entry_offsets and desired_speeds must have one entry per vehicle")
+        if not self.speed_range[0] <= self.speed_range[1]:
+            raise ValueError("speed_range must satisfy low <= high")
+        half = 0.5 * self.intersection_length
+        for i, offset in enumerate(self.offsets()):
+            if not offset - self.position_jitter > half:
+                raise ValueError(
+                    f"vehicle {i} can start inside the conflict region: "
+                    f"entry offset {offset} minus jitter {self.position_jitter} "
+                    f"does not clear half-length {half}"
+                )
+
     @property
     def n_vehicles(self) -> int:
         return self.n_cav + self.n_hdv
+
+    def offsets(self) -> Tuple[float, ...]:
+        return self.entry_offsets if self.entry_offsets is not None else (20.0,) * self.n_vehicles
+
+    def speeds(self) -> Tuple[float, ...]:
+        return self.desired_speeds if self.desired_speeds is not None else (10.0,) * self.n_vehicles
 
 
 def _road_cycle(lane_offset: float) -> list:
@@ -237,36 +273,19 @@ def build_intersection(cfg: ScenarioConfig):
     reaction to the surrounding CAV traffic, so the plant stays exactly
     linear while the coupling is unknown to the learner.
     """
-    if cfg.n_cav < 1:
-        raise ValueError("need at least one CAV")
-    V = cfg.n_vehicles
     roads = _road_cycle(cfg.lane_offset)
-    if V > len(roads):
-        raise ValueError(f"at most {len(roads)} vehicles supported")
-    offsets = list(cfg.entry_offsets) if cfg.entry_offsets is not None else [20.0] * V
-    speeds = list(cfg.desired_speeds) if cfg.desired_speeds is not None else [10.0] * V
-    if len(offsets) != V or len(speeds) != V:
-        raise ValueError("entry_offsets and desired_speeds must have one entry per vehicle")
-    half = 0.5 * cfg.intersection_length
-    vehicles = []
-    for i in range(V):
-        role = "CAV" if i < cfg.n_cav else "HDV"
-        if offsets[i] - cfg.position_jitter <= half:
-            raise ValueError(
-                f"vehicle {i} can start inside the conflict region: "
-                f"entry offset {offsets[i]} minus jitter {cfg.position_jitter} "
-                f"does not clear half-length {half}"
-            )
-        vehicles.append(
-            VehicleSpec(
-                role=role,
-                path=roads[i],
-                entry_offset=float(offsets[i]),
-                desired_speed=float(speeds[i]),
-                position_jitter=cfg.position_jitter,
-                speed_range=tuple(cfg.speed_range),
-            )
+    offsets, speeds = cfg.offsets(), cfg.speeds()
+    vehicles = [
+        VehicleSpec(
+            role="CAV" if i < cfg.n_cav else "HDV",
+            path=roads[i],
+            entry_offset=float(offsets[i]),
+            desired_speed=float(speeds[i]),
+            position_jitter=cfg.position_jitter,
+            speed_range=tuple(cfg.speed_range),
         )
+        for i in range(cfg.n_vehicles)
+    ]
     scenario = Scenario(
         vehicles=vehicles,
         intersection_length=cfg.intersection_length,
@@ -274,7 +293,7 @@ def build_intersection(cfg: ScenarioConfig):
         softening=cfg.softening,
         dt=cfg.dt,
     )
-    if V >= 2 and not scenario.conflict_pairs():
+    if scenario.n_vehicles >= 2 and not scenario.conflict_pairs():
         warnings.warn(
             "no pair of vehicle paths crosses inside the conflict region",
             NonConflictingPathsWarning,

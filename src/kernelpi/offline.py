@@ -74,7 +74,6 @@ class SolverConfig:
     mc_samples: int = 50
     dict_size: int = 30
     ridge: float = 1.0e-8
-    seed: int = 0
     kernel_family: str = "gaussian-rbf"
     length_scale: Optional[float] = None
     poly_degree: int = 2
@@ -94,6 +93,7 @@ class SolverConfig:
             raise ValueError("ridge must be >= 0")
         if self.convergence_tol < 0:
             raise ValueError("convergence_tol must be >= 0")
+        self._kernel(self.length_scale)
 
     def kernel_spec(self, reference_points=None) -> KernelSpec:
         """Resolve the kernel; a missing rbf length scale uses the median heuristic."""
@@ -102,11 +102,12 @@ class SolverConfig:
             if reference_points is None:
                 raise ValueError("length_scale unset and no reference points given")
             ls = median_length_scale(reference_points)
+        return self._kernel(ls)
+
+    def _kernel(self, length_scale: Optional[float]) -> KernelSpec:
+        scale = {} if length_scale is None else {"length_scale": float(length_scale)}
         return KernelSpec(
-            family=self.kernel_family,
-            length_scale=float(ls) if ls is not None else 1.0,
-            degree=self.poly_degree,
-            offset=self.poly_offset,
+            family=self.kernel_family, degree=self.poly_degree, offset=self.poly_offset, **scale
         )
 
 
@@ -426,13 +427,14 @@ def run_policy_iteration(
     When a policy is given (possibly with missing stage dictionaries, which
     evaluate to zero control) it is improved in place from its warm state;
     otherwise a zero policy is created.  Dictionaries are filled from the
-    first rollout and kept fixed afterwards so the stage Gram factors can be
-    cached.  Returns (policy, records); rollout divergence raises
-    PolicyIterationDiverged carrying the partial history.
+    first rollout (drawn with dict_rng, default_rng(0) when not given) and
+    kept fixed afterwards so the stage Gram factors can be cached.  Returns
+    (policy, records); rollout divergence raises PolicyIterationDiverged
+    carrying the partial history.
     """
     X0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     if dict_rng is None:
-        dict_rng = np.random.default_rng(cfg.seed)
+        dict_rng = np.random.default_rng(0)
     if policy is None:
         kernel = cfg.kernel_spec(reference_points=X0)
         policy = KernelPolicy(kernel, [StagePolicy.zero(sys.m) for _ in range(horizon)])
@@ -515,14 +517,16 @@ def policy_iteration(
     p0_sampler: Callable[[np.random.Generator, int], np.ndarray],
     cfg: SolverConfig,
     horizon: int,
+    seed: int = 0,
 ):
     """Public entry point: sample the initial-state batch, then iterate.
 
     p0_sampler(rng, N) must return an (N, n) batch.  The batch is drawn once
-    per run from a dedicated substream and reused across iterations for
-    reproducibility.  Returns (policy, records, X0) with X0 that batch.
+    per run from a dedicated substream of seed and reused across iterations
+    for reproducibility; the dictionaries come from a second substream.
+    Returns (policy, records, X0) with X0 that batch.
     """
-    rngs = substreams(cfg.seed, ("initial-states", "dictionary"))
+    rngs = substreams(seed, ("initial-states", "dictionary"))
     X0 = p0_sampler(rngs["initial-states"], cfg.mc_samples)
     policy, records = run_policy_iteration(sys, spec, horizon, X0, cfg, dict_rng=rngs["dictionary"])
     return policy, records, X0
@@ -561,7 +565,6 @@ def complexity_probe(points: Sequence[tuple], iterations: int = 2, seed: int = 0
             max_outer_iters=int(iterations) + 1,
             mc_samples=int(n_samples),
             dict_size=int(dict_size),
-            seed=seed,
             convergence_tol=0.0,
         )
         _, records, _ = policy_iteration(
@@ -570,6 +573,7 @@ def complexity_probe(points: Sequence[tuple], iterations: int = 2, seed: int = 0
             lambda rng, N: sample_initial_states(scenario, rng, N),
             cfg,
             horizon=int(horizon),
+            seed=seed,
         )
         timed = records[1:] if len(records) > 1 else records
         rows.append(

@@ -25,11 +25,11 @@ from .rls import PeWindow, pe_check, rls_init, rls_update, estimate
 from .seeding import substreams
 
 __all__ = [
+    "OnlineSection",
     "OnlineConfig",
     "OnlineStepRecord",
     "OnlineLog",
     "WindowResult",
-    "LinearPlant",
     "excitation_input",
     "plan_window",
     "shift_warm_start",
@@ -38,23 +38,20 @@ __all__ = [
 
 
 @dataclass
-class OnlineConfig:
-    """Settings for the online loop."""
+class OnlineSection:
+    """The online-loop settings a run configuration file sets."""
 
-    horizon: int = 50
     window: int = 4
     ident_steps: int = 40
     sigma_excitation: float = 1.5
     m0_scale: float = 1.0e5
     forgetting: float = 1.0
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.window <= self.horizon:
-            raise ValueError("window must satisfy 1 <= window <= horizon")
-        if not 0 <= self.ident_steps < self.horizon:
-            raise ValueError("ident_steps must satisfy 0 <= ident_steps < horizon")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if self.ident_steps < 0:
+            raise ValueError("ident_steps must be >= 0")
         if self.sigma_excitation < 0:
             raise ValueError("sigma_excitation must be >= 0")
         if not self.m0_scale > 0:
@@ -63,22 +60,20 @@ class OnlineConfig:
             raise ValueError("forgetting must lie in (0, 1]")
 
 
-class LinearPlant:
-    """Ground-truth linear plant behind an apply/observe boundary.
+@dataclass
+class OnlineConfig(OnlineSection):
+    """Settings for the online loop: the file's section plus the run's horizon, solver and seed."""
 
-    Exposes only step(x, u); the true matrices are available to the harness
-    for error reporting, never to the planner.
-    """
+    horizon: int = 50
+    solver: SolverConfig = field(default_factory=SolverConfig)
+    seed: int = 0
 
-    def __init__(self, system: LinearSystem):
-        self.system = system
-
-    def step(self, x, u) -> np.ndarray:
-        return dyn_step(self.system, x, u)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.hstack([self.system.A, self.system.B])
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.window > self.horizon:
+            raise ValueError("window must be <= horizon")
+        if self.ident_steps >= self.horizon:
+            raise ValueError("ident_steps must be < horizon")
 
 
 def excitation_input(rng: np.random.Generator, sigma_exc: float, base, active_channels=None):
@@ -241,7 +236,7 @@ class OnlineLog:
 
 
 def run_online(
-    plant,
+    plant: LinearSystem,
     cfg: OnlineConfig,
     spec: CostSpec,
     scenario=None,
@@ -250,23 +245,14 @@ def run_online(
 ) -> OnlineLog:
     """Execute the full identify-then-plan loop against the plant.
 
-    The plant only needs a step(x, u) method; passing a LinearSystem wraps it.
-    When the true system is available (LinearPlant), the per-step parameter
-    error is logged during identification.  Passing ident_steps=0 together
-    with theta0 equal to the true stacked matrices skips identification and
-    runs pure receding-horizon control.
+    The plant is stepped with dynamics.step.  Its matrices are read only to
+    log the per-step parameter error of the estimate during identification;
+    the planner sees only the recursive least-squares estimate.  Passing
+    ident_steps=0 together with theta0 equal to the true stacked matrices
+    skips identification and runs pure receding-horizon control.
     """
-    if isinstance(plant, LinearSystem):
-        plant = LinearPlant(plant)
-    truth = plant.theta if isinstance(plant, LinearPlant) else None
-    if isinstance(plant, LinearPlant):
-        n, m = plant.system.n, plant.system.m
-        blocks = plant.system.input_blocks
-    else:
-        if scenario is None:
-            raise ValueError("a bare plant object needs a scenario for dimensions")
-        n, m = 2 * scenario.n_vehicles, len(scenario.cav_indices)
-        blocks = tuple([1] * m)
+    n, m = plant.n, plant.m
+    truth = np.hstack([plant.A, plant.B])
 
     rngs = substreams(cfg.seed, ("initial-state", "excitation", "window-dictionary"))
     if x0 is None:
@@ -290,7 +276,7 @@ def run_online(
     for s in range(cfg.ident_steps):
         u = excitation_input(rngs["excitation"], cfg.sigma_excitation, np.zeros(m))
         try:
-            x_next = plant.step(x, u)
+            x_next = dyn_step(plant, x, u)
         except DivergenceError:
             diverged = True
             break
@@ -305,9 +291,7 @@ def run_online(
                 min_distance=min_dist(x),
                 state_norm=float(np.linalg.norm(x)),
                 residual_norm=float(np.linalg.norm(resid)),
-                param_error=(
-                    float(np.linalg.norm(truth - rls.theta_hat)) if truth is not None else None
-                ),
+                param_error=float(np.linalg.norm(truth - rls.theta_hat)),
             )
         )
         controls.append(u)
@@ -315,7 +299,7 @@ def run_online(
         x = x_next
 
     A_hat, B_hat = estimate(rls)
-    model = LinearSystem(A_hat, B_hat, blocks)
+    model = LinearSystem(A_hat, B_hat, plant.input_blocks)
 
     kernel = _resolve_online_kernel(cfg, model, x)
 
@@ -327,7 +311,7 @@ def run_online(
             )
             u = eval_policy(KernelPolicy(kernel, [result.stages[0]]), 0, x)
             try:
-                x_next = plant.step(x, u)
+                x_next = dyn_step(plant, x, u)
             except DivergenceError:
                 diverged = True
                 break
@@ -353,11 +337,7 @@ def run_online(
 
     states_arr = np.array(states)
     controls_arr = np.array(controls) if controls else np.zeros((0, m))
-    dists = (
-        [min_dist(st) for st in states_arr]
-        if scenario is not None
-        else [math.inf] * len(states_arr)
-    )
+    dists = [min_dist(st) for st in states_arr]
     post = dists[cfg.ident_steps :] if len(dists) > cfg.ident_steps else []
     return OnlineLog(
         steps=steps,

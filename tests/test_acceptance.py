@@ -220,7 +220,6 @@ def test_ac7_receding_horizon_consistency(verdict):
         dict_size=1,
         kernel_family="linear",
         convergence_tol=1e-13,
-        seed=5,
     )
     cfg = OnlineConfig(
         horizon=5, window=5, ident_steps=0, sigma_excitation=0.0, solver=solver, seed=5

@@ -1,7 +1,11 @@
+import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from kernelpi.cli import export_run, main, oracle_compare
 from kernelpi.config import (
@@ -10,6 +14,12 @@ from kernelpi.config import (
     config_from_mapping,
     dump_config,
     load_config,
+    online_config,
+)
+from kernelpi.intersection import (
+    NonConflictingPathsWarning,
+    build_intersection,
+    sample_initial_states,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +81,153 @@ def test_online_invariants_checked():
             {"mode": "online", "scenario": {"horizon": 10}, "online": {"ident_steps": 10}}
         )
     assert "ident_steps" in str(exc.value)
+
+
+_SMALL_RUNS = {
+    "offline": {
+        "scenario": {"horizon": 4},
+        "solver": {"max_outer_iters": 1, "mc_samples": 4, "dict_size": 2, "convergence_tol": 0.0},
+    },
+    "oracle-compare": {
+        "oracle": {"horizon": 2, "samples": 4, "n_vehicles": 1, "scalar_check": False},
+        "solver": {
+            "max_outer_iters": 1, "mc_samples": 4, "dict_size": 2, "kernel_family": "linear",
+            "convergence_tol": 0.0,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "mode, section, overrides",
+    [
+        ("offline", "scenario", {"n_cav": 3, "n_hdv": 2}),
+        ("offline", "scenario", {"entry_offsets": [20.0]}),
+        ("offline", "scenario", {"entry_offsets": [6.0, 6.0]}),
+        ("offline", "scenario", {"speed_range": [12.0, 8.0]}),
+        ("offline", "scenario", {"position_jitter": -1.0}),
+        ("offline", "scenario", {"entry_offsets": 20.0}),
+        ("offline", "scenario", {"entry_offsets": ["x", 24.0]}),
+        ("offline", "scenario", {"control_weight": -1.0}),
+        ("offline", "scenario", {"n_cav": 2, "n_hdv": -1}),
+        ("offline", "scenario", {"desired_speeds": [True, 9.0]}),
+        ("offline", "scenario", {"dt": math.inf}),
+        ("offline", "scenario", {"dt": 10**400}),
+        ("offline", "solver", {"kernel_family": "rbf"}),
+        ("offline", "solver", {"length_scale": -1.0}),
+        ("offline", "solver", {"kernel_family": "polynomial", "poly_degree": 0}),
+        ("offline", "solver", {"seed": 3}),
+        ("oracle-compare", "oracle", {"position_range": [2.0, -2.0]}),
+        ("oracle-compare", "oracle", {"include_collision_penalty": False}),
+    ],
+    ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items())[:40] if isinstance(v, dict) else None,
+)
+def test_invalid_config_rejected_at_load(tmp_path, mode, section, overrides):
+    data = {"mode": mode, "output_dir": str(tmp_path / "run")}
+    data.update({k: dict(v) for k, v in _SMALL_RUNS[mode].items()})
+    data.setdefault(section, {}).update(overrides)
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping(data)
+    assert str(exc.value).startswith(section)
+    p = tmp_path / "bad.yaml"
+    p.write_text(yaml.safe_dump(data))
+    assert main([mode, str(p)]) == 2
+
+
+_junk = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.lists(st.integers(), max_size=2))
+_reals = st.one_of(
+    st.floats(-100.0, 100.0), st.integers(-5, 100), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+_number = st.one_of(_reals, _junk)
+_count = st.one_of(st.integers(-3, 8), st.floats(-1.0, 5.0), _junk)
+_vector = st.one_of(st.lists(_reals, max_size=5), st.lists(_number, max_size=3), _number)
+
+
+def _mostly(valid, invalid):
+    """A valid value nine times in ten; otherwise one out of range, of the wrong type or length."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else invalid)
+
+
+def _float_in(lo, hi):
+    return _mostly(st.floats(lo, hi), _number)
+
+
+def _section(required, optional):
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+@st.composite
+def _scenario(draw):
+    n_cav = draw(st.integers(1, 4))
+    n_hdv = draw(st.integers(0, 4 - n_cav))
+    per_vehicle = st.lists(st.floats(10.0, 60.0), min_size=n_cav + n_hdv, max_size=n_cav + n_hdv)
+    return draw(
+        _section(
+            dict(n_cav=_mostly(st.just(n_cav), _count), n_hdv=_mostly(st.just(n_hdv), _count)),
+            dict(
+                horizon=_mostly(st.integers(1, 60), _count),
+                dt=_float_in(1e-3, 1.0),
+                intersection_length=_float_in(1.0, 10.0),
+                lane_offset=_float_in(-5.0, 5.0),
+                entry_offsets=_mostly(st.one_of(st.none(), per_vehicle), _vector),
+                desired_speeds=_mostly(st.one_of(st.none(), per_vehicle), _vector),
+                position_jitter=_float_in(0.0, 3.0),
+                speed_range=_mostly(
+                    st.lists(st.floats(0.0, 15.0), min_size=2, max_size=2).map(sorted), _vector
+                ),
+                safety_distance=_float_in(0.1, 5.0),
+                softening=_float_in(1e-3, 1.0),
+                state_weight=_float_in(0.0, 10.0),
+                speed_weight=_float_in(0.0, 10.0),
+                control_weight=_float_in(1e-3, 10.0),
+                terminal_state_weight=_float_in(0.0, 10.0),
+                hdv_gain=_float_in(-2.0, 2.0),
+            ),
+        )
+    )
+
+
+_KERNEL_KEYS = dict(
+    kernel_family=_mostly(
+        st.sampled_from(["gaussian-rbf", "linear", "polynomial"]), st.one_of(st.just("rbf"), _junk)
+    ),
+    length_scale=_mostly(st.one_of(st.none(), st.floats(1e-2, 10.0)), _number),
+    poly_degree=_mostly(st.integers(1, 4), _count),
+    poly_offset=_float_in(-2.0, 2.0),
+)
+_ONLINE_KEYS = dict(
+    window=_mostly(st.integers(1, 10), _count),
+    ident_steps=_mostly(st.integers(0, 40), _count),
+    sigma_excitation=_float_in(0.0, 3.0),
+    m0_scale=_float_in(1.0, 1e6),
+    forgetting=_float_in(0.5, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(["offline", "online"]),
+    scenario=_scenario(),
+    solver=_section({}, _KERNEL_KEYS),
+    online=_section({}, _ONLINE_KEYS),
+)
+def test_every_accepted_config_builds(mode, scenario, solver, online):
+    # the load boundary's guarantee: a config is either refused with a
+    # ConfigError or everything a run builds from it can be built
+    try:
+        cfg = config_from_mapping(
+            {"mode": mode, "scenario": scenario, "solver": solver, "online": online}
+        )
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonConflictingPathsWarning)
+        built, *_ = build_intersection(cfg.scenario)
+    X = sample_initial_states(built, np.random.default_rng(0), 3)
+    assert np.isfinite(X).all()
+    cfg.solver.kernel_spec(reference_points=X)
+    if mode == "online":
+        online_config(cfg)
 
 
 def test_export_empty_log_writes_header_only(tmp_path):
@@ -204,12 +361,6 @@ def test_oracle_compare_small_instance():
     report = oracle_compare(_oracle_cfg())
     assert report.relative_gap <= 0.02
     assert len(report.gain_gaps) == 4
-
-
-def test_oracle_compare_refuses_penalty():
-    cfg = _oracle_cfg(oracle={"include_collision_penalty": True})
-    with pytest.raises(ConfigError):
-        oracle_compare(cfg)
 
 
 def test_oracle_compare_requires_linear_kernel():

@@ -169,7 +169,6 @@ def _scalar_instance_cfg(**kw):
         max_outer_iters=200,
         mc_samples=32,
         dict_size=3,
-        seed=1,
         kernel_family="linear",
         convergence_tol=1e-14,
     )
@@ -181,7 +180,8 @@ def test_policy_iteration_recovers_scalar_gain():
     sys_ = LinearSystem(A=[[1.0]], B=[[1.0]], input_blocks=(1,))
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
     policy, records, _ = policy_iteration(
-        sys_, spec, lambda rng, N: rng.uniform(0.5, 1.5, size=(N, 1)), _scalar_instance_cfg(), horizon=1
+        sys_, spec, lambda rng, N: rng.uniform(0.5, 1.5, size=(N, 1)), _scalar_instance_cfg(), horizon=1,
+        seed=1,
     )
     stage = policy.stages[0]
     gain = float((stage.coefficients.T @ stage.dictionary.points).item())
@@ -198,7 +198,6 @@ def test_policy_iteration_matches_quadratic_oracle_cost():
         max_outer_iters=150,
         mc_samples=40,
         dict_size=6,
-        seed=2,
         kernel_family="linear",
         convergence_tol=1e-12,
     )
@@ -210,7 +209,7 @@ def test_policy_iteration_matches_quadratic_oracle_cost():
         return X
 
     T = 5
-    policy, records, x0 = policy_iteration(sys_, spec, sampler, cfg, horizon=T)
+    policy, records, x0 = policy_iteration(sys_, spec, sampler, cfg, horizon=T, seed=2)
     oracle = lqr_cost(riccati_backward(sys_, Q, R, QF, T), x0)
     assert records[-1].cost_after <= oracle * 1.02
     assert records[-1].cost_after >= oracle * (1 - 1e-9)
@@ -224,10 +223,10 @@ def _small_rbf_run(max_iters=12):
     )
     scenario, learner, _, cost = build_intersection(scen)
     cfg = SolverConfig(
-        delta_lr=12.0, max_outer_iters=max_iters, mc_samples=12, dict_size=8, seed=9, convergence_tol=0.0
+        delta_lr=12.0, max_outer_iters=max_iters, mc_samples=12, dict_size=8, convergence_tol=0.0
     )
     policy, records, _ = policy_iteration(
-        learner, cost, lambda rng, N: sample_initial_states(scenario, rng, N), cfg, horizon=8
+        learner, cost, lambda rng, N: sample_initial_states(scenario, rng, N), cfg, horizon=8, seed=9
     )
     return cfg, policy, records
 
@@ -260,10 +259,10 @@ def test_policy_iteration_convergence_threshold_stops_early():
     )
     scenario, learner, _, cost = build_intersection(scen)
     cfg = SolverConfig(
-        delta_lr=8.0, max_outer_iters=400, mc_samples=8, dict_size=4, seed=3, convergence_tol=1e-9
+        delta_lr=8.0, max_outer_iters=400, mc_samples=8, dict_size=4, convergence_tol=1e-9
     )
     _, records, _ = policy_iteration(
-        learner, cost, lambda rng, N: sample_initial_states(scenario, rng, N), cfg, horizon=4
+        learner, cost, lambda rng, N: sample_initial_states(scenario, rng, N), cfg, horizon=4, seed=3
     )
     assert len(records) < 400
 
@@ -271,7 +270,7 @@ def test_policy_iteration_convergence_threshold_stops_early():
 def test_policy_iteration_divergence_carries_partial_history():
     sys_ = LinearSystem(A=[[3.0]], B=[[0.0]], input_blocks=(1,))
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
-    cfg = SolverConfig(delta_lr=1.0, max_outer_iters=5, mc_samples=2, dict_size=2, seed=0)
+    cfg = SolverConfig(delta_lr=1.0, max_outer_iters=5, mc_samples=2, dict_size=2)
     with pytest.raises(PolicyIterationDiverged) as exc:
         policy_iteration(
             sys_, spec, lambda rng, N: rng.uniform(100.0, 200.0, size=(N, 1)), cfg, horizon=30
@@ -281,9 +280,9 @@ def test_policy_iteration_divergence_carries_partial_history():
 
 def test_run_policy_iteration_warm_start_descends_from_given_policy():
     sys_, spec, states, grams, tail, rng = _quadratic_stage(seed=17, N=4, M=2)
-    cfg = SolverConfig(delta_lr=4.0, max_outer_iters=3, mc_samples=4, dict_size=2, seed=5)
+    cfg = SolverConfig(delta_lr=4.0, max_outer_iters=3, mc_samples=4, dict_size=2)
     x0 = rng.normal(size=(4, 2))
-    policy, records = run_policy_iteration(sys_, spec, 3, x0, cfg)
+    policy, records = run_policy_iteration(sys_, spec, 3, x0, cfg, dict_rng=np.random.default_rng(5))
     warm_cost = records[-1].cost_after
     policy2, records2 = run_policy_iteration(sys_, spec, 3, x0, cfg, policy=policy)
     assert records2[0].cost == pytest.approx(warm_cost, rel=1e-9)
@@ -305,7 +304,7 @@ def test_diverging_trial_step_shrinks_instead_of_aborting(delta_lr):
     sys_ = LinearSystem(A=[[1.5]], B=[[1.0]], input_blocks=(1,))
     spec = CostSpec(Q=[[1.0]], R=[[1e-6]], Q_F=[[1.0]])
     cfg = SolverConfig(
-        delta_lr=delta_lr, max_outer_iters=20, mc_samples=20, seed=0, convergence_tol=0.0
+        delta_lr=delta_lr, max_outer_iters=20, mc_samples=20, convergence_tol=0.0
     )
     _, records, _ = policy_iteration(
         sys_, spec, lambda rng, N: rng.uniform(-1.0, 1.0, size=(N, 1)), cfg, horizon=12

@@ -32,7 +32,6 @@ def linear_solver(**kw):
         dict_size=1,
         kernel_family="linear",
         convergence_tol=1e-13,
-        seed=5,
     )
     base.update(kw)
     return SolverConfig(**base)
@@ -262,7 +261,7 @@ def test_run_online_identifies_hidden_coupling():
         ident_steps=15,
         sigma_excitation=1.5,
         m0_scale=1e6,
-        solver=SolverConfig(delta_lr=2.0, max_outer_iters=4, mc_samples=1, dict_size=1, convergence_tol=1e-10, seed=4),
+        solver=SolverConfig(delta_lr=2.0, max_outer_iters=4, mc_samples=1, dict_size=1, convergence_tol=1e-10),
         seed=4,
     )
     log = run_online(plant, cfg, cost, scenario=scenario)
