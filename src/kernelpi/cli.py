@@ -396,7 +396,10 @@ def main(argv=None) -> int:
                 f"mode: config declares {cfg.mode!r} but the {args.command!r} command was invoked"
             )
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            try:
+                cfg = dataclasses.replace(cfg, seed=args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"--seed: {exc}") from exc
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
         out_dir = Path(cfg.output_dir)

@@ -93,6 +93,10 @@ class RunConfig:
     oracle: OracleSection = field(default_factory=OracleSection)
     probe: ProbeSection = field(default_factory=ProbeSection)
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:  # numpy's SeedSequence takes non-negative seeds only
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 def _coerce(value: Any, typ: Any, path: str) -> Any:
     origin = get_origin(typ)

@@ -14,8 +14,10 @@ continuation values, the recorded total cost is non-increasing across outer
 iterations by construction.
 
 The inner solver picks the Gram-preconditioned descent direction and finds
-the step length by 1-d root finding, which enforces the identity above to
-root-finder precision.
+the step length by a safeguarded secant solve in one dimension.  It stops at
+the first descending step whose secant gap is at most
+ROOT_TOL * inner_tol * (1 + |J_old|), so the identity above holds to that
+precision for every accepted step.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import brentq
 
 from .costs import CostSpec, TailEvaluator, evaluate_cost_to_go, stage_cost
 from .dynamics import DivergenceError, LinearSystem, rollout
@@ -41,6 +42,14 @@ from .kernels import (
     median_length_scale,
 )
 from .seeding import substreams
+
+# The stage root solve stops once |g(a)| <= ROOT_TOL * inner_tol * (1 + |J0|),
+# so every accepted secant gap sits far inside the inner_tol callers check.
+# It gives up once the bracket is narrower than BRACKET_RTOL relative, which
+# on a smooth objective resolves g far below that stop rule already.
+ROOT_TOL = 1.0e-6
+BRACKET_RTOL = 1.0e-12
+MAX_TRIALS = 60
 
 __all__ = [
     "SolverConfig",
@@ -65,7 +74,8 @@ class SolverConfig:
     stage update.  ridge is a relative factor; the absolute shift added to a
     stage Gram solve is ridge times the mean Gram diagonal.  inner_tol is the
     tolerance callers check the solver's results against (per-stage secant
-    gaps, the recorded cost's rises); the solver itself does not read it.
+    gaps, the recorded cost's rises); the stage root solve stops once its
+    secant gap is within ROOT_TOL * inner_tol * (1 + |objective|).
     """
 
     delta_lr: float = 1.0
@@ -118,7 +128,8 @@ class StageUpdateResult:
     c_new: np.ndarray
     objective_old: float
     objective_new: float
-    evals: int
+    evals: int  # objective evaluations, counting each row block of the gradient probe
+    tail_calls: int  # tail re-simulations: J0, the gradient probe, one per trial step
     value_step_sq: float  # ||pi_new - pi_old||_F^2 over the sampled states
     rkhs_step_sq: float  # dc' (K + ridge I) dc, the kernel-space step norm
     secant_gap: float  # |dJ + value_step_sq / delta|
@@ -196,10 +207,12 @@ class _StageWorkspace:
         self.drift = states @ sys.A.T
         self.state_cost = stage_cost(states, np.zeros((states.shape[0], sys.m)), spec)
         self.evals = 0
+        self.tail_calls = 0
 
     def objective_of(self, C) -> float:
         """Sample-average stage cost plus continuation; equals empirical_stage_objective."""
         self.evals += 1
+        self.tail_calls += 1
         pi = self.cross @ np.asarray(C, dtype=float)
         control_cost = ((pi @ self.spec.R) * pi).sum(axis=1)
         continuation = np.asarray(self.tail_values(self.drift + pi @ self.B.T), dtype=float)
@@ -228,6 +241,7 @@ class _StageWorkspace:
         for j in range(n):
             Ybig[j + 1, :, j] += h[:, j]
         self.evals += n + 1
+        self.tail_calls += 1
         try:
             vals = np.asarray(self.tail_values(Ybig.reshape(-1, n))).reshape(n + 1, N)
         except DivergenceError:
@@ -260,87 +274,89 @@ class _StageWorkspace:
         return value_sq, rkhs_sq, gap, resid
 
 
-def _fallback(ws: _StageWorkspace, J0: float, reason: str) -> StageUpdateResult:
-    return StageUpdateResult(
-        c_new=ws.c_old.copy(),
-        objective_old=J0,
-        objective_new=J0,
-        evals=ws.evals,
-        value_step_sq=0.0,
-        rkhs_step_sq=0.0,
-        secant_gap=0.0,
-        update_residual=0.0,
-        accepted=False,
-        reason=reason,
-    )
-
-
-def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
-    cfg = ws.cfg
-    direction = ws.descent_direction()
-    if direction is None:
-        return _fallback(ws, J0, "gradient-diverged")
-    V, P, p2, s0 = direction
-    scale = 1.0 + abs(J0)
-    if not np.isfinite(p2) or p2 <= 1e-300 or s0 >= -1e-14 * scale:
-        return _fallback(ws, J0, "stationary")
-    delta = cfg.delta_lr
-    cache = {}
-
-    def g(a: float) -> float:
-        if a not in cache:
-            Ja = ws.trial_objective(ws.c_old + a * V)
-            cache[a] = (Ja - J0 + (a * a) * p2 / delta, Ja)
-        return cache[a][0]
-
-    a_hi = -s0 * delta / p2
-    for _ in range(60):
-        if g(a_hi) > 0:
-            break
-        a_hi *= 2.0
+def _result(ws: _StageWorkspace, J0: float, reason: str, c_new=None, J1=None) -> StageUpdateResult:
+    """The stage's outcome; without c_new the step is rejected and c_old kept."""
+    accepted = c_new is not None
+    if accepted:
+        value_sq, rkhs_sq, gap, resid = ws.diagnostics(c_new, J0, J1)
     else:
-        return _fallback(ws, J0, "no-bracket")
-    a_lo = 0.5 * a_hi
-    for _ in range(60):
-        if g(a_lo) < 0:
-            break
-        a_lo *= 0.5
-    else:
-        return _fallback(ws, J0, "no-descent")
-    # a diverged trial scores +inf; bisect until the upper end is finite so
-    # that the root finder works on a proper bracket
-    for _ in range(60):
-        if np.isfinite(g(a_hi)):
-            break
-        a_mid = 0.5 * (a_lo + a_hi)
-        if g(a_mid) < 0:
-            a_lo = a_mid
-        else:
-            a_hi = a_mid
-    else:
-        return _fallback(ws, J0, "no-bracket")
-    try:
-        a_star = brentq(g, a_lo, a_hi, xtol=1e-13 * a_hi, rtol=4 * np.finfo(float).eps, maxiter=200)
-    except (ValueError, RuntimeError):
-        return _fallback(ws, J0, "bracket-failed")
-    c_new = ws.c_old + a_star * V
-    g(a_star)
-    J1 = cache[a_star][1]
-    if not np.isfinite(J1) or J1 > J0:
-        return _fallback(ws, J0, "no-descent")
-    value_sq, rkhs_sq, gap, resid = ws.diagnostics(c_new, J0, J1)
+        c_new, J1 = ws.c_old.copy(), J0
+        value_sq = rkhs_sq = gap = resid = 0.0
     return StageUpdateResult(
         c_new=c_new,
         objective_old=J0,
         objective_new=J1,
         evals=ws.evals,
+        tail_calls=ws.tail_calls,
         value_step_sq=value_sq,
         rkhs_step_sq=rkhs_sq,
         secant_gap=gap,
         update_residual=resid,
-        accepted=True,
-        reason="ok",
+        accepted=accepted,
+        reason=reason,
     )
+
+
+def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
+    """Root of g(a) = J(c_old + a V) - J0 + a^2 ||P||^2 / delta along the descent direction.
+
+    The solve works on q(a) = g(a) / a.  Its value at 0 is the known slope
+    s0 < 0, so the lower end of the bracket costs no objective evaluation,
+    and when J is quadratic in a (linear dynamics and controls, quadratic
+    tail) q is linear, so a secant step through two trials lands on the root.
+    Each step takes the secant through the two latest points and bisects the
+    bracket instead when that point is not finite or not inside it; a trial
+    whose continuation diverges scores +inf and shrinks the upper end.  The
+    first trial with |g| <= ROOT_TOL * inner_tol * (1 + |J0|) and J < J0 is
+    accepted.  When none is found, the descending trial with the smallest |g|
+    is accepted as "inexact-secant", and when no trial descends the old
+    coefficients are kept.
+    """
+    direction = ws.descent_direction()
+    if direction is None:
+        return _result(ws, J0, "gradient-diverged")
+    V, P, p2, s0 = direction
+    scale = 1.0 + abs(J0)
+    delta = ws.cfg.delta_lr
+    tol = ROOT_TOL * ws.cfg.inner_tol * scale
+    # the first trial is a = -s0 delta / p2, where g(a) >= 0 whenever J is
+    # convex along V; to first order no step in (0, a] moves J by more than
+    # -s0 a = s0^2 delta / p2, so a stage below tol there has nothing to gain
+    if not (np.isfinite(p2) and p2 > 1e-300 and s0 < -1e-14 * scale and s0 * s0 * delta > tol * p2):
+        return _result(ws, J0, "stationary")
+    a = -s0 * delta / p2
+    lo, hi = 0.0, np.inf
+    a_prev, q_prev = 0.0, s0
+    best = (np.inf, None, J0)
+    for _ in range(MAX_TRIALS):
+        Ja = ws.trial_objective(ws.c_old + a * V)
+        g = Ja - J0 + (a * a) * p2 / delta
+        if Ja < J0:
+            if abs(g) <= tol:
+                return _result(ws, J0, "ok", ws.c_old + a * V, Ja)
+            if abs(g) < best[0]:
+                best = (abs(g), a, Ja)
+        q = g / a
+        if q < 0:
+            lo = a
+        else:  # includes +inf and nan: a diverged trial shrinks the bracket
+            hi = a
+        if np.isinf(hi):
+            a_next = 2.0 * a
+        elif lo == 0.0 and -s0 * hi <= tol:
+            break  # the bracket holds no step that moves J by more than tol
+        elif hi - lo <= BRACKET_RTOL * hi:
+            break  # J is too rough along V to resolve the root any further
+        else:
+            dq = q - q_prev
+            a_next = a - q * (a - a_prev) / dq if dq != 0.0 else np.nan
+            if not lo < a_next < hi:
+                a_next = 0.5 * (lo + hi)
+        a_prev, q_prev, a = a, q, a_next
+    _, a, Ja = best
+    if a is None:
+        return _result(ws, J0, "no-descent")
+    return _result(ws, J0, "inexact-secant", ws.c_old + a * V, Ja)
 
 
 def _factor_gram(K: np.ndarray, ridge_rel: float, stage: int):

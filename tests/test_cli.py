@@ -332,6 +332,19 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["offline", str(p)]) == 2
 
 
+def test_negative_seed_rejected_at_load_and_on_the_command_line(tmp_path, capsys):
+    data = {"mode": "oracle-compare", "seed": -1, "output_dir": str(tmp_path / "run")}
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping(data)
+    assert "seed" in str(exc.value)
+    p = tmp_path / "neg.yaml"
+    p.write_text(yaml.safe_dump(data))
+    assert main(["oracle-compare", str(p)]) == 2
+    capsys.readouterr()
+    assert main(["oracle-compare", str(CONFIGS / "oracle_lqr.yaml"), "--seed", "-2"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def _oracle_cfg(**kw):
     oracle = {
         "horizon": 4,

@@ -6,6 +6,7 @@ from kernelpi.costs import CostSpec, empirical_stage_objective, terminal_cost
 from kernelpi.dynamics import LinearSystem, assemble_team_system, discretize_double_integrator
 from kernelpi.kernels import Dictionary, GramPair, KernelSpec, cross_gram, gram_matrix
 from kernelpi.offline import (
+    ROOT_TOL,
     PolicyIterationDiverged,
     SolverConfig,
     complexity_probe,
@@ -54,7 +55,7 @@ def test_secant_identity_random_instances(seed):
     assert abs(lhs - (J_new - J_old)) <= 1e-12 * max(1.0, abs(J_new - J_old))
 
 
-def _quadratic_stage(seed=0, N=6, M=3, n=2, m=1):
+def _quadratic_stage(seed=0, N=6, M=3, n=2, m=1, family="gaussian-rbf"):
     """Stage problem with terminal continuation: objective quadratic in c."""
     rng = np.random.default_rng(seed)
     sys_ = LinearSystem(
@@ -62,7 +63,7 @@ def _quadratic_stage(seed=0, N=6, M=3, n=2, m=1):
     )
     spec = CostSpec(Q=np.eye(n), R=np.eye(m), Q_F=np.eye(n))
     states = rng.normal(size=(N, n))
-    kernel = KernelSpec(family="gaussian-rbf", length_scale=1.5)
+    kernel = KernelSpec(family=family, length_scale=1.5)
     d = Dictionary(points=rng.normal(size=(M, n)))
     grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, states, d))
     tail = lambda Y: terminal_cost(Y, spec)
@@ -161,6 +162,74 @@ def test_accepted_steps_satisfy_descent_identity():
     assert dJ == pytest.approx(-res.value_step_sq / cfg.delta_lr, abs=cfg.inner_tol)
     assert res.secant_gap <= cfg.inner_tol
     assert dJ < 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_quadratic_stage_root_is_closed_form_within_five_tail_calls(seed):
+    # with a linear kernel and a terminal-cost tail, J is quadratic along the
+    # step: J(t) = J0 + s t + kappa t^2, so the secant identity's root along the
+    # solver's own direction is t* = -s / (kappa + ||P||^2 / delta)
+    sys_, spec, states, grams, tail, rng = _quadratic_stage(seed=seed, N=8, M=2, family="linear")
+    cfg = SolverConfig(delta_lr=float(rng.uniform(0.5, 50.0)))
+    c_old = rng.normal(size=(2, 1))
+    res = solve_implicit_update(0, c_old, tail, states, grams, cfg, spec, sys_)
+    assert res.accepted and res.reason == "ok"
+    step = res.c_new - c_old
+    t_solver = float(np.linalg.norm(step))
+    P = grams.cross @ (step / t_solver)
+    N = states.shape[0]
+    s = float(np.sum(_objective_gradient(sys_, spec, states, grams, c_old) * P))
+    PB = P @ sys_.B.T
+    kappa = float(np.sum((P @ spec.R) * P) + np.sum((PB @ spec.Q_F) * PB)) / N
+    t_star = -s / (kappa + float(np.sum(P * P)) / cfg.delta_lr)
+    assert t_solver == pytest.approx(t_star, rel=1e-9)
+    assert res.tail_calls <= 5
+
+
+def _penalty_stage(seed):
+    """A stage of a two-vehicle crossing: RBF kernel, collision penalty, 3-stage tail."""
+    from kernelpi.costs import TailEvaluator
+    from kernelpi.dynamics import rollout
+    from kernelpi.intersection import ScenarioConfig, build_intersection, sample_initial_states
+    from kernelpi.kernels import KernelPolicy, StagePolicy
+
+    rng = np.random.default_rng(seed)
+    scen = ScenarioConfig(
+        n_cav=2, horizon=4, entry_offsets=(12.0, 14.0), position_jitter=1.0, speed_range=(4.0, 6.0)
+    )
+    scenario, learner, _, cost = build_intersection(scen)
+    X0 = sample_initial_states(scenario, rng, 10)
+    kernel = KernelSpec(family="gaussian-rbf", length_scale=float(rng.uniform(2.0, 8.0)))
+    zero = KernelPolicy(kernel, [StagePolicy.zero(learner.m) for _ in range(4)])
+    states = rollout(learner, zero, X0).states
+    stages = []
+    for t in range(4):
+        d = Dictionary(points=states[:6, t], stage=t)
+        stages.append(StagePolicy(d, 0.5 * rng.normal(size=(6, learner.m))))
+    policy = KernelPolicy(kernel, stages)
+    states = rollout(learner, policy, X0).states
+    d = stages[0].dictionary
+    grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, states[:, 0], d))
+    tail = TailEvaluator(learner, cost, policy, 1).values
+    return learner, cost, states[:, 0], grams, tail, stages[0].coefficients, rng
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10_000), log_delta=st.floats(-1.0, 3.0), penalty=st.booleans())
+def test_accepted_stage_steps_descend_within_the_stop_rule(seed, log_delta, penalty):
+    if penalty:
+        sys_, spec, states, grams, tail, c_old, rng = _penalty_stage(seed)
+    else:
+        sys_, spec, states, grams, tail, rng = _quadratic_stage(seed=seed, N=8, M=4)
+        c_old = rng.normal(size=(4, 1))
+    cfg = SolverConfig(delta_lr=10.0**log_delta)
+    res = solve_implicit_update(0, c_old, tail, states, grams, cfg, spec, sys_)
+    if res.accepted:
+        assert res.objective_new < res.objective_old
+        assert res.secant_gap <= ROOT_TOL * cfg.inner_tol * (1.0 + abs(res.objective_old))
+    else:
+        np.testing.assert_array_equal(res.c_new, c_old)
+        assert res.objective_new == res.objective_old
 
 
 def _scalar_instance_cfg(**kw):
