@@ -23,7 +23,6 @@ from .dynamics import (
 )
 from .kernels import (
     Dictionary,
-    GramPair,
     KernelPolicy,
     KernelSpec,
     StagePolicy,
@@ -37,7 +36,9 @@ from .kernels import (
 from .offline import (
     IterationRecord,
     PolicyIterationDiverged,
+    SingularGramError,
     SolverConfig,
+    StageSolver,
     StageUpdateResult,
     complexity_probe,
     discrete_frechet_derivative,

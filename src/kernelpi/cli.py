@@ -31,6 +31,7 @@ from .dynamics import DivergenceError, LinearSystem, assemble_team_system, discr
 from .intersection import Scenario, build_intersection, pairwise_distances, sample_initial_states
 from .offline import (
     PolicyIterationDiverged,
+    SingularGramError,
     SolverConfig,
     complexity_probe,
     policy_iteration,
@@ -406,6 +407,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SingularGramError as exc:
+        print(f"config error: solver.ridge: {exc}", file=sys.stderr)
         return 2
     except (DivergenceError, PolicyIterationDiverged) as exc:
         print(f"divergence: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import LinearSystem, TrajectoryBatch, check_guard
-from .kernels import GramPair, KernelPolicy, StageExpansion
+from .kernels import KernelPolicy, StageExpansion
 
 __all__ = [
     "CostSpec",
@@ -204,23 +204,24 @@ class TailEvaluator:
 
 
 def empirical_stage_objective(
-    t: int,
     candidate_coeffs: np.ndarray,
     states_at_t,
     successor_value: Callable[[np.ndarray], np.ndarray],
     sys: LinearSystem,
     spec: CostSpec,
-    grams: GramPair,
+    cross: np.ndarray,
 ) -> float:
     """Sample-average one-stage cost of candidate coefficients plus continuation.
 
-    Controls at the sampled states are read from the cross-Gram matrix times
-    the candidate coefficients; successor_value returns continuation values at
-    the induced successor states.
+    Controls at the sampled states are the cross-Gram matrix (sampled states
+    by dictionary points, as cross_gram returns it) times the candidate
+    coefficients; successor_value returns continuation values at the induced
+    successor states.  This is the plain reference form of the objective the
+    stage solver evaluates.
     """
     X = np.atleast_2d(np.asarray(states_at_t, dtype=float))
     C = np.asarray(candidate_coeffs, dtype=float)
-    pi = grams.cross @ C
+    pi = cross @ C
     Y = X @ sys.A.T + pi @ sys.B.T
     vals = stage_cost(X, pi, spec) + np.asarray(successor_value(Y), dtype=float)
     return float(vals.mean())

@@ -19,7 +19,6 @@ __all__ = [
     "Dictionary",
     "StagePolicy",
     "KernelPolicy",
-    "GramPair",
     "GramSingularityWarning",
     "StageExpansion",
     "eval_kernel",
@@ -161,22 +160,6 @@ def cross_gram(spec: KernelSpec, samples, dictionary: Dictionary) -> np.ndarray:
     if samples.shape[0] == 0:
         raise ValueError("samples must be non-empty")
     return kernel_matrix(spec, samples, dictionary.points)
-
-
-@dataclass
-class GramPair:
-    """Gram matrix over a stage dictionary plus the sample/dictionary cross matrix."""
-
-    gram: np.ndarray
-    cross: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.gram = np.asarray(self.gram, dtype=float)
-        self.cross = np.asarray(self.cross, dtype=float)
-        if self.gram.shape[0] != self.gram.shape[1]:
-            raise ValueError("gram must be square")
-        if self.cross.shape[1] != self.gram.shape[0]:
-            raise ValueError("cross column count must equal the dictionary size")
 
 
 def _zero_coefficients(m: int) -> np.ndarray:

@@ -13,6 +13,12 @@ stage objective chains exactly into the next through the re-simulated
 continuation values, the recorded total cost is non-increasing across outer
 iterations by construction.
 
+The dictionaries are fixed after the first rollout, so one StageSolver per
+stage, built once per run_policy_iteration call, holds what its updates
+share: the dictionary, the ridge-shifted Gram matrix and its Cholesky factor,
+the solver settings, the cost and the model.  Each update computes only the
+cross-Gram matrix at the sampled states and its own counters.
+
 The inner solver picks the Gram-preconditioned descent direction and finds
 the step length by a safeguarded secant solve in one dimension.  It stops at
 the first descending step whose secant gap is at most
@@ -33,7 +39,6 @@ from .costs import CostSpec, TailEvaluator, evaluate_cost_to_go, stage_cost
 from .dynamics import DivergenceError, LinearSystem, rollout
 from .kernels import (
     Dictionary,
-    GramPair,
     KernelPolicy,
     KernelSpec,
     StagePolicy,
@@ -53,6 +58,8 @@ MAX_TRIALS = 60
 
 __all__ = [
     "SolverConfig",
+    "SingularGramError",
+    "StageSolver",
     "IterationRecord",
     "StageUpdateResult",
     "PolicyIterationDiverged",
@@ -145,16 +152,16 @@ class IterationRecord:
     iteration: int
     cost: float  # batch cost of the policy entering this iteration
     cost_after: float  # batch cost of the policy after the backward sweep
-    stage_step_norms: np.ndarray  # per stage, sqrt of value_step_sq
-    stage_rkhs_norms: np.ndarray
-    stage_secant_gaps: np.ndarray
-    stage_residuals: np.ndarray
-    inner_evals: np.ndarray
+    stages: list  # one StageUpdateResult per stage, in stage order
     wall_time: float
 
     @property
+    def stage_secant_gaps(self) -> np.ndarray:
+        return np.array([r.secant_gap for r in self.stages])
+
+    @property
     def total_step_sq(self) -> float:
-        return float(np.sum(self.stage_step_norms**2))
+        return float(np.sum([r.value_step_sq for r in self.stages]))
 
 
 class PolicyIterationDiverged(RuntimeError):
@@ -185,27 +192,54 @@ def discrete_frechet_derivative(pi_new, pi_old, J_new: float, J_old: float) -> n
     return d * ((float(J_new) - float(J_old)) / nrm2)
 
 
-class _StageWorkspace:
-    """Cached quantities for improving a single stage.
+class SingularGramError(ValueError):
+    """A stage Gram matrix stays singular after the configured ridge shift."""
 
-    The state part of the stage cost, x'Qx + psi(x), and the drift X A' do not
-    depend on the candidate coefficients, so they are computed once here
-    rather than on every objective evaluation.
+
+class StageSolver:
+    """The part of one stage's update that is fixed for a run (see the module docstring).
+
+    K_ridge is the Gram matrix shifted by cfg.ridge times its mean diagonal;
+    chol is its Cholesky factor.
     """
 
-    def __init__(self, c_old, tail_values, states, grams, cfg, spec, sys, chol, ridge_abs):
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        self.c_old = np.asarray(c_old, dtype=float)
-        self.tail_values = tail_values
+    def __init__(self, kernel, dictionary, cfg, spec, sys):
+        self.kernel = kernel
+        self.dictionary = dictionary
         self.cfg = cfg
         self.spec = spec
-        self.chol = chol
-        self.K_ridge = grams.gram + ridge_abs * np.eye(grams.gram.shape[0])
-        self.cross = grams.cross
+        self.sys = sys
+        K = gram_matrix(kernel, dictionary, ridge=0.0)
+        mean_diag = float(np.mean(np.diag(K)))
+        ridge_abs = cfg.ridge * (mean_diag if mean_diag > 0 else 1.0)
+        self.K_ridge = K + ridge_abs * np.eye(K.shape[0])
+        try:
+            self.chol = cho_factor(self.K_ridge)
+        except np.linalg.LinAlgError as exc:
+            raise SingularGramError(
+                f"Gram matrix for stage {dictionary.stage} is singular even after "
+                f"the ridge shift (ridge {cfg.ridge:g})"
+            ) from exc
+
+
+class _StageWorkspace:
+    """Per-update quantities for improving one stage with its StageSolver.
+
+    The cross-Gram matrix at the sampled states, the state part of the stage
+    cost, x'Qx + psi(x), and the drift X A' do not depend on the candidate
+    coefficients, so they are computed once here rather than on every
+    objective evaluation.
+    """
+
+    def __init__(self, solver: StageSolver, c_old, tail_values, states):
+        states = np.atleast_2d(np.asarray(states, dtype=float))
+        self.solver = solver
+        self.c_old = np.asarray(c_old, dtype=float)
+        self.tail_values = tail_values
+        self.cross = cross_gram(solver.kernel, states, solver.dictionary)
         self.pi_old = self.cross @ self.c_old
-        self.B = sys.B
-        self.drift = states @ sys.A.T
-        self.state_cost = stage_cost(states, np.zeros((states.shape[0], sys.m)), spec)
+        self.drift = states @ solver.sys.A.T
+        self.state_cost = stage_cost(states, np.zeros((len(states), solver.sys.m)), solver.spec)
         self.evals = 0
         self.tail_calls = 0
 
@@ -214,8 +248,9 @@ class _StageWorkspace:
         self.evals += 1
         self.tail_calls += 1
         pi = self.cross @ np.asarray(C, dtype=float)
-        control_cost = ((pi @ self.spec.R) * pi).sum(axis=1)
-        continuation = np.asarray(self.tail_values(self.drift + pi @ self.B.T), dtype=float)
+        solver = self.solver
+        control_cost = ((pi @ solver.spec.R) * pi).sum(axis=1)
+        continuation = np.asarray(self.tail_values(self.drift + pi @ solver.sys.B.T), dtype=float)
         return float((self.state_cost + control_cost + continuation).mean())
 
     def trial_objective(self, C) -> float:
@@ -233,7 +268,7 @@ class _StageWorkspace:
         when a perturbed row diverges; the unperturbed rows are the successors
         under c_old, which the objective at c_old has already simulated.
         """
-        B = self.B
+        B = self.solver.sys.B
         y0 = self.drift + self.pi_old @ B.T
         N, n = y0.shape
         h = 1.0e-5 * (1.0 + np.abs(y0))
@@ -247,7 +282,7 @@ class _StageWorkspace:
         except DivergenceError:
             return None
         dV = ((vals[1:] - vals[0]) / h.T).T  # (N, n)
-        return (2.0 * self.pi_old @ self.spec.R + dV @ B) / N
+        return (2.0 * self.pi_old @ self.solver.spec.R + dV @ B) / N
 
     def descent_direction(self):
         """Gram-preconditioned direction from the projected value gradient, or None."""
@@ -255,22 +290,21 @@ class _StageWorkspace:
         if G is None:
             return None
         W = self.cross.T @ G
-        V = -cho_solve(self.chol, W)
+        V = -cho_solve(self.solver.chol, W)
         P = self.cross @ V
         p2 = float(np.sum(P * P))
         s0 = float(np.sum(G * P))
         return V, P, p2, s0
 
     def diagnostics(self, c_new, J_old, J_new):
+        K_ridge, delta = self.solver.K_ridge, self.solver.cfg.delta_lr
         dC = c_new - self.c_old
         dpi = self.cross @ dC
         value_sq = float(np.sum(dpi * dpi))
-        rkhs_sq = float(np.sum(dC * (self.K_ridge @ dC)))
-        gap = abs(J_new - J_old + value_sq / self.cfg.delta_lr)
+        rkhs_sq = float(np.sum(dC * (K_ridge @ dC)))
+        gap = abs(J_new - J_old + value_sq / delta)
         D = discrete_frechet_derivative(self.pi_old + dpi, self.pi_old, J_new, J_old)
-        resid = float(
-            np.linalg.norm(self.K_ridge @ dC + self.cfg.delta_lr * (self.cross.T @ D))
-        )
+        resid = float(np.linalg.norm(K_ridge @ dC + delta * (self.cross.T @ D)))
         return value_sq, rkhs_sq, gap, resid
 
 
@@ -317,8 +351,8 @@ def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
         return _result(ws, J0, "gradient-diverged")
     V, P, p2, s0 = direction
     scale = 1.0 + abs(J0)
-    delta = ws.cfg.delta_lr
-    tol = ROOT_TOL * ws.cfg.inner_tol * scale
+    delta = ws.solver.cfg.delta_lr
+    tol = ROOT_TOL * ws.solver.cfg.inner_tol * scale
     # the first trial is a = -s0 delta / p2, where g(a) >= 0 whenever J is
     # convex along V; to first order no step in (0, a] moves J by more than
     # -s0 a = s0^2 delta / p2, so a stage below tol there has nothing to gain
@@ -359,32 +393,13 @@ def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
     return _result(ws, J0, "inexact-secant", ws.c_old + a * V, Ja)
 
 
-def _factor_gram(K: np.ndarray, ridge_rel: float, stage: int):
-    """Cholesky factor of K shifted by ridge_rel times its mean diagonal, and that shift."""
-    mean_diag = float(np.mean(np.diag(K)))
-    ridge_abs = ridge_rel * (mean_diag if mean_diag > 0 else 1.0)
-    try:
-        chol = cho_factor(K + ridge_abs * np.eye(K.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"Gram matrix for stage {stage} is singular even after the ridge shift"
-        ) from exc
-    return chol, ridge_abs
-
-
 def solve_implicit_update(
-    t: int,
+    solver: StageSolver,
     c_old: np.ndarray,
     tail_values: Callable[[np.ndarray], np.ndarray],
     states_at_t,
-    grams: GramPair,
-    cfg: SolverConfig,
-    spec: CostSpec,
-    sys: LinearSystem,
-    chol=None,
-    ridge_abs: Optional[float] = None,
 ) -> StageUpdateResult:
-    """Improve the stage-t coefficients against the already-updated tail.
+    """Improve a stage's coefficients against the already-updated tail.
 
     Guarantees objective_new <= objective_old: when the inner solver cannot
     find a descending step the old coefficients are returned unchanged.
@@ -394,9 +409,7 @@ def solve_implicit_update(
     shrinks; a DivergenceError propagates only when the old coefficients'
     objective or value gradient diverges.
     """
-    if chol is None or ridge_abs is None:
-        chol, ridge_abs = _factor_gram(grams.gram, cfg.ridge, t)
-    ws = _StageWorkspace(c_old, tail_values, states_at_t, grams, cfg, spec, sys, chol, ridge_abs)
+    ws = _StageWorkspace(solver, c_old, tail_values, states_at_t)
     return _solve_secant(ws, ws.objective_of(ws.c_old))
 
 
@@ -418,17 +431,6 @@ def build_dictionaries(
     return dicts
 
 
-def _prepare_stage_solvers(kernel: KernelSpec, dicts: Sequence[Dictionary], ridge_rel: float):
-    grams, chols, ridges = [], [], []
-    for d in dicts:
-        K = gram_matrix(kernel, d, ridge=0.0)
-        chol, ridge_abs = _factor_gram(K, ridge_rel, d.stage)
-        grams.append(K)
-        chols.append(chol)
-        ridges.append(ridge_abs)
-    return grams, chols, ridges
-
-
 def run_policy_iteration(
     sys: LinearSystem,
     spec: CostSpec,
@@ -444,9 +446,9 @@ def run_policy_iteration(
     evaluate to zero control) it is improved in place from its warm state;
     otherwise a zero policy is created.  Dictionaries are filled from the
     first rollout (drawn with dict_rng, default_rng(0) when not given) and
-    kept fixed afterwards so the stage Gram factors can be cached.  Returns
-    (policy, records); rollout divergence raises PolicyIterationDiverged
-    carrying the partial history.
+    kept fixed afterwards, so each stage's StageSolver is built once per
+    call.  Returns (policy, records); rollout divergence raises
+    PolicyIterationDiverged carrying the partial history.
     """
     X0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     if dict_rng is None:
@@ -474,33 +476,18 @@ def run_policy_iteration(
                 dicts = build_dictionaries(batch.states, horizon, cfg.dict_size, dict_rng)
                 for t in missing:
                     policy.stages[t] = StagePolicy.zero(sys.m, dicts[t])
-            solvers = _prepare_stage_solvers(
-                kernel, [st.dictionary for st in policy.stages], cfg.ridge
-            )
-        gram_raw, chols, ridges = solvers
+            solvers = [StageSolver(kernel, st.dictionary, cfg, spec, sys) for st in policy.stages]
         cost_k = evaluate_cost_to_go(batch, spec).total_cost
 
         t0 = time.perf_counter()
         stage_results = [None] * horizon
         try:
             for t in range(horizon - 1, -1, -1):
-                stage = policy.stages[t]
-                cross = cross_gram(kernel, batch.states[:, t], stage.dictionary)
-                grams = GramPair(gram_raw[t], cross)
                 tail = TailEvaluator(sys, spec, policy, t + 1)
                 res = solve_implicit_update(
-                    t,
-                    stage.coefficients,
-                    tail.values,
-                    batch.states[:, t],
-                    grams,
-                    cfg,
-                    spec,
-                    sys,
-                    chol=chols[t],
-                    ridge_abs=ridges[t],
+                    solvers[t], policy.stages[t].coefficients, tail.values, batch.states[:, t]
                 )
-                policy.stages[t] = StagePolicy(stage.dictionary, res.c_new)
+                policy.stages[t] = StagePolicy(solvers[t].dictionary, res.c_new)
                 stage_results[t] = res
         except DivergenceError as exc:
             raise PolicyIterationDiverged(
@@ -513,11 +500,7 @@ def run_policy_iteration(
                 iteration=k,
                 cost=cost_k,
                 cost_after=stage_results[0].objective_new,
-                stage_step_norms=np.sqrt([r.value_step_sq for r in stage_results]),
-                stage_rkhs_norms=np.sqrt([max(r.rkhs_step_sq, 0.0) for r in stage_results]),
-                stage_secant_gaps=np.array([r.secant_gap for r in stage_results]),
-                stage_residuals=np.array([r.update_residual for r in stage_results]),
-                inner_evals=np.array([r.evals for r in stage_results]),
+                stages=stage_results,
                 wall_time=wall,
             )
         )

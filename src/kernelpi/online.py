@@ -98,7 +98,6 @@ class WindowResult:
     cost_before: float
     cost_after: float
     step_sq: float
-    evals: int
     rejected: bool = False
 
 
@@ -150,7 +149,6 @@ def plan_window(
             cost_before=math.inf,
             cost_after=math.inf,
             step_sq=0.0,
-            evals=0,
             rejected=True,
         )
     return WindowResult(
@@ -159,7 +157,6 @@ def plan_window(
         cost_before=records[0].cost,
         cost_after=records[-1].cost_after,
         step_sq=float(sum(r.total_step_sq for r in records)),
-        evals=int(sum(int(r.inner_evals.sum()) for r in records)),
     )
 
 

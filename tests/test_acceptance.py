@@ -17,7 +17,7 @@ from kernelpi.config import load_config
 from kernelpi.costs import CostSpec, empirical_stage_objective, terminal_cost
 from kernelpi.dynamics import LinearSystem, STATE_GUARD, rollout
 from kernelpi.intersection import ScenarioConfig, build_intersection, sample_initial_states
-from kernelpi.kernels import Dictionary, GramPair, KernelSpec, cross_gram, gram_matrix
+from kernelpi.kernels import Dictionary, KernelSpec, cross_gram
 from kernelpi.offline import SolverConfig, complexity_probe, discrete_frechet_derivative, run_policy_iteration
 from kernelpi.online import OnlineConfig, run_online
 from kernelpi.rls import rls_init, rls_update
@@ -108,20 +108,20 @@ def test_ac3_secant_and_finite_difference_correctness(verdict):
     states = rng.normal(size=(6, 2))
     kernel = KernelSpec(family="gaussian-rbf", length_scale=1.5)
     d = Dictionary(points=rng.normal(size=(3, 2)))
-    grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, states, d))
+    cross = cross_gram(kernel, states, d)
     tail = lambda Y: terminal_cost(Y, spec)
     C = rng.normal(size=(3, 1))
     direction = rng.normal(size=(3, 1))
-    P = grams.cross @ direction
-    Pi = grams.cross @ C
+    P = cross @ direction
+    Pi = cross @ C
     Y = states @ sys_.A.T + Pi @ sys_.B.T
     G = (2.0 * Pi @ spec.R + 2.0 * Y @ spec.Q_F @ sys_.B) / states.shape[0]
     exact = float(np.sum(G * P))
-    J0 = empirical_stage_objective(0, C, states, tail, sys_, spec, grams)
+    J0 = empirical_stage_objective(C, states, tail, sys_, spec, cross)
     errors = []
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
         a = eps / np.linalg.norm(P)
-        J1 = empirical_stage_objective(0, C + a * direction, states, tail, sys_, spec, grams)
+        J1 = empirical_stage_objective(C + a * direction, states, tail, sys_, spec, cross)
         D = discrete_frechet_derivative(Pi + a * P, Pi, J1, J0)
         slope = float(np.sum(D * P))
         errors.append(abs(slope - exact))

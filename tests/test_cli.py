@@ -345,6 +345,21 @@ def test_negative_seed_rejected_at_load_and_on_the_command_line(tmp_path, capsys
     assert "seed" in capsys.readouterr().err
 
 
+def test_zero_ridge_on_a_rank_deficient_gram_is_a_config_error(tmp_path, capsys):
+    # linear kernel, n = 4 and dict_size 12: every stage Gram has rank <= 4,
+    # so ridge 0 (which the validator accepts) leaves it singular
+    data = yaml.safe_load((CONFIGS / "oracle_lqr.yaml").read_text())
+    data["solver"]["ridge"] = 0.0
+    data["output_dir"] = str(tmp_path / "run")
+    p = tmp_path / "zero_ridge.yaml"
+    p.write_text(yaml.safe_dump(data))
+    assert main(["oracle-compare", str(p)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("config error: solver.ridge: ")
+    assert "stage" in err[0]
+
+
 def _oracle_cfg(**kw):
     oracle = {
         "horizon": 4,

@@ -13,7 +13,7 @@ from kernelpi.costs import (
     terminal_cost,
 )
 from kernelpi.dynamics import STATE_GUARD, DivergenceError, LinearSystem, TrajectoryBatch, rollout
-from kernelpi.kernels import Dictionary, GramPair, KernelPolicy, KernelSpec, StagePolicy, cross_gram, gram_matrix
+from kernelpi.kernels import Dictionary, KernelPolicy, KernelSpec, StagePolicy, cross_gram
 
 PAIR_SPEC = CollisionSpec(safety_distance=1.0, softening=0.1)
 
@@ -176,22 +176,21 @@ def _stage_problem(seed=0, N=6, M=3, n=2, m=1):
     pts = rng.normal(size=(M, n))
     kernel = KernelSpec(family="gaussian-rbf", length_scale=1.5)
     d = Dictionary(points=pts)
-    grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, states, d))
-    return sys_, spec, states, grams, rng
+    cross = cross_gram(kernel, states, d)
+    return sys_, spec, states, cross, rng
 
 
 def test_empirical_stage_objective_zero_case():
-    sys_, spec, states, grams, _ = _stage_problem()
+    sys_, spec, states, cross, _ = _stage_problem()
     zero_states = np.zeros_like(states)
-    grams_zero = GramPair(grams.gram, np.ones_like(grams.cross))
+    cross_ones = np.ones_like(cross)
     val = empirical_stage_objective(
-        0,
-        np.zeros((grams.gram.shape[0], sys_.m)),
+        np.zeros((cross.shape[1], sys_.m)),
         zero_states,
         lambda Y: np.zeros(Y.shape[0]),
         sys_,
         spec,
-        grams_zero,
+        cross_ones,
     )
     assert val == 0.0
 
@@ -202,12 +201,12 @@ def test_empirical_stage_objective_terminal_stage_hand_value():
     pts = np.array([[1.0, 0.5]])
     kernel = KernelSpec(family="gaussian-rbf", length_scale=1.0)
     d = Dictionary(points=pts)
-    grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, x, d))
+    cross = cross_gram(kernel, x, d)
     C = np.array([[0.8]])
     val = empirical_stage_objective(
-        0, C, x, lambda Y: terminal_cost(Y, spec), sys_, spec, grams
+        C, x, lambda Y: terminal_cost(Y, spec), sys_, spec, cross
     )
-    u = grams.cross[0] @ C
+    u = cross[0] @ C
     y = sys_.A @ x[0] + sys_.B @ u
     expected = float(x[0] @ spec.Q @ x[0] + u @ spec.R @ u + y @ spec.Q_F @ y)
     assert val == pytest.approx(expected, rel=1e-12)
@@ -216,8 +215,8 @@ def test_empirical_stage_objective_terminal_stage_hand_value():
 def test_empirical_stage_objective_quadratic_in_coefficients():
     # with no nonlinear penalty and a terminal continuation the objective is
     # an explicit quadratic in the coefficients; compare against it
-    sys_, spec, states, grams, rng = _stage_problem(seed=9, N=8, M=4, n=3, m=2)
-    K = grams.cross
+    sys_, spec, states, cross, rng = _stage_problem(seed=9, N=8, M=4, n=3, m=2)
+    K = cross
     A, B, Q, R, QF = sys_.A, sys_.B, spec.Q, spec.R, spec.Q_F
     N = states.shape[0]
 
@@ -232,7 +231,7 @@ def test_empirical_stage_objective_quadratic_in_coefficients():
     tail = lambda Y: terminal_cost(Y, spec)
     for _ in range(5):
         C = rng.normal(size=(4, 2))
-        val = empirical_stage_objective(0, C, states, tail, sys_, spec, grams)
+        val = empirical_stage_objective(C, states, tail, sys_, spec, cross)
         assert val == pytest.approx(closed_form(C), rel=1e-10)
 
 
@@ -297,18 +296,18 @@ def test_tail_evaluator_snapshot_matches_rollout_cost(family, problem):
 
 @PROBLEMS
 def test_stage_workspace_objective_matches_empirical_stage_objective(problem):
-    from kernelpi.offline import SolverConfig, _StageWorkspace
+    from kernelpi.offline import SolverConfig, StageSolver, _StageWorkspace
 
     rng = np.random.default_rng(4)
     sys_, spec, sample = problem(rng)
     kernel = KernelSpec(family="gaussian-rbf", length_scale=2.0)
     d = Dictionary(points=sample(4))
     states = sample(9)
-    grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, states, d))
+    cross = cross_gram(kernel, states, d)
     stage = StagePolicy(Dictionary(points=sample(3)), rng.normal(size=(3, sys_.m)) * 0.2)
     tail = TailEvaluator(sys_, spec, KernelPolicy(kernel, [stage] * 3), 1)
     C0 = rng.normal(size=(4, sys_.m)) * 0.2
-    ws = _StageWorkspace(C0, tail.values, states, grams, SolverConfig(), spec, sys_, None, 0.0)
+    ws = _StageWorkspace(StageSolver(kernel, d, SolverConfig(), spec, sys_), C0, tail.values, states)
     for C in [C0] + [rng.normal(size=(4, sys_.m)) for _ in range(4)]:
-        expected = empirical_stage_objective(0, C, states, tail.values, sys_, spec, grams)
+        expected = empirical_stage_objective(C, states, tail.values, sys_, spec, cross)
         assert ws.objective_of(C) == pytest.approx(expected, rel=1e-12)

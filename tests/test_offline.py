@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from kernelpi.costs import CostSpec, empirical_stage_objective, terminal_cost
 from kernelpi.dynamics import LinearSystem, assemble_team_system, discretize_double_integrator
-from kernelpi.kernels import Dictionary, GramPair, KernelSpec, cross_gram, gram_matrix
+from kernelpi.kernels import Dictionary, KernelSpec, cross_gram
 from kernelpi.offline import (
     ROOT_TOL,
     PolicyIterationDiverged,
     SolverConfig,
+    StageSolver,
     complexity_probe,
     discrete_frechet_derivative,
     policy_iteration,
@@ -65,33 +66,34 @@ def _quadratic_stage(seed=0, N=6, M=3, n=2, m=1, family="gaussian-rbf"):
     states = rng.normal(size=(N, n))
     kernel = KernelSpec(family=family, length_scale=1.5)
     d = Dictionary(points=rng.normal(size=(M, n)))
-    grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, states, d))
+    cross = cross_gram(kernel, states, d)
     tail = lambda Y: terminal_cost(Y, spec)
-    return sys_, spec, states, grams, tail, rng
+    solver_for = lambda cfg: StageSolver(kernel, d, cfg, spec, sys_)
+    return sys_, spec, states, cross, tail, rng, solver_for
 
 
-def _objective_gradient(sys_, spec, states, grams, C):
+def _objective_gradient(sys_, spec, states, cross, C):
     """Analytic gradient of the quadratic stage objective wrt stacked controls."""
-    Pi = grams.cross @ C
+    Pi = cross @ C
     Y = states @ sys_.A.T + Pi @ sys_.B.T
     N = states.shape[0]
     return (2.0 * Pi @ spec.R + 2.0 * Y @ spec.Q_F @ sys_.B) / N
 
 
 def test_derivative_approaches_directional_gradient():
-    sys_, spec, states, grams, tail, rng = _quadratic_stage(seed=5)
+    sys_, spec, states, cross, tail, rng, _ = _quadratic_stage(seed=5)
     C = rng.normal(size=(3, 1))
-    J0 = empirical_stage_objective(0, C, states, tail, sys_, spec, grams)
+    J0 = empirical_stage_objective(C, states, tail, sys_, spec, cross)
     direction = rng.normal(size=C.shape)
-    G = _objective_gradient(sys_, spec, states, grams, C)
-    exact = float(np.sum(G * (grams.cross @ direction)))
+    G = _objective_gradient(sys_, spec, states, cross, C)
+    exact = float(np.sum(G * (cross @ direction)))
     errors = []
-    P = grams.cross @ direction
+    P = cross @ direction
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
         # scale the coefficient step so the stacked value step has norm eps
         a = eps / np.linalg.norm(P)
-        J1 = empirical_stage_objective(0, C + a * direction, states, tail, sys_, spec, grams)
-        D = discrete_frechet_derivative(grams.cross @ (C + a * direction), grams.cross @ C, J1, J0)
+        J1 = empirical_stage_objective(C + a * direction, states, tail, sys_, spec, cross)
+        D = discrete_frechet_derivative(cross @ (C + a * direction), cross @ C, J1, J0)
         # <D, P> equals the one-sided difference quotient along the direction
         slope = float(np.sum(D * P))
         errors.append(abs(slope - exact))
@@ -107,11 +109,10 @@ def test_stationary_point_returns_old_coefficients():
     states = rng.normal(size=(5, 2))
     kernel = KernelSpec(family="gaussian-rbf", length_scale=1.0)
     d = Dictionary(points=rng.normal(size=(3, 2)))
-    grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, states, d))
     tail = lambda Y: terminal_cost(Y, spec)
     c_old = np.zeros((3, 1))
     cfg = SolverConfig(delta_lr=5.0)
-    res = solve_implicit_update(0, c_old, tail, states, grams, cfg, spec, sys_)
+    res = solve_implicit_update(StageSolver(kernel, d, cfg, spec, sys_), c_old, tail, states)
     np.testing.assert_array_equal(res.c_new, c_old)
     assert not res.accepted
     assert res.objective_new == res.objective_old
@@ -125,14 +126,14 @@ def test_scalar_update_matches_bisection_oracle():
     states = np.array([[1.0]])
     kernel = KernelSpec(family="linear")
     d = Dictionary(points=np.array([[1.0]]))
-    grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, states, d))
+    cross = cross_gram(kernel, states, d)
     tail = lambda Y: terminal_cost(Y, spec)
     delta = 4.0
     c_old = np.array([[0.2]])
     cfg = SolverConfig(delta_lr=delta)
 
     def J(c):
-        return empirical_stage_objective(0, np.array([[c]]), states, tail, sys_, spec, grams)
+        return empirical_stage_objective(np.array([[c]]), states, tail, sys_, spec, cross)
 
     J0 = J(0.2)
     g = lambda step: J(0.2 + step) - J0 + step**2 / delta
@@ -146,17 +147,17 @@ def test_scalar_update_matches_bisection_oracle():
             hi = mid
     root = 0.5 * (lo + hi)
 
-    res = solve_implicit_update(0, c_old, tail, states, grams, cfg, spec, sys_)
+    res = solve_implicit_update(StageSolver(kernel, d, cfg, spec, sys_), c_old, tail, states)
     assert res.accepted
     assert res.c_new[0, 0] - 0.2 == pytest.approx(root, abs=1e-6)
     assert res.objective_new < res.objective_old
 
 
 def test_accepted_steps_satisfy_descent_identity():
-    sys_, spec, states, grams, tail, rng = _quadratic_stage(seed=13, N=8, M=4)
+    sys_, spec, states, _, tail, rng, solver_for = _quadratic_stage(seed=13, N=8, M=4)
     cfg = SolverConfig(delta_lr=8.0)
     c_old = rng.normal(size=(4, 1))
-    res = solve_implicit_update(0, c_old, tail, states, grams, cfg, spec, sys_)
+    res = solve_implicit_update(solver_for(cfg), c_old, tail, states)
     assert res.accepted
     dJ = res.objective_new - res.objective_old
     assert dJ == pytest.approx(-res.value_step_sq / cfg.delta_lr, abs=cfg.inner_tol)
@@ -169,16 +170,18 @@ def test_quadratic_stage_root_is_closed_form_within_five_tail_calls(seed):
     # with a linear kernel and a terminal-cost tail, J is quadratic along the
     # step: J(t) = J0 + s t + kappa t^2, so the secant identity's root along the
     # solver's own direction is t* = -s / (kappa + ||P||^2 / delta)
-    sys_, spec, states, grams, tail, rng = _quadratic_stage(seed=seed, N=8, M=2, family="linear")
+    sys_, spec, states, cross, tail, rng, solver_for = _quadratic_stage(
+        seed=seed, N=8, M=2, family="linear"
+    )
     cfg = SolverConfig(delta_lr=float(rng.uniform(0.5, 50.0)))
     c_old = rng.normal(size=(2, 1))
-    res = solve_implicit_update(0, c_old, tail, states, grams, cfg, spec, sys_)
+    res = solve_implicit_update(solver_for(cfg), c_old, tail, states)
     assert res.accepted and res.reason == "ok"
     step = res.c_new - c_old
     t_solver = float(np.linalg.norm(step))
-    P = grams.cross @ (step / t_solver)
+    P = cross @ (step / t_solver)
     N = states.shape[0]
-    s = float(np.sum(_objective_gradient(sys_, spec, states, grams, c_old) * P))
+    s = float(np.sum(_objective_gradient(sys_, spec, states, cross, c_old) * P))
     PB = P @ sys_.B.T
     kappa = float(np.sum((P @ spec.R) * P) + np.sum((PB @ spec.Q_F) * PB)) / N
     t_star = -s / (kappa + float(np.sum(P * P)) / cfg.delta_lr)
@@ -209,21 +212,21 @@ def _penalty_stage(seed):
     policy = KernelPolicy(kernel, stages)
     states = rollout(learner, policy, X0).states
     d = stages[0].dictionary
-    grams = GramPair(gram_matrix(kernel, d), cross_gram(kernel, states[:, 0], d))
     tail = TailEvaluator(learner, cost, policy, 1).values
-    return learner, cost, states[:, 0], grams, tail, stages[0].coefficients, rng
+    solver_for = lambda cfg: StageSolver(kernel, d, cfg, cost, learner)
+    return learner, cost, states[:, 0], solver_for, tail, stages[0].coefficients, rng
 
 
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 10_000), log_delta=st.floats(-1.0, 3.0), penalty=st.booleans())
 def test_accepted_stage_steps_descend_within_the_stop_rule(seed, log_delta, penalty):
     if penalty:
-        sys_, spec, states, grams, tail, c_old, rng = _penalty_stage(seed)
+        sys_, spec, states, solver_for, tail, c_old, rng = _penalty_stage(seed)
     else:
-        sys_, spec, states, grams, tail, rng = _quadratic_stage(seed=seed, N=8, M=4)
+        sys_, spec, states, _, tail, rng, solver_for = _quadratic_stage(seed=seed, N=8, M=4)
         c_old = rng.normal(size=(4, 1))
     cfg = SolverConfig(delta_lr=10.0**log_delta)
-    res = solve_implicit_update(0, c_old, tail, states, grams, cfg, spec, sys_)
+    res = solve_implicit_update(solver_for(cfg), c_old, tail, states)
     if res.accepted:
         assert res.objective_new < res.objective_old
         assert res.secant_gap <= ROOT_TOL * cfg.inner_tol * (1.0 + abs(res.objective_old))
@@ -348,7 +351,7 @@ def test_policy_iteration_divergence_carries_partial_history():
 
 
 def test_run_policy_iteration_warm_start_descends_from_given_policy():
-    sys_, spec, states, grams, tail, rng = _quadratic_stage(seed=17, N=4, M=2)
+    sys_, spec, states, _, tail, rng, _ = _quadratic_stage(seed=17, N=4, M=2)
     cfg = SolverConfig(delta_lr=4.0, max_outer_iters=3, mc_samples=4, dict_size=2)
     x0 = rng.normal(size=(4, 2))
     policy, records = run_policy_iteration(sys_, spec, 3, x0, cfg, dict_rng=np.random.default_rng(5))
@@ -356,6 +359,21 @@ def test_run_policy_iteration_warm_start_descends_from_given_policy():
     policy2, records2 = run_policy_iteration(sys_, spec, 3, x0, cfg, policy=policy)
     assert records2[0].cost == pytest.approx(warm_cost, rel=1e-9)
     assert records2[-1].cost_after <= warm_cost + 1e-12
+
+
+def test_stage_gram_factors_are_built_once_per_run(monkeypatch):
+    import kernelpi.offline as offline
+
+    calls = []
+    original = offline.gram_matrix
+    monkeypatch.setattr(
+        offline, "gram_matrix", lambda *a, **kw: calls.append(1) or original(*a, **kw)
+    )
+    sys_, spec, _, _, _, rng, _ = _quadratic_stage(seed=17, N=4, M=2)
+    cfg = SolverConfig(delta_lr=4.0, max_outer_iters=3, mc_samples=4, dict_size=2, convergence_tol=0.0)
+    _, records = run_policy_iteration(sys_, spec, 4, rng.normal(size=(4, 2)), cfg)
+    assert len(records) == 3
+    assert len(calls) == 4
 
 
 def test_complexity_probe_single_point():
