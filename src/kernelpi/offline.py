@@ -15,9 +15,10 @@ iterations by construction.
 
 The dictionaries are fixed after the first rollout, so one StageSolver per
 stage, built once per run_policy_iteration call, holds what its updates
-share: the dictionary, the ridge-shifted Gram matrix and its Cholesky factor,
-the solver settings, the cost and the model.  Each update computes only the
-cross-Gram matrix at the sampled states and its own counters.
+share: the dictionary, the ridge-shifted Gram matrix and its inverse formed
+through the Cholesky factor, the solver settings, the cost and the model.
+Each update computes only the cross-Gram matrix at the sampled states and
+its own counters.
 
 The inner solver picks the Gram-preconditioned descent direction and finds
 the step length by a safeguarded secant solve in one dimension.  It stops at
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .costs import CostSpec, TailEvaluator, evaluate_cost_to_go, stage_cost
 from .dynamics import DivergenceError, LinearSystem, rollout
@@ -200,7 +200,8 @@ class StageSolver:
     """The part of one stage's update that is fixed for a run (see the module docstring).
 
     K_ridge is the Gram matrix shifted by cfg.ridge times its mean diagonal;
-    chol is its Cholesky factor.
+    K_inv is its inverse formed through the Cholesky factor, L^-T L^-1, so it
+    is symmetric positive semidefinite and every direction -K_inv W descends.
     """
 
     def __init__(self, kernel, dictionary, cfg, spec, sys):
@@ -214,12 +215,14 @@ class StageSolver:
         ridge_abs = cfg.ridge * (mean_diag if mean_diag > 0 else 1.0)
         self.K_ridge = K + ridge_abs * np.eye(K.shape[0])
         try:
-            self.chol = cho_factor(self.K_ridge)
+            L = np.linalg.cholesky(self.K_ridge)
         except np.linalg.LinAlgError as exc:
             raise SingularGramError(
                 f"Gram matrix for stage {dictionary.stage} is singular even after "
                 f"the ridge shift (ridge {cfg.ridge:g})"
             ) from exc
+        L_inv = np.linalg.inv(L)
+        self.K_inv = L_inv.T @ L_inv
 
 
 class _StageWorkspace:
@@ -290,7 +293,7 @@ class _StageWorkspace:
         if G is None:
             return None
         W = self.cross.T @ G
-        V = -cho_solve(self.solver.chol, W)
+        V = -(self.solver.K_inv @ W)
         P = self.cross @ V
         p2 = float(np.sum(P * P))
         s0 = float(np.sum(G * P))

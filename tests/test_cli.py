@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -358,6 +360,18 @@ def test_zero_ridge_on_a_rank_deficient_gram_is_a_config_error(tmp_path, capsys)
     assert len(err) == 1
     assert err[0].startswith("config error: solver.ridge: ")
     assert "stage" in err[0]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy and pyyaml are the only runtime dependencies; importing
+    # scipy.linalg alone more than doubled the CLI's start-up time
+    code = (
+        "import sys; sys.path.insert(0, {src!r}); import kernelpi.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    ).format(src=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _oracle_cfg(**kw):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kernelpi.kernels import (
     Dictionary,
@@ -193,8 +193,12 @@ def test_eval_policy_linear_in_coefficients(seed, a, b):
 
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 10_000))
+@example(seed=1140)
 def test_policy_batch_matches_cross_gram_product(seed):
-    # the linear case checks the collapsed feedback matrix P' C against K C
+    # the linear case checks the collapsed feedback matrix P' C against K C.
+    # The paths sum in different orders, so they agree to rounding of the
+    # terms, 1e-12 |K| @ |C| entrywise; a relative bound fails on entries
+    # that nearly cancel (seed 1140: 9.2e-16 apart on a -5.4e-4 entry)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(5, 3))
     C = rng.normal(size=(5, 2))
@@ -202,7 +206,8 @@ def test_policy_batch_matches_cross_gram_product(seed):
     for kernel in (LIN, KernelSpec(family="polynomial", degree=3, offset=0.5), RBF):
         pol = _policy(pts, C, kernel)
         stacked = eval_policy_batch(pol, 0, X)
-        expected = cross_gram(kernel, X, Dictionary(points=pts)) @ C
-        np.testing.assert_allclose(stacked, expected, rtol=1e-12)
+        K = cross_gram(kernel, X, Dictionary(points=pts))
+        rounding = 1e-12 * (np.abs(K) @ np.abs(C))
         single = np.array([eval_policy(pol, 0, x) for x in X])
-        np.testing.assert_allclose(stacked, single, rtol=1e-12)
+        for other in (K @ C, single):
+            assert np.all(np.abs(stacked - other) <= rounding)

@@ -15,6 +15,7 @@ from kernelpi.offline import (
     policy_iteration,
     run_policy_iteration,
     solve_implicit_update,
+    _StageWorkspace,
 )
 from kernelpi.riccati import lqr_cost, riccati_backward
 
@@ -374,6 +375,37 @@ def test_stage_gram_factors_are_built_once_per_run(monkeypatch):
     _, records = run_policy_iteration(sys_, spec, 4, rng.normal(size=(4, 2)), cfg)
     assert len(records) == 3
     assert len(calls) == 4
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    family=st.sampled_from(["gaussian-rbf", "polynomial", "linear"]),
+    ridge=st.sampled_from([1e-12, 1e-8, 1e-2]),
+    M=st.integers(1, 8),
+)
+def test_stage_solver_directions_descend_and_match_a_direct_solve(seed, family, ridge, M):
+    # n = 2, so a linear kernel over M > 2 anchors has a rank-deficient Gram
+    rng = np.random.default_rng(seed)
+    n, m, N = 2, 2, 6
+    sys_ = LinearSystem(A=np.eye(n), B=rng.normal(size=(n, m)), input_blocks=(m,))
+    spec = CostSpec(Q=np.eye(n), R=np.eye(m), Q_F=np.eye(n))
+    kernel = KernelSpec(family=family, length_scale=1.5, degree=3, offset=0.5)
+    d = Dictionary(points=rng.normal(size=(M, n)))
+    solver = StageSolver(kernel, d, SolverConfig(ridge=ridge), spec, sys_)
+    K_inv = solver.K_inv
+    assert np.all(np.isfinite(K_inv))
+    np.testing.assert_array_equal(K_inv, K_inv.T)
+
+    tail = lambda Y: terminal_cost(Y, spec)
+    ws = _StageWorkspace(solver, np.zeros((M, m)), tail, rng.normal(size=(N, n)))
+    G = rng.normal(size=(N, m))
+    ws.value_gradient = lambda: G
+    V, P, p2, s0 = ws.descent_direction()
+    assert s0 <= 0.0
+    if np.linalg.cond(solver.K_ridge) < 1e6:
+        V_ref = -np.linalg.solve(solver.K_ridge, ws.cross.T @ G)
+        assert np.linalg.norm(V - V_ref) <= 1e-9 * np.linalg.norm(V_ref)
 
 
 def test_complexity_probe_single_point():
