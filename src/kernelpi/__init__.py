@@ -14,7 +14,6 @@ from .costs import (
 from .dynamics import (
     DivergenceError,
     LinearSystem,
-    StateSpace,
     TrajectoryBatch,
     assemble_team_system,
     discretize_double_integrator,
@@ -55,7 +54,7 @@ from .online import (
     shift_warm_start,
 )
 from .riccati import RiccatiSolution, lqr_cost, riccati_backward, simulate_gain_cost
-from .rls import PeResult, PeWindow, RlsState, estimate, pe_check, rls_init, rls_update
+from .rls import PeResult, RlsState, estimate, pe_check, rls_init, rls_update
 from .intersection import (
     Scenario,
     ScenarioConfig,

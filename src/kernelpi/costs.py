@@ -147,10 +147,6 @@ class CostToGoTable:
     values: np.ndarray  # (N, T+1)
 
     @property
-    def stage_means(self) -> np.ndarray:
-        return self.values.mean(axis=0)
-
-    @property
     def total_cost(self) -> float:
         return float(self.values[:, 0].mean())
 

@@ -10,7 +10,6 @@ import numpy as np
 from .kernels import KernelPolicy, eval_policy_batch
 
 __all__ = [
-    "StateSpace",
     "LinearSystem",
     "TrajectoryBatch",
     "DivergenceError",
@@ -33,24 +32,6 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.sample_index = sample_index
         self.stage = stage
-
-
-@dataclass
-class StateSpace:
-    """Per-member discrete-time state-space pair (A_i, B_i)."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        if self.A.shape[0] != self.A.shape[1]:
-            raise ValueError("A must be square")
-        if self.B.shape[0] != self.A.shape[0]:
-            raise ValueError("B row count must match A")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
-            raise ValueError("state-space matrices must be finite")
 
 
 @dataclass
@@ -85,7 +66,7 @@ class LinearSystem:
         return self.B.shape[1]
 
 
-def discretize_double_integrator(dt: float) -> StateSpace:
+def discretize_double_integrator(dt: float) -> LinearSystem:
     """Exact zero-order-hold discretization of p' = v, v' = u on state (p, v).
 
     p+ = p + v dt + u dt^2/2 and v+ = v + u dt; exact for piecewise-constant u.
@@ -94,27 +75,24 @@ def discretize_double_integrator(dt: float) -> StateSpace:
         raise ValueError("dt must be > 0")
     A = np.array([[1.0, dt], [0.0, 1.0]])
     B = np.array([[0.5 * dt * dt], [dt]])
-    return StateSpace(A, B)
+    return LinearSystem(A, B, (1,))
 
 
-def assemble_team_system(subsystems: Sequence[StateSpace]) -> LinearSystem:
+def assemble_team_system(subsystems: Sequence[LinearSystem]) -> LinearSystem:
     """Block-diagonal stacking of member systems with concatenated input columns."""
     if len(subsystems) == 0:
         raise ValueError("need at least one subsystem")
-    n = sum(s.A.shape[0] for s in subsystems)
-    m = sum(s.B.shape[1] for s in subsystems)
+    n = sum(s.n for s in subsystems)
+    m = sum(s.m for s in subsystems)
     A = np.zeros((n, n))
     B = np.zeros((n, m))
-    blocks = []
     r = c = 0
     for s in subsystems:
-        k, mi = s.B.shape
-        A[r : r + k, r : r + k] = s.A
-        B[r : r + k, c : c + mi] = s.B
-        blocks.append(mi)
-        r += k
-        c += mi
-    return LinearSystem(A, B, tuple(blocks))
+        A[r : r + s.n, r : r + s.n] = s.A
+        B[r : r + s.n, c : c + s.m] = s.B
+        r += s.n
+        c += s.m
+    return LinearSystem(A, B, sum((s.input_blocks for s in subsystems), ()))
 
 
 def step(sys: LinearSystem, x, u) -> np.ndarray:
@@ -155,14 +133,6 @@ class TrajectoryBatch:
     @property
     def horizon(self) -> int:
         return self.controls.shape[1]
-
-    @property
-    def state_dim(self) -> int:
-        return self.states.shape[2]
-
-    @property
-    def input_dim(self) -> int:
-        return self.controls.shape[2]
 
 
 PolicyLike = Union[KernelPolicy, Callable[[int, np.ndarray], np.ndarray], None]

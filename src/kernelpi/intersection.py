@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .costs import CostSpec
-from .dynamics import LinearSystem, StateSpace, assemble_team_system, discretize_double_integrator
+from .dynamics import LinearSystem, assemble_team_system, discretize_double_integrator
 
 __all__ = [
     "StraightPath",
@@ -90,14 +90,6 @@ class Scenario:
     @property
     def state_dim(self) -> int:
         return 2 * self.n_vehicles
-
-    @property
-    def arc_indices(self) -> np.ndarray:
-        return np.arange(0, self.state_dim, 2)
-
-    @property
-    def speed_indices(self) -> np.ndarray:
-        return np.arange(1, self.state_dim, 2)
 
     @property
     def cav_indices(self) -> list:
@@ -321,15 +313,10 @@ def build_intersection(cfg: ScenarioConfig):
     return scenario, learner, plant, cost
 
 
-def _assemble_with_inputs(base: StateSpace, scenario: Scenario) -> LinearSystem:
+def _assemble_with_inputs(base: LinearSystem, scenario: Scenario) -> LinearSystem:
     """Stack per-vehicle kinematics; only CAVs contribute input columns."""
-    subsystems = []
-    for v in scenario.vehicles:
-        if v.role == "CAV":
-            subsystems.append(StateSpace(base.A.copy(), base.B.copy()))
-        else:
-            subsystems.append(StateSpace(base.A.copy(), np.zeros((2, 0))))
-    return assemble_team_system(subsystems)
+    hdv = LinearSystem(base.A, np.zeros((2, 0)), (0,))
+    return assemble_team_system([base if v.role == "CAV" else hdv for v in scenario.vehicles])
 
 
 def sample_initial_states(scenario: Scenario, rng: np.random.Generator, N: int) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -162,39 +161,25 @@ def cross_gram(spec: KernelSpec, samples, dictionary: Dictionary) -> np.ndarray:
     return kernel_matrix(spec, samples, dictionary.points)
 
 
-def _zero_coefficients(m: int) -> np.ndarray:
-    return np.zeros((0, m))
-
-
 @dataclass
 class StagePolicy:
-    """One stage of a kernel policy: anchors plus an (M, m) coefficient matrix.
+    """One stage of a kernel policy: anchors plus an (M, m) coefficient matrix."""
 
-    A stage with dictionary=None evaluates to zero control; its coefficient
-    matrix has zero rows and records only the control dimension.
-    """
-
-    dictionary: Optional[Dictionary]
+    dictionary: Dictionary
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=float)
         if self.coefficients.ndim != 2:
             raise ValueError("coefficients must be a 2-d (anchors x inputs) matrix")
-        if self.dictionary is not None and self.coefficients.shape[0] != self.dictionary.size:
+        if self.coefficients.shape[0] != self.dictionary.size:
             raise ValueError(
                 f"coefficient rows ({self.coefficients.shape[0]}) must match "
                 f"dictionary size ({self.dictionary.size})"
             )
 
-    @property
-    def input_dim(self) -> int:
-        return self.coefficients.shape[1]
-
     @classmethod
-    def zero(cls, m: int, dictionary: Optional[Dictionary] = None) -> "StagePolicy":
-        if dictionary is None:
-            return cls(None, _zero_coefficients(m))
+    def zero(cls, m: int, dictionary: Dictionary) -> "StagePolicy":
         return cls(dictionary, np.zeros((dictionary.size, m)))
 
 
@@ -209,16 +194,6 @@ class KernelPolicy:
     def horizon(self) -> int:
         return len(self.stages)
 
-    @property
-    def input_dim(self) -> int:
-        return self.stages[0].input_dim
-
-    def copy(self) -> "KernelPolicy":
-        return KernelPolicy(
-            self.kernel,
-            [StagePolicy(st.dictionary, st.coefficients.copy()) for st in self.stages],
-        )
-
 
 class StageExpansion:
     """One stage policy compiled for repeated evaluation at batches of states.
@@ -230,14 +205,11 @@ class StageExpansion:
     reflected.
     """
 
-    __slots__ = ("kernel", "points", "sq_norms", "coeffs", "m")
+    __slots__ = ("kernel", "points", "sq_norms", "coeffs")
 
     def __init__(self, kernel: KernelSpec, stage: StagePolicy):
         self.kernel = kernel
-        self.m = stage.input_dim
-        self.points = None if stage.dictionary is None else stage.dictionary.points
-        if self.points is None:
-            return
+        self.points = stage.dictionary.points
         if kernel.family == "linear":
             self.coeffs = self.points.T @ stage.coefficients
         else:
@@ -246,8 +218,6 @@ class StageExpansion:
 
     def controls(self, X: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
         """(N, m) controls at the rows of X, given their squared norms."""
-        if self.points is None:
-            return np.zeros((X.shape[0], self.m))
         if self.kernel.family == "linear":
             return X @ self.coeffs
         K = _from_products(self.kernel, X @ self.points.T, row_sq_norms, self.sq_norms)
@@ -264,7 +234,7 @@ def eval_policy_batch(policy: KernelPolicy, t: int, states) -> np.ndarray:
     """Evaluate the stage-t policy at a batch of states, returning (N, m) controls."""
     stage = _check_stage(policy, t)
     X = _as_points(states, "states")
-    if stage.dictionary is not None and X.shape[1] != stage.dictionary.dim:
+    if X.shape[1] != stage.dictionary.dim:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {stage.dictionary.dim}")
     return StageExpansion(policy.kernel, stage).controls(X, _sq_norms(X))
 

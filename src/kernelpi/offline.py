@@ -13,12 +13,14 @@ stage objective chains exactly into the next through the re-simulated
 continuation values, the recorded total cost is non-increasing across outer
 iterations by construction.
 
-The dictionaries are fixed after the first rollout, so one StageSolver per
-stage, built once per run_policy_iteration call, holds what its updates
-share: the dictionary, the ridge-shifted Gram matrix and its inverse formed
-through the Cholesky factor, the solver settings, the cost and the model.
-Each update computes only the cross-Gram matrix at the sampled states and
-its own counters.
+Every stage policy carries its dictionary of anchor states.  A given policy
+brings its own; otherwise they are drawn from a zero-control rollout of the
+batch before the first iteration.  They stay fixed for the run, so one
+StageSolver per stage, built once per run_policy_iteration call, holds what
+its updates share: the dictionary, the ridge-shifted Gram matrix and its
+inverse formed through the Cholesky factor, the solver settings, the cost
+and the model.  Each update computes only the cross-Gram matrix at the
+sampled states and its own counters.
 
 The inner solver picks the Gram-preconditioned descent direction and finds
 the step length by a safeguarded secant solve in one dimension.  It stops at
@@ -445,27 +447,34 @@ def run_policy_iteration(
 ):
     """Iterate forward simulation, backward evaluation, and stage improvement.
 
-    When a policy is given (possibly with missing stage dictionaries, which
-    evaluate to zero control) it is improved in place from its warm state;
-    otherwise a zero policy is created.  Dictionaries are filled from the
-    first rollout (drawn with dict_rng, default_rng(0) when not given) and
-    kept fixed afterwards, so each stage's StageSolver is built once per
-    call.  Returns (policy, records); rollout divergence raises
-    PolicyIterationDiverged carrying the partial history.
+    When a policy is given it is improved in place from its warm state, and
+    every stage must carry its dictionary.  Otherwise a zero policy is built
+    over dictionaries drawn with dict_rng (default_rng(0) when not given) from
+    a zero-control rollout of the batch.  Dictionaries stay fixed for the
+    call, so each stage's StageSolver is built once, before the first
+    iteration.  Returns (policy, records); rollout divergence raises
+    PolicyIterationDiverged carrying the partial history, which is empty, with
+    no policy, when the zero-control rollout diverges.
     """
     X0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
-    if dict_rng is None:
-        dict_rng = np.random.default_rng(0)
     if policy is None:
-        kernel = cfg.kernel_spec(reference_points=X0)
-        policy = KernelPolicy(kernel, [StagePolicy.zero(sys.m) for _ in range(horizon)])
-    else:
-        kernel = policy.kernel
-        if policy.horizon != horizon:
-            raise ValueError("policy horizon disagrees with the requested horizon")
+        if dict_rng is None:
+            dict_rng = np.random.default_rng(0)
+        try:
+            batch = rollout(sys, None, X0, horizon=horizon)
+        except DivergenceError as exc:
+            raise PolicyIterationDiverged(
+                f"zero-control rollout diverged: {exc}", [], None, exc
+            ) from exc
+        dicts = build_dictionaries(batch.states, horizon, cfg.dict_size, dict_rng)
+        policy = KernelPolicy(
+            cfg.kernel_spec(reference_points=X0), [StagePolicy.zero(sys.m, d) for d in dicts]
+        )
+    elif policy.horizon != horizon:
+        raise ValueError("policy horizon disagrees with the requested horizon")
+    solvers = [StageSolver(policy.kernel, st.dictionary, cfg, spec, sys) for st in policy.stages]
 
     records: list = []
-    solvers = None
     for k in range(cfg.max_outer_iters):
         try:
             batch = rollout(sys, policy, X0, horizon=horizon)
@@ -473,13 +482,6 @@ def run_policy_iteration(
             raise PolicyIterationDiverged(
                 f"forward simulation diverged at iteration {k}: {exc}", records, policy, exc
             ) from exc
-        if solvers is None:
-            missing = [t for t, st in enumerate(policy.stages) if st.dictionary is None]
-            if missing:
-                dicts = build_dictionaries(batch.states, horizon, cfg.dict_size, dict_rng)
-                for t in missing:
-                    policy.stages[t] = StagePolicy.zero(sys.m, dicts[t])
-            solvers = [StageSolver(kernel, st.dictionary, cfg, spec, sys) for st in policy.stages]
         cost_k = evaluate_cost_to_go(batch, spec).total_cost
 
         t0 = time.perf_counter()

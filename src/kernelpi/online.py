@@ -7,6 +7,13 @@ transitions.  Afterwards the estimate is frozen and every real step plans a
 short window on the identified model from the single observed state, applies
 only the first control of the candidate sequence, and shifts the candidate
 one stage forward as the next warm start.
+
+Every window stage carries a dictionary.  A stage that enters a window
+without a plan, whether in the first window or appended at the end of a
+shifted one, starts from zero coefficients and one anchor: the state the
+model predicts there under the stages before it (shift_warm_start).  The
+excitation check reads the information the estimate used over all
+identification steps (rls.pe_check); it is reported, not acted on.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .costs import CostSpec
 from .dynamics import DivergenceError, LinearSystem, rollout, step as dyn_step
 from .kernels import Dictionary, KernelPolicy, KernelSpec, StagePolicy, eval_policy
 from .offline import PolicyIterationDiverged, SolverConfig, run_policy_iteration
-from .rls import PeWindow, pe_check, rls_init, rls_update, estimate
+from .rls import pe_check, rls_init, rls_update, estimate
 from .seeding import substreams
 
 __all__ = [
@@ -104,47 +111,37 @@ class WindowResult:
 def plan_window(
     x_s,
     model: LinearSystem,
-    warm_start: Optional[list],
+    warm_start: list,
     kernel: KernelSpec,
     s: int,
     cfg: OnlineConfig,
     spec: CostSpec,
-    dict_rng: Optional[np.random.Generator] = None,
 ) -> WindowResult:
     """Improve the window policies on the identified model from the observed state.
 
     The window covers t = s .. min(horizon, s + window) - 1 and is solved by
     the same backward stage improvement as the full-horizon routine, with the
     single state x_s as the sample batch, so there is no Monte Carlo
-    averaging.  The returned candidate never costs more than the warm start;
-    if the predicted rollout diverges the warm start is kept unchanged.
+    averaging.  warm_start holds one StagePolicy per window stage, each with
+    its dictionary; the first window's comes from shift_warm_start([], s - 1,
+    x_s, ...).  The returned candidate never costs more than the warm start;
+    if the predicted rollout diverges the warm start itself is returned.
     """
     x_s = np.asarray(x_s, dtype=float).ravel()
     end = min(cfg.horizon, s + cfg.window)
     h = end - s
     if h < 1:
         raise ValueError("empty planning window")
-    if warm_start is not None:
-        if len(warm_start) != h:
-            raise ValueError(f"warm start covers {len(warm_start)} stages, window needs {h}")
-        stages = [StagePolicy(st.dictionary, st.coefficients.copy()) for st in warm_start]
-    else:
-        stages = [StagePolicy.zero(model.m) for _ in range(h)]
-    policy = KernelPolicy(kernel, stages)
+    if len(warm_start) != h:
+        raise ValueError(f"warm start covers {len(warm_start)} stages, window needs {h}")
+    stages = [StagePolicy(st.dictionary, st.coefficients.copy()) for st in warm_start]
     try:
         policy, records = run_policy_iteration(
-            model,
-            spec,
-            h,
-            x_s[None, :],
-            cfg.solver,
-            policy=policy,
-            dict_rng=dict_rng,
+            model, spec, h, x_s[None, :], cfg.solver, policy=KernelPolicy(kernel, stages)
         )
     except PolicyIterationDiverged:
-        kept = warm_start if warm_start is not None else stages
         return WindowResult(
-            stages=kept,
+            stages=warm_start,
             window_end=end,
             cost_before=math.inf,
             cost_after=math.inf,
@@ -173,7 +170,8 @@ def shift_warm_start(
     Overlapping stages keep their dictionaries and coefficient bits.  A newly
     appended terminal stage starts from zero coefficients with a fresh
     single-point dictionary at the state the shifted candidate predicts
-    there.
+    there.  With no stages and s one before the first planning step, every
+    stage is new: this builds the first window's warm start.
     """
     x_next = np.asarray(x_next, dtype=float).ravel()
     new_end = min(cfg.horizon, s + 1 + cfg.window)
@@ -251,7 +249,7 @@ def run_online(
     n, m = plant.n, plant.m
     truth = np.hstack([plant.A, plant.B])
 
-    rngs = substreams(cfg.seed, ("initial-state", "excitation", "window-dictionary"))
+    rngs = substreams(cfg.seed, ("initial-state", "excitation"))
     if x0 is None:
         if scenario is None:
             raise ValueError("need either x0 or a scenario to sample it from")
@@ -264,7 +262,6 @@ def run_online(
         return scenario.min_distance(state) if scenario is not None else math.inf
 
     rls = rls_init(n, m, lam=cfg.forgetting, M0_scale=cfg.m0_scale, theta0=theta0)
-    pe = PeWindow(length=2 * (n + m), alpha=1e-3)
     steps: list = []
     states = [x.copy()]
     controls: list = []
@@ -278,7 +275,6 @@ def run_online(
             diverged = True
             break
         rls, resid = rls_update(rls, x, u, x_next)
-        pe.push(np.concatenate([x, u]))
         steps.append(
             OnlineStepRecord(
                 step=s,
@@ -300,12 +296,10 @@ def run_online(
 
     kernel = _resolve_online_kernel(cfg, model, x)
 
-    warm = None
     if not diverged:
+        warm = shift_warm_start([], cfg.ident_steps - 1, x, model, kernel, cfg)
         for s in range(cfg.ident_steps, cfg.horizon):
-            result = plan_window(
-                x, model, warm, kernel, s, cfg, spec, dict_rng=rngs["window-dictionary"]
-            )
+            result = plan_window(x, model, warm, kernel, s, cfg, spec)
             u = eval_policy(KernelPolicy(kernel, [result.stages[0]]), 0, x)
             try:
                 x_next = dyn_step(plant, x, u)
@@ -343,7 +337,7 @@ def run_online(
         horizon=cfg.horizon,
         ident_steps=cfg.ident_steps,
         diverged=diverged,
-        pe_result=pe_check(pe),
+        pe_result=pe_check(rls),
         min_distance=float(min(dists)) if dists else math.inf,
         min_distance_post_ident=float(min(post)) if post else math.inf,
         max_state_norm=float(np.max(np.linalg.norm(states_arr, axis=1))),

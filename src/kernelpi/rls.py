@@ -1,21 +1,20 @@
 """Recursive least-squares identification of x+ = [A B] [x; u].
 
 The estimator state carries the stacked parameter estimate, the covariance,
-and a forgetting factor.  Updates are strictly sequential; apply them in data
-order.
+the information the estimate has used, and a forgetting factor.  Updates are
+strictly sequential; apply them in data order.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 __all__ = [
+    "PE_ALPHA",
     "RlsState",
-    "PeWindow",
     "PeResult",
     "rls_init",
     "rls_update",
@@ -23,11 +22,16 @@ __all__ = [
     "estimate",
 ]
 
+# The excitation check passes when the smallest eigenvalue of the used
+# information is at least PE_ALPHA.
+PE_ALPHA = 1.0e-3
+
 
 @dataclass
 class RlsState:
     theta_hat: np.ndarray  # (n, n+m)
     M: np.ndarray  # (n+m, n+m) covariance, symmetric PD
+    info: np.ndarray  # (n+m, n+m) discounted sum of phi phi' over the updates
     lam: float
     n: int
     m: int
@@ -53,7 +57,9 @@ def rls_init(
         theta = np.array(theta0, dtype=float)
         if theta.shape != (n, d):
             raise ValueError(f"theta0 must have shape ({n}, {d})")
-    return RlsState(theta_hat=theta, M=M0_scale * np.eye(d), lam=lam, n=n, m=m)
+    return RlsState(
+        theta_hat=theta, M=M0_scale * np.eye(d), info=np.zeros((d, d)), lam=lam, n=n, m=m
+    )
 
 
 def rls_update(state: RlsState, x_s, u_s, x_next):
@@ -61,7 +67,10 @@ def rls_update(state: RlsState, x_s, u_s, x_next):
 
     Returns the updated state and the a-priori residual
     eps = x_next - theta_hat phi.  The covariance is re-symmetrized after the
-    update to suppress floating-point drift.
+    update to suppress floating-point drift.  The information is updated as
+    info <- lam (info + phi phi'), so in exact arithmetic it equals
+    inv(M) - lam^k I / M0_scale after k updates: the inverse covariance
+    without its discounted prior.
     """
     x_s = np.asarray(x_s, dtype=float).ravel()
     u_s = np.asarray(u_s, dtype=float).ravel()
@@ -83,6 +92,7 @@ def rls_update(state: RlsState, x_s, u_s, x_next):
     new_state = RlsState(
         theta_hat=theta_new,
         M=M_new,
+        info=state.lam * (state.info + np.outer(phi, phi)),
         lam=state.lam,
         n=state.n,
         m=state.m,
@@ -106,39 +116,10 @@ class PeResult:
         return self.status == "satisfied"
 
 
-@dataclass
-class PeWindow:
-    """Ring buffer of recent regressors for the excitation-level check."""
-
-    length: int
-    alpha: float
-    _buf: deque = field(default_factory=deque, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("window length must be >= 1")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        self._buf = deque(self._buf, maxlen=self.length)
-
-    def push(self, phi) -> None:
-        self._buf.append(np.asarray(phi, dtype=float).ravel())
-
-    @property
-    def full(self) -> bool:
-        return len(self._buf) == self.length
-
-    @property
-    def regressors(self) -> np.ndarray:
-        return np.array(list(self._buf))
-
-
-def pe_check(window: PeWindow) -> PeResult:
-    """Compare the smallest eigenvalue of the windowed outer-product sum to alpha."""
-    if not window.full:
+def pe_check(state: RlsState) -> PeResult:
+    """Compare the smallest eigenvalue of the estimator's used information to PE_ALPHA."""
+    if state.step_count == 0:
         return PeResult(status="insufficient_data", min_eigenvalue=None)
-    Phi = window.regressors
-    S = Phi.T @ Phi
-    w_min = float(np.linalg.eigvalsh(S).min())
-    status = "satisfied" if w_min >= window.alpha else "not_satisfied"
+    w_min = float(np.linalg.eigvalsh(state.info).min())
+    status = "satisfied" if w_min >= PE_ALPHA else "not_satisfied"
     return PeResult(status=status, min_eigenvalue=w_min)

@@ -239,7 +239,7 @@ def test_tail_evaluator_reports_divergent_sample():
     sys_ = LinearSystem(A=[[5.0]], B=[[1.0]], input_blocks=(1,))
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
     kernel = KernelSpec(family="linear")
-    stages = [StagePolicy(None, np.zeros((0, 1))) for _ in range(12)]
+    stages = [StagePolicy.zero(1, Dictionary(points=[[0.0]])) for _ in range(12)]
     policy = KernelPolicy(kernel, stages)
     tail = TailEvaluator(sys_, spec, policy, 0)
     cases = [

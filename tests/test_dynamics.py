@@ -5,7 +5,6 @@ from kernelpi.dynamics import (
     STATE_GUARD,
     DivergenceError,
     LinearSystem,
-    StateSpace,
     assemble_team_system,
     discretize_double_integrator,
     rollout,

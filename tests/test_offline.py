@@ -204,8 +204,7 @@ def _penalty_stage(seed):
     scenario, learner, _, cost = build_intersection(scen)
     X0 = sample_initial_states(scenario, rng, 10)
     kernel = KernelSpec(family="gaussian-rbf", length_scale=float(rng.uniform(2.0, 8.0)))
-    zero = KernelPolicy(kernel, [StagePolicy.zero(learner.m) for _ in range(4)])
-    states = rollout(learner, zero, X0).states
+    states = rollout(learner, None, X0, horizon=4).states
     stages = []
     for t in range(4):
         d = Dictionary(points=states[:6, t], stage=t)
@@ -349,6 +348,16 @@ def test_policy_iteration_divergence_carries_partial_history():
             sys_, spec, lambda rng, N: rng.uniform(100.0, 200.0, size=(N, 1)), cfg, horizon=30
         )
     assert isinstance(exc.value.records, list)
+
+
+def test_diverging_zero_control_rollout_raises_before_any_iteration():
+    sys_ = LinearSystem(A=[[3.0]], B=[[1.0]], input_blocks=(1,))
+    spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
+    cfg = SolverConfig(max_outer_iters=5, mc_samples=2, dict_size=2)
+    with pytest.raises(PolicyIterationDiverged) as exc:
+        run_policy_iteration(sys_, spec, 30, np.array([[100.0], [200.0]]), cfg)
+    assert exc.value.records == []
+    assert exc.value.policy is None
 
 
 def test_run_policy_iteration_warm_start_descends_from_given_policy():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from kernelpi.costs import CostSpec
-from kernelpi.dynamics import LinearSystem
+from kernelpi.dynamics import LinearSystem, rollout
 from kernelpi.intersection import ScenarioConfig, build_intersection, min_pairwise_distance
 from kernelpi.kernels import KernelPolicy, KernelSpec, eval_policy
-from kernelpi.offline import SolverConfig, run_policy_iteration
+from kernelpi.offline import SolverConfig, build_dictionaries, run_policy_iteration
 from kernelpi.online import (
     OnlineConfig,
     excitation_input,
@@ -22,6 +22,11 @@ def double_integrator():
 
 def lq_spec(n, m):
     return CostSpec(Q=np.eye(n), R=np.eye(m), Q_F=np.eye(n))
+
+
+def first_warm_start(x, s, sys_, kernel, cfg):
+    """The first window's stages: one zero-coefficient anchor per stage on the drift from x."""
+    return shift_warm_start([], s - 1, x, sys_, kernel, cfg)
 
 
 def linear_solver(**kw):
@@ -84,7 +89,7 @@ def test_plan_window_single_step_matches_one_step_gain():
     cfg = OnlineConfig(horizon=10, window=1, ident_steps=1, solver=linear_solver(), seed=5)
     kernel = KernelSpec(family="linear")
     x = np.array([1.0, 0.5])
-    result = plan_window(x, sys_, None, kernel, 3, cfg, spec, np.random.default_rng(0))
+    result = plan_window(x, sys_, first_warm_start(x, 3, sys_, kernel, cfg), kernel, 3, cfg, spec)
     u = eval_policy(KernelPolicy(kernel, [result.stages[0]]), 0, x)
     S = spec.R + sys_.B.T @ spec.Q_F @ sys_.B
     expected = -np.linalg.solve(S, sys_.B.T @ spec.Q_F @ sys_.A) @ x
@@ -98,9 +103,8 @@ def test_plan_window_fixed_point_of_converged_warm_start():
     cfg = OnlineConfig(horizon=6, window=4, ident_steps=1, solver=linear_solver(max_outer_iters=200), seed=5)
     kernel = KernelSpec(family="linear")
     x = np.array([0.8, -0.3])
-    rng = np.random.default_rng(1)
-    first = plan_window(x, sys_, None, kernel, 1, cfg, spec, rng)
-    again = plan_window(x, sys_, first.stages, kernel, 1, cfg, spec, rng)
+    first = plan_window(x, sys_, first_warm_start(x, 1, sys_, kernel, cfg), kernel, 1, cfg, spec)
+    again = plan_window(x, sys_, first.stages, kernel, 1, cfg, spec)
     assert again.cost_after <= again.cost_before + 1e-12
     assert again.cost_before == pytest.approx(first.cost_after, rel=1e-9)
     assert again.step_sq <= 1e-8
@@ -111,9 +115,10 @@ def test_plan_window_warm_start_length_checked():
     spec = lq_spec(2, 1)
     cfg = OnlineConfig(horizon=10, window=3, ident_steps=1, solver=linear_solver(), seed=0)
     kernel = KernelSpec(family="linear")
-    first = plan_window(np.ones(2), sys_, None, kernel, 2, cfg, spec, np.random.default_rng(0))
+    x = np.ones(2)
+    first = plan_window(x, sys_, first_warm_start(x, 2, sys_, kernel, cfg), kernel, 2, cfg, spec)
     with pytest.raises(ValueError):
-        plan_window(np.ones(2), sys_, first.stages[:1], kernel, 2, cfg, spec, np.random.default_rng(0))
+        plan_window(x, sys_, first.stages[:1], kernel, 2, cfg, spec)
 
 
 def test_shift_warm_start_overlap_and_growth():
@@ -121,7 +126,8 @@ def test_shift_warm_start_overlap_and_growth():
     spec = lq_spec(2, 1)
     cfg = OnlineConfig(horizon=10, window=3, ident_steps=1, solver=linear_solver(), seed=0)
     kernel = KernelSpec(family="linear")
-    result = plan_window(np.array([1.0, 0.2]), sys_, None, kernel, 2, cfg, spec, np.random.default_rng(0))
+    x = np.array([1.0, 0.2])
+    result = plan_window(x, sys_, first_warm_start(x, 2, sys_, kernel, cfg), kernel, 2, cfg, spec)
     x_next = np.array([0.9, 0.1])
     shifted = shift_warm_start(result.stages, 2, x_next, sys_, kernel, cfg)
     # window [2,5) shifts to [3,6): two overlapping stages plus one fresh one
@@ -139,10 +145,47 @@ def test_shift_warm_start_shrinks_at_horizon_end():
     cfg = OnlineConfig(horizon=5, window=4, ident_steps=1, solver=linear_solver(), seed=0)
     kernel = KernelSpec(family="linear")
     # window [3, 5): already clipped by the horizon
-    result = plan_window(np.array([1.0, 0.2]), sys_, None, kernel, 3, cfg, spec, np.random.default_rng(0))
+    x = np.array([1.0, 0.2])
+    result = plan_window(x, sys_, first_warm_start(x, 3, sys_, kernel, cfg), kernel, 3, cfg, spec)
     assert len(result.stages) == 2
     shifted = shift_warm_start(result.stages, 3, np.ones(2), sys_, kernel, cfg)
     assert len(shifted) == 1
+
+
+def test_first_window_anchors_are_the_zero_control_rollout():
+    sys_ = double_integrator()
+    cfg = OnlineConfig(horizon=10, window=4, ident_steps=3, solver=linear_solver(), seed=0)
+    kernel = KernelSpec(family="linear")
+    x = np.array([1.0, 0.2])
+    warm = first_warm_start(x, 3, sys_, kernel, cfg)
+    # with the single observed state as the batch, a dictionary draw can only
+    # pick the zero-control rollout state at each stage
+    states = rollout(sys_, None, x[None, :], horizon=4).states
+    drawn = build_dictionaries(states, 4, cfg.solver.dict_size, np.random.default_rng(0))
+    assert len(warm) == 4
+    for t, stage in enumerate(warm):
+        assert stage.dictionary.stage == 3 + t
+        np.testing.assert_array_equal(stage.dictionary.points, states[0, t][None, :])
+        np.testing.assert_array_equal(stage.dictionary.points, drawn[t].points)
+        np.testing.assert_array_equal(stage.coefficients, np.zeros((1, 1)))
+
+
+def test_window_with_diverging_prediction_is_rejected_and_keeps_warm_start():
+    sys_ = LinearSystem(A=[[1.0e3]], B=[[1.0]], input_blocks=(1,))
+    spec = lq_spec(1, 1)
+    cfg = OnlineConfig(horizon=10, window=3, ident_steps=1, solver=linear_solver(), seed=0)
+    kernel = KernelSpec(family="linear")
+    x = np.array([10.0])
+    # the anchors stay finite (10, 1e4, 1e7), but the rollout crosses the state guard
+    warm = first_warm_start(x, 2, sys_, kernel, cfg)
+    result = plan_window(x, sys_, warm, kernel, 2, cfg, spec)
+    assert result.rejected
+    assert result.stages is warm
+    assert result.window_end == 5
+    assert result.cost_before == result.cost_after == np.inf
+    assert result.step_sq == 0.0
+    for stage in warm:
+        np.testing.assert_array_equal(stage.coefficients, np.zeros((1, 1)))
 
 
 def test_full_window_shift_drops_only_executed_stage():
@@ -150,7 +193,8 @@ def test_full_window_shift_drops_only_executed_stage():
     spec = lq_spec(2, 1)
     cfg = OnlineConfig(horizon=5, window=5, ident_steps=1, solver=linear_solver(), seed=0)
     kernel = KernelSpec(family="linear")
-    result = plan_window(np.array([1.0, 0.2]), sys_, None, kernel, 0, cfg, spec, np.random.default_rng(0))
+    x = np.array([1.0, 0.2])
+    result = plan_window(x, sys_, first_warm_start(x, 0, sys_, kernel, cfg), kernel, 0, cfg, spec)
     assert len(result.stages) == 5
     shifted = shift_warm_start(result.stages, 0, np.ones(2), sys_, kernel, cfg)
     assert len(shifted) == 4
@@ -191,8 +235,6 @@ def test_receding_horizon_matches_offline_solution():
     sys_, spec, cfg, log = _perfect_model_run()
     x0 = log.states[0]
     policy, _ = run_policy_iteration(sys_, spec, 5, x0[None, :], linear_solver(max_outer_iters=300))
-    from kernelpi.dynamics import rollout
-
     batch = rollout(sys_, policy, x0[None, :])
     np.testing.assert_allclose(log.controls, batch.controls[0], atol=1e-6)
 

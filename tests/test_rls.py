@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernelpi.rls import PeWindow, estimate, pe_check, rls_init, rls_update
+from kernelpi.rls import PE_ALPHA, estimate, pe_check, rls_init, rls_update
 
 
 def test_init_defaults():
@@ -158,40 +158,46 @@ def test_estimate_partition():
     np.testing.assert_array_equal(B_hat, theta[:, 4:])
 
 
+def _fed(regressors, n, lam=1.0):
+    """Estimator state after one update per regressor phi = [x; u], with x of length n."""
+    regressors = np.atleast_2d(np.asarray(regressors, dtype=float))
+    state = rls_init(n, regressors.shape[1] - n, lam=lam)
+    for phi in regressors:
+        state, _ = rls_update(state, phi[:n], phi[n:], np.zeros(n))
+    return state
+
+
 def test_pe_check_zero_regressors():
-    w = PeWindow(length=4, alpha=1e-3)
-    for _ in range(4):
-        w.push(np.zeros(3))
-    res = pe_check(w)
+    res = pe_check(_fed(np.zeros((4, 3)), 2))
     assert not res.satisfied
     assert res.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pe_check_scaled_basis_cycle():
-    alpha = 1e-3
-    w = PeWindow(length=6, alpha=alpha)
-    scale = np.sqrt(alpha) * 2.0
-    for k in range(6):
-        e = np.zeros(3)
-        e[k % 3] = scale
-        w.push(e)
-    res = pe_check(w)
+    scale = np.sqrt(PE_ALPHA) * 2.0
+    res = pe_check(_fed(scale * np.vstack([np.eye(3), np.eye(3)]), 2))
     assert res.satisfied
-    assert res.min_eigenvalue >= alpha
+    assert res.min_eigenvalue >= PE_ALPHA
 
 
 def test_pe_check_rank_deficient_window():
-    w = PeWindow(length=5, alpha=1e-3)
-    for _ in range(5):
-        w.push([1.0, 1.0, 0.0])
-    res = pe_check(w)
+    res = pe_check(_fed([[1.0, 1.0, 0.0]] * 5, 2))
     assert not res.satisfied
 
 
 def test_pe_check_underfull_window():
-    w = PeWindow(length=5, alpha=1e-3)
-    w.push([1.0, 0.0])
-    res = pe_check(w)
+    res = pe_check(rls_init(1, 1))
     assert res.status == "insufficient_data"
     assert res.min_eigenvalue is None
     assert not res.satisfied
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.95])
+def test_info_is_inverse_covariance_without_discounted_prior(lam):
+    rng = np.random.default_rng(3)
+    n, m, k, M0_scale = 2, 1, 12, 10.0
+    state = rls_init(n, m, lam=lam, M0_scale=M0_scale)
+    for _ in range(k):
+        state, _ = rls_update(state, rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(n))
+    expected = np.linalg.inv(state.M) - lam**k * np.eye(n + m) / M0_scale
+    np.testing.assert_allclose(state.info, expected, rtol=1e-8, atol=1e-8)
