@@ -58,8 +58,6 @@ from .rls import PeResult, RlsState, estimate, pe_check, rls_init, rls_update
 from .intersection import (
     Scenario,
     ScenarioConfig,
-    StraightPath,
-    VehicleSpec,
     build_intersection,
     min_pairwise_distance,
     pairwise_distances,

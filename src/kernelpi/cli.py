@@ -252,7 +252,7 @@ def oracle_compare(cfg: RunConfig) -> OracleReport:
 
 def _scalar_instance_gain(seed: int) -> float:
     """Learned feedback gain on the one-step scalar instance (optimum -0.5)."""
-    sys_ = LinearSystem(A=[[1.0]], B=[[1.0]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[1.0]], B=[[1.0]])
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
     cfg = SolverConfig(
         delta_lr=32.0,

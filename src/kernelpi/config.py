@@ -42,10 +42,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class OracleSection:
-    """Penalty-free linear-quadratic comparison instance."""
+    """Penalty-free linear-quadratic comparison instance.
+
+    The comparison draws solver.mc_samples initial states from the position
+    and speed boxes.
+    """
 
     horizon: int = 10
-    samples: int = 100
     dt: float = 0.1
     n_vehicles: int = 2
     state_weight: float = 1.0
@@ -56,8 +59,8 @@ class OracleSection:
     scalar_check: bool = True
 
     def __post_init__(self) -> None:
-        if self.horizon < 1 or self.samples < 1 or self.n_vehicles < 1:
-            raise ValueError("horizon, samples, n_vehicles must be >= 1")
+        if self.horizon < 1 or self.n_vehicles < 1:
+            raise ValueError("horizon and n_vehicles must be >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
         if not self.control_weight > 0:

@@ -36,24 +36,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class LinearSystem:
-    """Stacked team system x+ = A x + B u with per-member input widths."""
+    """Stacked team system x+ = A x + B u."""
 
     A: np.ndarray
     B: np.ndarray
-    input_blocks: tuple
 
     def __post_init__(self) -> None:
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.input_blocks = tuple(int(b) for b in self.input_blocks)
         if self.A.shape[0] != self.A.shape[1]:
             raise ValueError("A must be square")
         if self.B.shape[0] != self.A.shape[0]:
             raise ValueError("B row count must match A")
-        if sum(self.input_blocks) != self.B.shape[1]:
-            raise ValueError(
-                f"input block widths {self.input_blocks} must sum to B columns ({self.B.shape[1]})"
-            )
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise ValueError("system matrices must be finite")
 
@@ -75,11 +69,11 @@ def discretize_double_integrator(dt: float) -> LinearSystem:
         raise ValueError("dt must be > 0")
     A = np.array([[1.0, dt], [0.0, 1.0]])
     B = np.array([[0.5 * dt * dt], [dt]])
-    return LinearSystem(A, B, (1,))
+    return LinearSystem(A, B)
 
 
 def assemble_team_system(subsystems: Sequence[LinearSystem]) -> LinearSystem:
-    """Block-diagonal stacking of member systems with concatenated input columns."""
+    """Block-diagonal stacking of member systems; member inputs fill B's columns in order."""
     if len(subsystems) == 0:
         raise ValueError("need at least one subsystem")
     n = sum(s.n for s in subsystems)
@@ -92,7 +86,7 @@ def assemble_team_system(subsystems: Sequence[LinearSystem]) -> LinearSystem:
         B[r : r + s.n, c : c + s.m] = s.B
         r += s.n
         c += s.m
-    return LinearSystem(A, B, sum((s.input_blocks for s in subsystems), ()))
+    return LinearSystem(A, B)
 
 
 def step(sys: LinearSystem, x, u) -> np.ndarray:

@@ -20,8 +20,6 @@ from .costs import CostSpec
 from .dynamics import LinearSystem, assemble_team_system, discretize_double_integrator
 
 __all__ = [
-    "StraightPath",
-    "VehicleSpec",
     "Scenario",
     "ScenarioConfig",
     "NonConflictingPathsWarning",
@@ -33,51 +31,29 @@ __all__ = [
 ]
 
 
+# One road per vehicle; see _road_paths.
+_ROADS = 4
+
+
 class NonConflictingPathsWarning(UserWarning):
     """No pair of vehicle paths crosses inside the conflict region."""
 
 
 @dataclass
-class StraightPath:
-    """Directed straight line; point(arc) = origin + arc * direction."""
+class Scenario:
+    """Intersection instance: the vehicles' straight paths, conflict geometry, sampling boxes.
 
-    origin: np.ndarray
-    direction: np.ndarray
+    Vehicle i drives along origins[i] + arc * dirs[i], with dirs[i] a unit
+    vector; the CAVs come first, then the HDVs.  Vehicle i's initial arc is
+    drawn from -entry_offsets[i] +- position_jitter and its speed from
+    speed_range.
+    """
 
-    def __post_init__(self) -> None:
-        self.origin = np.asarray(self.origin, dtype=float).ravel()
-        d = np.asarray(self.direction, dtype=float).ravel()
-        nrm = np.linalg.norm(d)
-        if nrm == 0:
-            raise ValueError("direction must be nonzero")
-        self.direction = d / nrm
-
-    def point(self, arc) -> np.ndarray:
-        arc = np.asarray(arc, dtype=float)
-        return self.origin + arc[..., None] * self.direction
-
-
-@dataclass
-class VehicleSpec:
-    role: str  # "CAV" | "HDV"
-    path: StraightPath
-    entry_offset: float
-    desired_speed: float
+    origins: np.ndarray  # (V, 2)
+    dirs: np.ndarray  # (V, 2)
+    entry_offsets: np.ndarray  # (V,)
     position_jitter: float
     speed_range: Tuple[float, float]
-
-    def __post_init__(self) -> None:
-        if self.role not in ("CAV", "HDV"):
-            raise ValueError("role must be CAV or HDV")
-        if not self.entry_offset > 0:
-            raise ValueError("entry_offset must be > 0")
-
-
-@dataclass
-class Scenario:
-    """Intersection instance: vehicle list, conflict geometry, sampling boxes."""
-
-    vehicles: list
     intersection_length: float
     safety_distance: float
     softening: float
@@ -85,19 +61,7 @@ class Scenario:
 
     @property
     def n_vehicles(self) -> int:
-        return len(self.vehicles)
-
-    @property
-    def state_dim(self) -> int:
-        return 2 * self.n_vehicles
-
-    @property
-    def cav_indices(self) -> list:
-        return [i for i, v in enumerate(self.vehicles) if v.role == "CAV"]
-
-    @property
-    def hdv_indices(self) -> list:
-        return [i for i, v in enumerate(self.vehicles) if v.role == "HDV"]
+        return self.origins.shape[0]
 
     def conflict_pairs(self) -> list:
         """Vehicle pairs whose paths cross inside the conflict region."""
@@ -105,23 +69,20 @@ class Scenario:
         pairs = []
         for i in range(self.n_vehicles):
             for j in range(i + 1, self.n_vehicles):
-                p = _line_intersection(self.vehicles[i].path, self.vehicles[j].path)
+                p = _line_intersection(self.origins[i], self.dirs[i], self.origins[j], self.dirs[j])
                 if p is not None and np.all(np.abs(p) <= half + 1e-9):
                     pairs.append((i, j))
         return pairs
 
-    def min_distance(self, state) -> float:
-        _, d = pairwise_distances(np.asarray(state, dtype=float), self)
-        return float(d.min()) if d.size else float("inf")
 
-
-def _line_intersection(a: StraightPath, b: StraightPath) -> Optional[np.ndarray]:
-    cross = a.direction[0] * b.direction[1] - a.direction[1] * b.direction[0]
+def _line_intersection(o_a, d_a, o_b, d_b) -> Optional[np.ndarray]:
+    """Crossing point of the lines o_a + s d_a and o_b + r d_b; None when parallel."""
+    cross = d_a[0] * d_b[1] - d_a[1] * d_b[0]
     if abs(cross) < 1e-12:
         return None
-    rhs = b.origin - a.origin
-    s = (rhs[0] * b.direction[1] - rhs[1] * b.direction[0]) / cross
-    return a.point(np.asarray(s))
+    rhs = o_b - o_a
+    s = (rhs[0] * d_b[1] - rhs[1] * d_b[0]) / cross
+    return o_a + s * d_a
 
 
 @dataclass
@@ -165,9 +126,8 @@ class ScenarioConfig:
             raise ValueError("n_cav must be >= 1")
         if self.n_hdv < 0:
             raise ValueError("n_hdv must be >= 0")
-        roads = len(_road_cycle(self.lane_offset))
-        if self.n_vehicles > roads:
-            raise ValueError(f"at most {roads} vehicles supported")
+        if self.n_vehicles > _ROADS:
+            raise ValueError(f"at most {_ROADS} vehicles supported")
         if len(self.offsets()) != self.n_vehicles or len(self.speeds()) != self.n_vehicles:
             raise ValueError("entry_offsets and desired_speeds must have one entry per vehicle")
         if not self.speed_range[0] <= self.speed_range[1]:
@@ -192,22 +152,16 @@ class ScenarioConfig:
         return self.desired_speeds if self.desired_speeds is not None else (10.0,) * self.n_vehicles
 
 
-def _road_cycle(lane_offset: float) -> list:
-    # west->east, south->north, east->west, north->south; opposite directions
-    # run on laterally offset lanes so only crossing movements conflict.
-    return [
-        StraightPath(origin=(0.0, -lane_offset), direction=(1.0, 0.0)),
-        StraightPath(origin=(lane_offset, 0.0), direction=(0.0, 1.0)),
-        StraightPath(origin=(0.0, lane_offset), direction=(-1.0, 0.0)),
-        StraightPath(origin=(-lane_offset, 0.0), direction=(0.0, -1.0)),
-    ]
+def _road_paths(lane_offset: float, n_vehicles: int):
+    """Origins and unit directions, (V, 2) each, of the first n_vehicles roads.
 
-
-def _path_arrays(scenario: Scenario):
-    """Stacked (V, 2) path origins and unit directions."""
-    origins = np.array([v.path.origin for v in scenario.vehicles])
-    dirs = np.array([v.path.direction for v in scenario.vehicles])
-    return origins, dirs
+    West->east, south->north, east->west, north->south; opposite directions
+    run on laterally offset lanes so only crossing movements conflict.
+    """
+    L = lane_offset
+    origins = np.array([[0.0, -L], [L, 0.0], [0.0, L], [-L, 0.0]])
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    return origins[:n_vehicles], dirs[:n_vehicles]
 
 
 class _ScenarioPenalty:
@@ -225,7 +179,7 @@ class _ScenarioPenalty:
     """
 
     def __init__(self, scenario: Scenario, speed_weight: float, desired_speeds):
-        origins, dirs = _path_arrays(scenario)
+        origins, dirs = scenario.origins, scenario.dirs
         V = scenario.n_vehicles
         iu, ju = np.triu_indices(V, k=1)
         P = iu.size
@@ -265,21 +219,13 @@ def build_intersection(cfg: ScenarioConfig):
     reaction to the surrounding CAV traffic, so the plant stays exactly
     linear while the coupling is unknown to the learner.
     """
-    roads = _road_cycle(cfg.lane_offset)
-    offsets, speeds = cfg.offsets(), cfg.speeds()
-    vehicles = [
-        VehicleSpec(
-            role="CAV" if i < cfg.n_cav else "HDV",
-            path=roads[i],
-            entry_offset=float(offsets[i]),
-            desired_speed=float(speeds[i]),
-            position_jitter=cfg.position_jitter,
-            speed_range=tuple(cfg.speed_range),
-        )
-        for i in range(cfg.n_vehicles)
-    ]
+    origins, dirs = _road_paths(cfg.lane_offset, cfg.n_vehicles)
     scenario = Scenario(
-        vehicles=vehicles,
+        origins=origins,
+        dirs=dirs,
+        entry_offsets=np.asarray(cfg.offsets(), dtype=float),
+        position_jitter=cfg.position_jitter,
+        speed_range=tuple(cfg.speed_range),
         intersection_length=cfg.intersection_length,
         safety_distance=cfg.safety_distance,
         softening=cfg.softening,
@@ -293,42 +239,41 @@ def build_intersection(cfg: ScenarioConfig):
         )
 
     base = discretize_double_integrator(cfg.dt)
-    learner = _assemble_with_inputs(base, scenario)
-    plant = _assemble_with_inputs(base, scenario)
+    learner = _assemble_with_inputs(base, cfg.n_cav, cfg.n_hdv)
+    plant = _assemble_with_inputs(base, cfg.n_cav, cfg.n_hdv)
     k = cfg.hdv_gain * cfg.dt
-    cavs = scenario.cav_indices
-    for h in scenario.hdv_indices:
+    for h in range(cfg.n_cav, cfg.n_vehicles):
         vh = 2 * h + 1
         plant.A[vh, vh] = 1.0 - k
-        for c in cavs:
-            plant.A[vh, 2 * c + 1] += k / len(cavs)
+        for c in range(cfg.n_cav):
+            plant.A[vh, 2 * c + 1] += k / cfg.n_cav
 
-    n = scenario.state_dim
+    n = 2 * cfg.n_vehicles
     Q = cfg.state_weight * np.eye(n)
     Q_F = cfg.terminal_state_weight * np.eye(n)
     R = cfg.control_weight * np.eye(learner.m)
-    psi = _ScenarioPenalty(scenario, cfg.speed_weight, speeds)
-    psi_F = _ScenarioPenalty(scenario, 0.0, speeds)
+    psi = _ScenarioPenalty(scenario, cfg.speed_weight, cfg.speeds())
+    psi_F = _ScenarioPenalty(scenario, 0.0, cfg.speeds())
     cost = CostSpec(Q=Q, R=R, Q_F=Q_F, psi=psi, psi_F=psi_F)
     return scenario, learner, plant, cost
 
 
-def _assemble_with_inputs(base: LinearSystem, scenario: Scenario) -> LinearSystem:
-    """Stack per-vehicle kinematics; only CAVs contribute input columns."""
-    hdv = LinearSystem(base.A, np.zeros((2, 0)), (0,))
-    return assemble_team_system([base if v.role == "CAV" else hdv for v in scenario.vehicles])
+def _assemble_with_inputs(base: LinearSystem, n_cav: int, n_hdv: int) -> LinearSystem:
+    """Stack per-vehicle kinematics, CAVs first; only CAVs contribute input columns."""
+    hdv = LinearSystem(base.A, np.zeros((2, 0)))
+    return assemble_team_system([base] * n_cav + [hdv] * n_hdv)
 
 
 def sample_initial_states(scenario: Scenario, rng: np.random.Generator, N: int) -> np.ndarray:
     """Draw N stacked initial states from the per-vehicle uniform boxes."""
     if N < 1:
         raise ValueError("need N >= 1")
-    X = np.empty((N, scenario.state_dim))
-    for i, v in enumerate(scenario.vehicles):
-        lo_p = -v.entry_offset - v.position_jitter
-        hi_p = -v.entry_offset + v.position_jitter
-        X[:, 2 * i] = rng.uniform(lo_p, hi_p, size=N)
-        X[:, 2 * i + 1] = rng.uniform(v.speed_range[0], v.speed_range[1], size=N)
+    X = np.empty((N, 2 * scenario.n_vehicles))
+    jitter = scenario.position_jitter
+    low, high = scenario.speed_range
+    for i, offset in enumerate(scenario.entry_offsets):
+        X[:, 2 * i] = rng.uniform(-offset - jitter, -offset + jitter, size=N)
+        X[:, 2 * i + 1] = rng.uniform(low, high, size=N)
     return X
 
 
@@ -336,8 +281,7 @@ def positions_from_states(states, scenario: Scenario) -> np.ndarray:
     """Reconstruct planar vehicle positions, shape (..., V, 2), from stacked states."""
     x = np.asarray(states, dtype=float)
     arcs = x[..., 0::2]
-    origins, dirs = _path_arrays(scenario)
-    return origins + arcs[..., None] * dirs
+    return scenario.origins + arcs[..., None] * scenario.dirs
 
 
 def pairwise_distances(trajectory, scenario: Scenario):

@@ -8,7 +8,6 @@ policy output is linear in the coefficients for a fixed evaluation point.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ __all__ = [
     "Dictionary",
     "StagePolicy",
     "KernelPolicy",
-    "GramSingularityWarning",
     "StageExpansion",
     "eval_kernel",
     "kernel_matrix",
@@ -30,10 +28,6 @@ __all__ = [
 ]
 
 _FAMILIES = ("gaussian-rbf", "linear", "polynomial")
-
-
-class GramSingularityWarning(UserWarning):
-    """Raised as a warning when a Gram matrix is structurally singular."""
 
 
 @dataclass(frozen=True)
@@ -126,31 +120,17 @@ class Dictionary:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def has_duplicates(self) -> bool:
-        return np.unique(self.points, axis=0).shape[0] < self.size
 
+def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
+    """Symmetric Gram matrix over the dictionary points.
 
-def gram_matrix(spec: KernelSpec, dictionary: Dictionary, ridge: float = 0.0) -> np.ndarray:
-    """Gram matrix over the dictionary points, optionally ridge-shifted.
-
-    With ridge == 0 and duplicated points the result is singular; a
-    GramSingularityWarning is emitted so the caller can decide.
+    Duplicated points make it singular; the stage solver shifts it by its
+    ridge before factoring (offline.StageSolver).
     """
     if dictionary.size == 0:
         raise ValueError("dictionary must be non-empty")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
     K = kernel_matrix(spec, dictionary.points, dictionary.points)
-    K = 0.5 * (K + K.T)
-    if ridge > 0:
-        K = K + ridge * np.eye(dictionary.size)
-    elif dictionary.has_duplicates():
-        warnings.warn(
-            "duplicate dictionary points with ridge=0 produce a singular Gram matrix",
-            GramSingularityWarning,
-            stacklevel=2,
-        )
-    return K
+    return 0.5 * (K + K.T)
 
 
 def cross_gram(spec: KernelSpec, samples, dictionary: Dictionary) -> np.ndarray:

@@ -212,7 +212,7 @@ class StageSolver:
         self.cfg = cfg
         self.spec = spec
         self.sys = sys
-        K = gram_matrix(kernel, dictionary, ridge=0.0)
+        K = gram_matrix(kernel, dictionary)
         mean_diag = float(np.mean(np.diag(K)))
         ridge_abs = cfg.ridge * (mean_diag if mean_diag > 0 else 1.0)
         self.K_ridge = K + ridge_abs * np.eye(K.shape[0])

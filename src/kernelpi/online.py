@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostSpec
-from .dynamics import DivergenceError, LinearSystem, rollout, step as dyn_step
+from .dynamics import DivergenceError, LinearSystem, check_guard, rollout, step as dyn_step
+from .intersection import min_pairwise_distance, sample_initial_states
 from .kernels import Dictionary, KernelPolicy, KernelSpec, StagePolicy, eval_policy
 from .offline import PolicyIterationDiverged, SolverConfig, run_policy_iteration
 from .rls import pe_check, rls_init, rls_update, estimate
@@ -83,19 +84,14 @@ class OnlineConfig(OnlineSection):
             raise ValueError("ident_steps must be < horizon")
 
 
-def excitation_input(rng: np.random.Generator, sigma_exc: float, base, active_channels=None):
-    """Base control plus zero-mean Gaussian excitation on the active channels."""
+def excitation_input(rng: np.random.Generator, sigma_exc: float, base):
+    """Base control plus zero-mean Gaussian excitation on every channel."""
     base = np.asarray(base, dtype=float).copy()
     if sigma_exc < 0:
         raise ValueError("sigma_exc must be >= 0")
     if sigma_exc == 0:
         return base
-    noise = sigma_exc * rng.standard_normal(base.shape)
-    if active_channels is not None:
-        mask = np.zeros(base.shape, dtype=bool)
-        mask[np.asarray(active_channels, dtype=int)] = True
-        noise = np.where(mask, noise, 0.0)
-    return base + noise
+    return base + sigma_exc * rng.standard_normal(base.shape)
 
 
 @dataclass
@@ -170,8 +166,11 @@ def shift_warm_start(
     Overlapping stages keep their dictionaries and coefficient bits.  A newly
     appended terminal stage starts from zero coefficients with a fresh
     single-point dictionary at the state the shifted candidate predicts
-    there.  With no stages and s one before the first planning step, every
-    stage is new: this builds the first window's warm start.
+    there.  A prediction past the state guard (dynamics.check_guard) is not
+    followed: later anchors stay at the last state inside it, and the
+    window's own rollout then crosses the guard and rejects the window.
+    With no stages and s one before the first planning step, every stage is
+    new: this builds the first window's warm start.
     """
     x_next = np.asarray(x_next, dtype=float).ravel()
     new_end = min(cfg.horizon, s + 1 + cfg.window)
@@ -186,7 +185,12 @@ def shift_warm_start(
             shifted.append(StagePolicy.zero(model.m, anchor))
         pol = KernelPolicy(kernel, [shifted[j]])
         u = eval_policy(pol, 0, x_hat)
-        x_hat = model.A @ x_hat + model.B @ u
+        x_pred = model.A @ x_hat + model.B @ u
+        try:
+            check_guard(x_pred[None, :], s + 2 + j, "predicted anchor")
+        except DivergenceError:
+            continue
+        x_hat = x_pred
     return shifted
 
 
@@ -194,10 +198,6 @@ def shift_warm_start(
 class OnlineStepRecord:
     step: int
     phase: str  # "identify" | "plan"
-    state: np.ndarray
-    control: np.ndarray
-    min_distance: float
-    state_norm: float
     residual_norm: Optional[float] = None
     param_error: Optional[float] = None
     window_cost_before: Optional[float] = None
@@ -213,8 +213,6 @@ class OnlineLog:
     steps: list
     states: np.ndarray  # (S+1, n) observed states including the final one
     controls: np.ndarray  # (S, m)
-    horizon: int
-    ident_steps: int
     diverged: bool
     pe_result: object
     min_distance: float
@@ -253,13 +251,8 @@ def run_online(
     if x0 is None:
         if scenario is None:
             raise ValueError("need either x0 or a scenario to sample it from")
-        from .intersection import sample_initial_states
-
         x0 = sample_initial_states(scenario, rngs["initial-state"], 1)[0]
     x = np.asarray(x0, dtype=float).ravel()
-
-    def min_dist(state) -> float:
-        return scenario.min_distance(state) if scenario is not None else math.inf
 
     rls = rls_init(n, m, lam=cfg.forgetting, M0_scale=cfg.m0_scale, theta0=theta0)
     steps: list = []
@@ -279,10 +272,6 @@ def run_online(
             OnlineStepRecord(
                 step=s,
                 phase="identify",
-                state=x.copy(),
-                control=u.copy(),
-                min_distance=min_dist(x),
-                state_norm=float(np.linalg.norm(x)),
                 residual_norm=float(np.linalg.norm(resid)),
                 param_error=float(np.linalg.norm(truth - rls.theta_hat)),
             )
@@ -292,7 +281,7 @@ def run_online(
         x = x_next
 
     A_hat, B_hat = estimate(rls)
-    model = LinearSystem(A_hat, B_hat, plant.input_blocks)
+    model = LinearSystem(A_hat, B_hat)
 
     kernel = _resolve_online_kernel(cfg, model, x)
 
@@ -310,10 +299,6 @@ def run_online(
                 OnlineStepRecord(
                     step=s,
                     phase="plan",
-                    state=x.copy(),
-                    control=u.copy(),
-                    min_distance=min_dist(x),
-                    state_norm=float(np.linalg.norm(x)),
                     window_cost_before=result.cost_before,
                     window_cost_after=result.cost_after,
                     window_step_sq=result.step_sq,
@@ -328,18 +313,19 @@ def run_online(
 
     states_arr = np.array(states)
     controls_arr = np.array(controls) if controls else np.zeros((0, m))
-    dists = [min_dist(st) for st in states_arr]
-    post = dists[cfg.ident_steps :] if len(dists) > cfg.ident_steps else []
+    if scenario is None:
+        d_all = d_post = math.inf
+    else:
+        d_all = min_pairwise_distance(states_arr, scenario)
+        d_post = min_pairwise_distance(states_arr[cfg.ident_steps :], scenario)
     return OnlineLog(
         steps=steps,
         states=states_arr,
         controls=controls_arr,
-        horizon=cfg.horizon,
-        ident_steps=cfg.ident_steps,
         diverged=diverged,
         pe_result=pe_check(rls),
-        min_distance=float(min(dists)) if dists else math.inf,
-        min_distance_post_ident=float(min(post)) if post else math.inf,
+        min_distance=d_all,
+        min_distance_post_ident=d_post,
         max_state_norm=float(np.max(np.linalg.norm(states_arr, axis=1))),
     )
 

@@ -103,7 +103,7 @@ def test_ac3_secant_and_finite_difference_correctness(verdict):
 
     # first-order agreement with the analytic directional slope of a stage
     # objective as the perturbation scale shrinks from 1e-3 to 1e-6
-    sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.0], [0.1]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.0], [0.1]])
     spec = CostSpec(Q=np.eye(2), R=[[1.0]], Q_F=np.eye(2))
     states = rng.normal(size=(6, 2))
     kernel = KernelSpec(family="gaussian-rbf", length_scale=1.5)
@@ -211,7 +211,7 @@ def test_ac6_online_safety_distance(online_run, verdict):
 
 
 def test_ac7_receding_horizon_consistency(verdict):
-    sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.005], [0.1]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.005], [0.1]])
     spec = CostSpec(Q=np.eye(2), R=[[1.0]], Q_F=np.eye(2))
     solver = SolverConfig(
         delta_lr=1.0,

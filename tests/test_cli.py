@@ -91,7 +91,7 @@ _SMALL_RUNS = {
         "solver": {"max_outer_iters": 1, "mc_samples": 4, "dict_size": 2, "convergence_tol": 0.0},
     },
     "oracle-compare": {
-        "oracle": {"horizon": 2, "samples": 4, "n_vehicles": 1, "scalar_check": False},
+        "oracle": {"horizon": 2, "n_vehicles": 1, "scalar_check": False},
         "solver": {
             "max_outer_iters": 1, "mc_samples": 4, "dict_size": 2, "kernel_family": "linear",
             "convergence_tol": 0.0,
@@ -121,6 +121,7 @@ _SMALL_RUNS = {
         ("offline", "solver", {"seed": 3}),
         ("oracle-compare", "oracle", {"position_range": [2.0, -2.0]}),
         ("oracle-compare", "oracle", {"include_collision_penalty": False}),
+        ("oracle-compare", "oracle", {"samples": 100}),
     ],
     ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items())[:40] if isinstance(v, dict) else None,
 )
@@ -377,7 +378,6 @@ def test_importing_the_cli_loads_no_scipy():
 def _oracle_cfg(**kw):
     oracle = {
         "horizon": 4,
-        "samples": 30,
         "n_vehicles": 1,
         "scalar_check": False,
     }

@@ -138,7 +138,7 @@ def test_cost_to_go_single_step_base_case():
 
 def test_cost_to_go_matches_forward_sum():
     rng = np.random.default_rng(7)
-    sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 0.95]], B=[[0.0], [0.1]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 0.95]], B=[[0.0], [0.1]])
     policy = lambda t, X: 0.3 * rng.standard_normal((X.shape[0], 1)) * 0 + 0.1 * X[:, :1]
     batch = rollout(sys_, policy, rng.normal(size=(4, 2)), horizon=3)
     spec = CostSpec(
@@ -155,7 +155,7 @@ def test_cost_to_go_matches_forward_sum():
 
 def test_cost_to_go_nonnegative_with_nonnegative_penalties():
     rng = np.random.default_rng(11)
-    sys_ = LinearSystem(A=np.eye(4), B=0.1 * np.eye(4)[:, :2], input_blocks=(1, 1))
+    sys_ = LinearSystem(A=np.eye(4), B=0.1 * np.eye(4)[:, :2])
     spec = CostSpec(
         Q=0.1 * np.eye(4),
         R=np.eye(2),
@@ -170,7 +170,7 @@ def test_cost_to_go_nonnegative_with_nonnegative_penalties():
 
 def _stage_problem(seed=0, N=6, M=3, n=2, m=1):
     rng = np.random.default_rng(seed)
-    sys_ = LinearSystem(A=rng.normal(size=(n, n)) * 0.3 + np.eye(n), B=rng.normal(size=(n, m)), input_blocks=(m,))
+    sys_ = LinearSystem(A=rng.normal(size=(n, n)) * 0.3 + np.eye(n), B=rng.normal(size=(n, m)))
     spec = CostSpec(Q=np.eye(n), R=np.eye(m), Q_F=0.5 * np.eye(n))
     states = rng.normal(size=(N, n))
     pts = rng.normal(size=(M, n))
@@ -236,7 +236,7 @@ def test_empirical_stage_objective_quadratic_in_coefficients():
 
 
 def test_tail_evaluator_reports_divergent_sample():
-    sys_ = LinearSystem(A=[[5.0]], B=[[1.0]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[5.0]], B=[[1.0]])
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
     kernel = KernelSpec(family="linear")
     stages = [StagePolicy.zero(1, Dictionary(points=[[0.0]])) for _ in range(12)]
@@ -264,7 +264,7 @@ def _intersection_problem(rng):
 
 
 def _quadratic_problem(rng):
-    sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.005], [0.1]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.005], [0.1]])
     spec = CostSpec(Q=np.eye(2), R=[[0.3]], Q_F=np.eye(2))
     return sys_, spec, lambda N: rng.normal(size=(N, 2))
 

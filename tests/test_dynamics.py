@@ -42,7 +42,6 @@ def test_assemble_single_subsystem_unchanged():
     sys_ = assemble_team_system([ss])
     np.testing.assert_array_equal(sys_.A, ss.A)
     np.testing.assert_array_equal(sys_.B, ss.B)
-    assert sys_.input_blocks == (1,)
 
 
 def test_assemble_two_double_integrators():
@@ -61,7 +60,7 @@ def test_assemble_dimension_arithmetic():
     ss = discretize_double_integrator(0.1)
     for k in (1, 3, 5):
         sys_ = assemble_team_system([ss] * k)
-        assert sys_.n == 2 * k and sys_.m == k and sys_.input_blocks == tuple([1] * k)
+        assert sys_.n == 2 * k and sys_.m == k
 
 
 def test_step_zero_maps_to_zero():
@@ -71,18 +70,18 @@ def test_step_zero_maps_to_zero():
 
 
 def test_step_identity_dynamics():
-    sys_ = LinearSystem(A=np.eye(2), B=np.zeros((2, 1)), input_blocks=(1,))
+    sys_ = LinearSystem(A=np.eye(2), B=np.zeros((2, 1)))
     x = np.array([3.0, -4.0])
     np.testing.assert_array_equal(step(sys_, x, [9.0]), x)
 
 
 def test_step_matches_discretization_example():
-    sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.005], [0.1]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.005], [0.1]])
     np.testing.assert_allclose(step(sys_, [0.0, 1.0], [2.0]), [0.11, 1.2])
 
 
 def test_step_dimension_mismatch():
-    sys_ = LinearSystem(A=np.eye(2), B=np.zeros((2, 1)), input_blocks=(1,))
+    sys_ = LinearSystem(A=np.eye(2), B=np.zeros((2, 1)))
     with pytest.raises(ValueError):
         step(sys_, [1.0], [0.0])
     with pytest.raises(ValueError):
@@ -90,14 +89,14 @@ def test_step_dimension_mismatch():
 
 
 def test_step_flags_non_finite_result():
-    sys_ = LinearSystem(A=np.eye(2) * 1e308, B=np.zeros((2, 1)), input_blocks=(1,))
+    sys_ = LinearSystem(A=np.eye(2) * 1e308, B=np.zeros((2, 1)))
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError):
             step(sys_, [1e308, 0.0], [0.0])
 
 
 def _drift_system():
-    return LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.005], [0.1]], input_blocks=(1,))
+    return LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.005], [0.1]])
 
 
 def test_rollout_zero_everything():
@@ -173,7 +172,7 @@ def test_assembly_commutes_with_stepping():
 
 
 def test_rollout_divergence_reports_sample_and_stage():
-    sys_ = LinearSystem(A=[[10.0]], B=[[0.0]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[10.0]], B=[[0.0]])
     cases = [
         (1e5, 2),  # inside the guard, crosses it after two steps of A = 10
         (np.nan, 0),

@@ -7,7 +7,6 @@ from kernelpi.costs import CollisionSpec, collision_penalty
 from kernelpi.intersection import (
     NonConflictingPathsWarning,
     ScenarioConfig,
-    StraightPath,
     build_intersection,
     min_pairwise_distance,
     pairwise_distances,
@@ -31,7 +30,7 @@ def small_cfg(**kw):
 
 def test_two_cav_build_dimensions():
     scenario, learner, plant, cost = build_intersection(small_cfg())
-    assert scenario.state_dim == 4
+    assert scenario.n_vehicles == 2
     assert learner.n == 4 and learner.m == 2
     np.testing.assert_array_equal(learner.A, plant.A)
     assert cost.Q.shape == (4, 4) and cost.R.shape == (2, 2)
@@ -41,14 +40,15 @@ def test_mixed_traffic_build_dimensions():
     scenario, learner, plant, cost = build_intersection(
         small_cfg(n_hdv=1, entry_offsets=(12.0, 14.0, 16.0), desired_speeds=(10.0, 9.0, 10.0))
     )
-    assert scenario.state_dim == 6
+    assert scenario.n_vehicles == 3
     assert learner.m == 2 and plant.m == 2
     assert plant.n == 6
     # hidden reaction couples the third vehicle's speed to the CAV speeds
     v3 = 5
     assert plant.A[v3, 1] != 0.0 and plant.A[v3, 3] != 0.0
     assert learner.A[v3, 1] == 0.0 and learner.A[v3, 3] == 0.0
-    assert scenario.vehicles[2].role == "HDV"
+    # the CAVs come first; the HDV has no input column
+    np.testing.assert_array_equal(plant.B[4:], 0.0)
 
 
 def test_single_vehicle_has_no_pairs():
@@ -134,16 +134,12 @@ def test_positions_lie_on_declared_paths():
     rng = np.random.default_rng(6)
     states = rng.normal(size=(20, 4)) * 10.0
     pos = positions_from_states(states, scenario)
-    for i, v in enumerate(scenario.vehicles):
-        rel = pos[:, i, :] - v.path.origin
-        perp = rel - np.outer(rel @ v.path.direction, v.path.direction)
+    np.testing.assert_allclose(np.linalg.norm(scenario.dirs, axis=1), 1.0)
+    for i, (origin, direction) in enumerate(zip(scenario.origins, scenario.dirs)):
+        rel = pos[:, i, :] - origin
+        perp = rel - np.outer(rel @ direction, direction)
         assert np.abs(perp).max() < 1e-12
-
-
-def test_straight_path_normalizes_direction():
-    p = StraightPath(origin=(1.0, 1.0), direction=(0.0, 2.0))
-    np.testing.assert_allclose(p.direction, [0.0, 1.0])
-    np.testing.assert_allclose(p.point(np.asarray(3.0)), [1.0, 4.0])
+        np.testing.assert_allclose(rel @ direction, states[:, 2 * i], rtol=1e-12)
 
 
 def test_conflict_pairs_for_default_geometry():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kernelpi.costs import CostSpec
+from kernelpi.dynamics import LinearSystem
 from kernelpi.kernels import (
     Dictionary,
-    GramSingularityWarning,
     KernelPolicy,
     KernelSpec,
     StagePolicy,
@@ -15,6 +16,7 @@ from kernelpi.kernels import (
     gram_matrix,
     median_length_scale,
 )
+from kernelpi.offline import SolverConfig, StageSolver
 
 RBF = KernelSpec(family="gaussian-rbf", length_scale=1.0)
 LIN = KernelSpec(family="linear")
@@ -77,16 +79,15 @@ def test_gram_two_points_known():
 
 
 def test_gram_ridge_shifts_eigenvalues():
+    # the stage solver shifts the Gram matrix by ridge times its mean
+    # diagonal, which is 1 for the rbf kernel
     rng = np.random.default_rng(0)
     d = Dictionary(points=rng.normal(size=(6, 3)))
-    K = gram_matrix(RBF, d, ridge=1e-8)
+    sys_ = LinearSystem(A=np.eye(3), B=np.ones((3, 1)))
+    spec = CostSpec(Q=np.eye(3), R=np.eye(1), Q_F=np.eye(3))
+    K = StageSolver(RBF, d, SolverConfig(ridge=1e-8), spec, sys_).K_ridge
+    np.testing.assert_array_equal(K, gram_matrix(RBF, d) + 1e-8 * np.eye(6))
     assert np.linalg.eigvalsh(K).min() >= 1e-8 - 1e-15
-
-
-def test_gram_duplicate_points_warn_at_zero_ridge():
-    d = Dictionary(points=np.array([[1.0, 0.0], [1.0, 0.0]]))
-    with pytest.warns(GramSingularityWarning):
-        gram_matrix(RBF, d, ridge=0.0)
 
 
 def test_gram_empty_dictionary_rejected():
@@ -99,7 +100,7 @@ def test_cross_gram_matches_gram_on_dictionary():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(5, 2))
     d = Dictionary(points=pts)
-    np.testing.assert_allclose(cross_gram(RBF, pts, d), gram_matrix(RBF, d, ridge=0.0), rtol=1e-12)
+    np.testing.assert_allclose(cross_gram(RBF, pts, d), gram_matrix(RBF, d), rtol=1e-12)
 
 
 def test_cross_gram_single_entries():
@@ -174,7 +175,7 @@ def test_kernel_symmetry(x, y, family):
 def test_gram_positive_semidefinite(seed, m, dim):
     rng = np.random.default_rng(seed)
     pts = rng.normal(scale=3.0, size=(m, dim))
-    K = gram_matrix(RBF, Dictionary(points=pts), ridge=0.0)
+    K = gram_matrix(RBF, Dictionary(points=pts))
     assert np.linalg.eigvalsh(K).min() >= -1e-10
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,7 +63,7 @@ def _quadratic_stage(seed=0, N=6, M=3, n=2, m=1, family="gaussian-rbf"):
     """Stage problem with terminal continuation: objective quadratic in c."""
     rng = np.random.default_rng(seed)
     sys_ = LinearSystem(
-        A=np.eye(n) + 0.2 * rng.normal(size=(n, n)), B=rng.normal(size=(n, m)), input_blocks=(m,)
+        A=np.eye(n) + 0.2 * rng.normal(size=(n, n)), B=rng.normal(size=(n, m))
     )
     spec = CostSpec(Q=np.eye(n), R=np.eye(m), Q_F=np.eye(n))
     states = rng.normal(size=(N, n))
@@ -105,7 +107,7 @@ def test_derivative_approaches_directional_gradient():
 def test_stationary_point_returns_old_coefficients():
     # zero terminal weight and zero state cost make c = 0 a stationary point
     rng = np.random.default_rng(8)
-    sys_ = LinearSystem(A=np.eye(2), B=rng.normal(size=(2, 1)), input_blocks=(1,))
+    sys_ = LinearSystem(A=np.eye(2), B=rng.normal(size=(2, 1)))
     spec = CostSpec(Q=np.zeros((2, 2)), R=np.eye(1), Q_F=np.zeros((2, 2)))
     states = rng.normal(size=(5, 2))
     kernel = KernelSpec(family="gaussian-rbf", length_scale=1.0)
@@ -122,7 +124,7 @@ def test_stationary_point_returns_old_coefficients():
 def test_scalar_update_matches_bisection_oracle():
     # single sample at x = 1 and a single anchor at 1 with the linear kernel:
     # the coefficient equation reduces to J(c0 + d) - J(c0) + d^2/delta = 0
-    sys_ = LinearSystem(A=[[1.0]], B=[[1.0]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[1.0]], B=[[1.0]])
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
     states = np.array([[1.0]])
     kernel = KernelSpec(family="linear")
@@ -249,7 +251,7 @@ def _scalar_instance_cfg(**kw):
 
 
 def test_policy_iteration_recovers_scalar_gain():
-    sys_ = LinearSystem(A=[[1.0]], B=[[1.0]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[1.0]], B=[[1.0]])
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
     policy, records, _ = policy_iteration(
         sys_, spec, lambda rng, N: rng.uniform(0.5, 1.5, size=(N, 1)), _scalar_instance_cfg(), horizon=1,
@@ -340,7 +342,7 @@ def test_policy_iteration_convergence_threshold_stops_early():
 
 
 def test_policy_iteration_divergence_carries_partial_history():
-    sys_ = LinearSystem(A=[[3.0]], B=[[0.0]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[3.0]], B=[[0.0]])
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
     cfg = SolverConfig(delta_lr=1.0, max_outer_iters=5, mc_samples=2, dict_size=2)
     with pytest.raises(PolicyIterationDiverged) as exc:
@@ -351,7 +353,7 @@ def test_policy_iteration_divergence_carries_partial_history():
 
 
 def test_diverging_zero_control_rollout_raises_before_any_iteration():
-    sys_ = LinearSystem(A=[[3.0]], B=[[1.0]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[3.0]], B=[[1.0]])
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
     cfg = SolverConfig(max_outer_iters=5, mc_samples=2, dict_size=2)
     with pytest.raises(PolicyIterationDiverged) as exc:
@@ -386,6 +388,18 @@ def test_stage_gram_factors_are_built_once_per_run(monkeypatch):
     assert len(calls) == 4
 
 
+def test_duplicate_anchors_with_a_ridge_build_a_stage_solver_without_warning():
+    # the solver factors K + ridge * mean(diag K) * I, which is positive
+    # definite although two anchors coincide, so nothing warns of singularity
+    sys_ = LinearSystem(A=np.eye(2), B=[[0.0], [1.0]])
+    spec = CostSpec(Q=np.eye(2), R=np.eye(1), Q_F=np.eye(2))
+    d = Dictionary(points=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver = StageSolver(KernelSpec(), d, SolverConfig(ridge=1e-8), spec, sys_)
+    assert np.all(np.isfinite(solver.K_inv))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     seed=st.integers(0, 10_000),
@@ -397,7 +411,7 @@ def test_stage_solver_directions_descend_and_match_a_direct_solve(seed, family, 
     # n = 2, so a linear kernel over M > 2 anchors has a rank-deficient Gram
     rng = np.random.default_rng(seed)
     n, m, N = 2, 2, 6
-    sys_ = LinearSystem(A=np.eye(n), B=rng.normal(size=(n, m)), input_blocks=(m,))
+    sys_ = LinearSystem(A=np.eye(n), B=rng.normal(size=(n, m)))
     spec = CostSpec(Q=np.eye(n), R=np.eye(m), Q_F=np.eye(n))
     kernel = KernelSpec(family=family, length_scale=1.5, degree=3, offset=0.5)
     d = Dictionary(points=rng.normal(size=(M, n)))
@@ -429,7 +443,7 @@ def test_diverging_trial_step_shrinks_instead_of_aborting(delta_lr):
     # open-loop unstable plant with nearly free control: long trial steps of
     # the line search blow the tail simulation up, but the accepted policy
     # never diverges, so the run must go on and keep descending
-    sys_ = LinearSystem(A=[[1.5]], B=[[1.0]], input_blocks=(1,))
+    sys_ = LinearSystem(A=[[1.5]], B=[[1.0]])
     spec = CostSpec(Q=[[1.0]], R=[[1e-6]], Q_F=[[1.0]])
     cfg = SolverConfig(
         delta_lr=delta_lr, max_outer_iters=20, mc_samples=20, convergence_tol=0.0

@@ -22,7 +22,11 @@ HOOKED = (
     "offline.stage_update.tail_calls_per_call",
     "costs.tail_values.calls",
     "kernels.cross_gram.calls",
+    "dynamics.rollout.calls",
 )
+# Layers only some workloads reach: the intersection geometry is read by the
+# online loop's distance summary, not by the oracle's penalty-free instance.
+HOOKED_BY_WORKLOAD = {"online_intersection": ("intersection.positions_from_states.self_s",)}
 
 CHILD = """
 import json, sys
@@ -54,5 +58,5 @@ def test_traced_smoke_run_reaches_every_hooked_layer(smoke_records, workload):
     rec = smoke_records[workload]
     assert rec["correct"] is True
     assert rec["failed"] == 0
-    for name in HOOKED:
+    for name in HOOKED + HOOKED_BY_WORKLOAD.get(workload, ()):
         assert rec["metrics"][name] > 0, name

@@ -6,7 +6,7 @@ from kernelpi.riccati import lqr_cost, riccati_backward, simulate_gain_cost
 
 
 def scalar_system():
-    return LinearSystem(A=[[1.0]], B=[[1.0]], input_blocks=(1,))
+    return LinearSystem(A=[[1.0]], B=[[1.0]])
 
 
 def test_zero_horizon_returns_terminal_weight():
