@@ -4,6 +4,7 @@ from .costs import (
     CollisionSpec,
     CostSpec,
     CostToGoTable,
+    StateCost,
     TailEvaluator,
     collision_penalty,
     empirical_stage_objective,
@@ -26,7 +27,6 @@ from .kernels import (
     KernelSpec,
     StagePolicy,
     cross_gram,
-    eval_kernel,
     eval_policy,
     eval_policy_batch,
     gram_matrix,

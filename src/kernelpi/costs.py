@@ -3,6 +3,12 @@
 Penalty callables follow a batched contract: they accept arrays shaped
 (..., n) and return values shaped (...,).  External penalties should be
 written accordingly; the intersection scenario builders already are.
+
+Every cost is evaluated through a StateCost, one affine map of its argument
+followed by sums of squares.  A CostSpec builds its three once: x'Qx + psi(x),
+x'Q_F x + psi_F(x) and u'Ru.  A psi that is itself a StateCost takes Q's
+factor into its own map, so the state part of a stage is one map and one
+pass over its squares.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ __all__ = [
     "CostSpec",
     "CollisionSpec",
     "CostToGoTable",
+    "StateCost",
     "collision_penalty",
     "stage_cost",
     "terminal_cost",
@@ -81,9 +88,88 @@ def collision_penalty(positions, spec: CollisionSpec):
     return np.sum(terms, axis=-1)
 
 
+def _signed_factor(M: np.ndarray):
+    """(F, w) with x'Mx = sum_j w_j (x F[:, j])^2 and each w_j = +-1; null directions drop."""
+    lam, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    keep = lam != 0.0
+    return vecs[:, keep] * np.sqrt(np.abs(lam[keep])), np.sign(lam[keep])
+
+
+class StateCost:
+    """A batched cost through one affine map z = x lin + offset of its argument.
+
+    With s = (z * z) @ squares_to_sums, the cost is
+
+        s_last + sum_p pair_weight / (s_p + softening) - shift + psi(x).
+
+    The last column of squares_to_sums weights squares into one sum (a
+    quadratic form through its signed factor, speed tracking); every other
+    column sums a pair's planar displacement into its squared distance.
+    shift is the value of the first two terms at x = 0, so the map's part of
+    the cost vanishes there.  psi, a plain batched callable, is added as is.
+    """
+
+    def __init__(self, lin, offset, squares_to_sums, pair_weight=0.0, softening=1.0, psi=None):
+        self.lin = lin
+        self.offset = offset
+        self.squares_to_sums = squares_to_sums
+        self.ones = np.ones(squares_to_sums.shape[1] - 1)
+        self.pair_weight = pair_weight
+        self.softening = softening
+        self.psi = psi
+        self.shift = float(self._terms(offset))
+
+    @classmethod
+    def quadratic(cls, M: np.ndarray, psi=None) -> "StateCost":
+        """x'Mx + psi(x); a StateCost psi takes M's factor into its own map."""
+        F, w = _signed_factor(M)
+        if isinstance(psi, StateCost):
+            return psi.plus_squares(F, w)
+        return cls(F, np.zeros(w.size), w[:, None], psi=psi)
+
+    def plus_squares(self, lin: np.ndarray, signs: np.ndarray) -> "StateCost":
+        """This cost plus sum_j signs_j (x lin[:, j])^2, as extra columns of the same map."""
+        to_sum = np.zeros((signs.size, self.squares_to_sums.shape[1]))
+        to_sum[:, -1] = signs
+        return StateCost(
+            np.hstack([self.lin, lin]),
+            np.concatenate([self.offset, np.zeros(signs.size)]),
+            np.vstack([self.squares_to_sums, to_sum]),
+            self.pair_weight,
+            self.softening,
+            self.psi,
+        )
+
+    def _terms(self, z):
+        sums = (z * z) @ self.squares_to_sums
+        out = sums[..., -1]
+        if self.ones.size:
+            out = out + (self.pair_weight / (sums[..., :-1] + self.softening)) @ self.ones
+        return out
+
+    def of_map(self, z, x):
+        """The cost at the states x, given their map z = x lin + offset."""
+        out = self._terms(z)
+        if self.shift:
+            out = out - self.shift
+        if self.psi is not None:
+            out = out + self.psi(x)
+        return out
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return self.of_map(x @ self.lin + self.offset, x)
+
+
 @dataclass
 class CostSpec:
-    """Quadratic weights plus optional nonlinear stage/terminal penalties."""
+    """Quadratic weights plus optional nonlinear stage/terminal penalties.
+
+    The cost objects are built once, here: state_cost is x'Qx + psi(x),
+    final_cost x'Q_F x + psi_F(x) and control_cost u'Ru.  tail_cost is
+    state_cost with control_cost's squares as extra map columns, which
+    TailEvaluator fills from the controls.
+    """
 
     Q: np.ndarray
     R: np.ndarray
@@ -95,6 +181,13 @@ class CostSpec:
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
         self.Q_F = np.atleast_2d(np.asarray(self.Q_F, dtype=float))
+        self.state_cost = StateCost.quadratic(self.Q, self.psi)
+        self.final_cost = StateCost.quadratic(self.Q_F, self.psi_F)
+        self.control_cost = StateCost.quadratic(self.R)
+        self.tail_cost = self.state_cost.plus_squares(
+            np.zeros((self.n, self.control_cost.lin.shape[1])),
+            self.control_cost.squares_to_sums[:, -1],
+        )
 
     @property
     def n(self) -> int:
@@ -117,27 +210,14 @@ class CostSpec:
                     raise ValueError(f"{name}(0) = {v:g}, expected 0")
 
 
-def _quad(x: np.ndarray, M: np.ndarray) -> np.ndarray:
-    return ((x @ M) * x).sum(axis=-1)
-
-
 def stage_cost(x, u, spec: CostSpec):
     """x'Qx + u'Ru + psi(x), batched over leading axes."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    out = _quad(x, spec.Q) + _quad(u, spec.R)
-    if spec.psi is not None:
-        out = out + spec.psi(x)
-    return out
+    return spec.state_cost(x) + spec.control_cost(u)
 
 
 def terminal_cost(x, spec: CostSpec):
     """x'Q_F x + psi_F(x), batched over leading axes."""
-    x = np.asarray(x, dtype=float)
-    out = _quad(x, spec.Q_F)
-    if spec.psi_F is not None:
-        out = out + spec.psi_F(x)
-    return out
+    return spec.final_cost(x)
 
 
 @dataclass
@@ -173,6 +253,12 @@ class TailEvaluator:
     evaluator when improving the policy at stage start_stage - 1.  The stage
     policies are snapshotted at construction; later mutation of the policy
     object is not reflected.
+
+    Each stage is two products: X [A' | L] with L the map of the spec's
+    tail_cost, fixed for the tail, and the stage's kernel features times
+    coeffs [B' | 0 | F_R], which adds the control's effect on the next state
+    and its cost factor.  For the linear kernel the features are X itself, so
+    the two matrices are summed and a stage is one product.
     """
 
     def __init__(self, sys: LinearSystem, spec: CostSpec, policy: KernelPolicy, start_stage: int):
@@ -181,22 +267,37 @@ class TailEvaluator:
         self.sys = sys
         self.spec = spec
         self.start_stage = start_stage
-        self._stages = [
-            StageExpansion(policy.kernel, policy.stages[t])
-            for t in range(start_stage, policy.horizon)
-        ]
+        cost = spec.tail_cost
+        control_factor = spec.control_cost.lin
+        width = cost.lin.shape[1]
+        self._state_map = np.hstack([sys.A.T, cost.lin])
+        control_map = np.zeros((sys.m, sys.n + width))
+        control_map[:, : sys.n] = sys.B.T
+        control_map[:, sys.n + width - control_factor.shape[1] :] = control_factor
+        self._linear = policy.kernel.family == "linear"
+        self._stages = []
+        for t in range(start_stage, policy.horizon):
+            expansion = StageExpansion(policy.kernel, policy.stages[t])
+            step = expansion.coeffs @ control_map
+            if self._linear:
+                step += self._state_map
+            self._stages.append((expansion, step))
 
     def values(self, states) -> np.ndarray:
         X = np.atleast_2d(np.asarray(states, dtype=float))
-        A_T = self.sys.A.T
-        B_T = self.sys.B.T
+        n = self.sys.n
+        cost = self.spec.tail_cost
         total = np.zeros(X.shape[0])
-        for t, expansion in enumerate(self._stages, start=self.start_stage):
+        for t, (expansion, step) in enumerate(self._stages, start=self.start_stage):
             sq = check_guard(X, t, "tail simulation")
-            U = expansion.controls(X, sq)
-            total += stage_cost(X, U, self.spec)
-            X = X @ A_T + U @ B_T
-        return total + terminal_cost(X, self.spec)
+            if self._linear:
+                Z = X @ step
+            else:
+                Z = expansion.features(X, sq) @ step
+                Z += X @ self._state_map
+            total += cost.of_map(Z[:, n:] + cost.offset, X)
+            X = Z[:, :n]
+        return total + self.spec.final_cost(X)
 
 
 def empirical_stage_objective(

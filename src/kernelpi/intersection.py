@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .costs import CostSpec
+from .costs import CostSpec, StateCost
 from .dynamics import LinearSystem, assemble_team_system, discretize_double_integrator
 
 __all__ = [
@@ -164,7 +164,7 @@ def _road_paths(lane_offset: float, n_vehicles: int):
     return origins[:n_vehicles], dirs[:n_vehicles]
 
 
-class _ScenarioPenalty:
+def _scenario_penalty(scenario: Scenario, speed_weight: float, desired_speeds) -> StateCost:
     """Pairwise proximity cost plus speed tracking, shifted so psi(0) = 0.
 
     The proximity cost is sum over pairs of d_safe^2 / (distance^2 + softening),
@@ -177,37 +177,29 @@ class _ScenarioPenalty:
     state is subtracted, which keeps the cost contract intact without
     affecting minimizers.  Inputs are batched (..., n).
     """
-
-    def __init__(self, scenario: Scenario, speed_weight: float, desired_speeds):
-        origins, dirs = scenario.origins, scenario.dirs
-        V = scenario.n_vehicles
-        iu, ju = np.triu_indices(V, k=1)
-        P = iu.size
-        lin = np.zeros((2 * V, 2 * P + V))
-        offset = np.zeros(2 * P + V)
-        squares_to_sums = np.zeros((2 * P + V, P + 1))
-        for p, (i, j) in enumerate(zip(iu, ju)):
-            lin[2 * i, 2 * p : 2 * p + 2] = dirs[i]
-            lin[2 * j, 2 * p : 2 * p + 2] = -dirs[j]
-            offset[2 * p : 2 * p + 2] = origins[i] - origins[j]
-            squares_to_sums[2 * p : 2 * p + 2, p] = 1.0
-        lin[1::2, 2 * P :] = np.eye(V)
-        offset[2 * P :] = -np.asarray(desired_speeds, dtype=float)
-        squares_to_sums[2 * P :, P] = speed_weight
-        self.lin = lin
-        self.offset = offset
-        self.squares_to_sums = squares_to_sums
-        self.ones = np.ones(P)
-        self.d_safe_sq = scenario.safety_distance**2
-        self.softening = scenario.softening
-        self.value_at_zero = 0.0
-        self.value_at_zero = float(self(np.zeros(2 * V)))
-
-    def __call__(self, x):
-        z = np.asarray(x, dtype=float) @ self.lin + self.offset
-        sums = (z * z) @ self.squares_to_sums
-        proximity = (self.d_safe_sq / (sums[..., :-1] + self.softening)) @ self.ones
-        return proximity + sums[..., -1] - self.value_at_zero
+    origins, dirs = scenario.origins, scenario.dirs
+    V = scenario.n_vehicles
+    iu, ju = np.triu_indices(V, k=1)
+    P = iu.size
+    lin = np.zeros((2 * V, 2 * P + V))
+    offset = np.zeros(2 * P + V)
+    squares_to_sums = np.zeros((2 * P + V, P + 1))
+    for p, (i, j) in enumerate(zip(iu, ju)):
+        lin[2 * i, 2 * p : 2 * p + 2] = dirs[i]
+        lin[2 * j, 2 * p : 2 * p + 2] = -dirs[j]
+        offset[2 * p : 2 * p + 2] = origins[i] - origins[j]
+        squares_to_sums[2 * p : 2 * p + 2, p] = 1.0
+    lin[1::2, 2 * P :] = np.eye(V)
+    offset[2 * P :] = -np.asarray(desired_speeds, dtype=float)
+    squares_to_sums[2 * P :, P] = speed_weight
+    used = squares_to_sums.any(axis=1)  # without tracking, the speed columns weigh nothing
+    return StateCost(
+        lin[:, used],
+        offset[used],
+        squares_to_sums[used],
+        scenario.safety_distance**2,
+        scenario.softening,
+    )
 
 
 def build_intersection(cfg: ScenarioConfig):
@@ -252,8 +244,8 @@ def build_intersection(cfg: ScenarioConfig):
     Q = cfg.state_weight * np.eye(n)
     Q_F = cfg.terminal_state_weight * np.eye(n)
     R = cfg.control_weight * np.eye(learner.m)
-    psi = _ScenarioPenalty(scenario, cfg.speed_weight, cfg.speeds())
-    psi_F = _ScenarioPenalty(scenario, 0.0, cfg.speeds())
+    psi = _scenario_penalty(scenario, cfg.speed_weight, cfg.speeds())
+    psi_F = _scenario_penalty(scenario, 0.0, cfg.speeds())
     cost = CostSpec(Q=Q, R=R, Q_F=Q_F, psi=psi, psi_F=psi_F)
     return scenario, learner, plant, cost
 

@@ -18,7 +18,6 @@ __all__ = [
     "StagePolicy",
     "KernelPolicy",
     "StageExpansion",
-    "eval_kernel",
     "kernel_matrix",
     "gram_matrix",
     "cross_gram",
@@ -91,15 +90,6 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     return _from_products(spec, X @ Y.T, _sq_norms(X), _sq_norms(Y))
-
-
-def eval_kernel(spec: KernelSpec, x, y) -> float:
-    """Evaluate k(x, y) for a single pair of state vectors."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(kernel_matrix(spec, x[None, :], y[None, :])[0, 0])
 
 
 @dataclass
@@ -196,12 +186,19 @@ class StageExpansion:
             self.coeffs = stage.coefficients
             self.sq_norms = _sq_norms(self.points)
 
+    def features(self, X: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
+        """The factor of coeffs at the rows of X, given their squared norms.
+
+        That is X itself for the linear kernel, and the kernel values at the
+        anchors otherwise.
+        """
+        if self.kernel.family == "linear":
+            return X
+        return _from_products(self.kernel, X @ self.points.T, row_sq_norms, self.sq_norms)
+
     def controls(self, X: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
         """(N, m) controls at the rows of X, given their squared norms."""
-        if self.kernel.family == "linear":
-            return X @ self.coeffs
-        K = _from_products(self.kernel, X @ self.points.T, row_sq_norms, self.sq_norms)
-        return K @ self.coeffs
+        return self.features(X, row_sq_norms) @ self.coeffs
 
 
 def _check_stage(policy: KernelPolicy, t: int) -> StagePolicy:

@@ -26,7 +26,11 @@ The inner solver picks the Gram-preconditioned descent direction and finds
 the step length by a safeguarded secant solve in one dimension.  It stops at
 the first descending step whose secant gap is at most
 ROOT_TOL * inner_tol * (1 + |J_old|), so the identity above holds to that
-precision for every accepted step.
+precision for every accepted step.  The direction comes from one gradient
+probe, a single tail evaluation of the unperturbed successor states and
+their forward-difference perturbations.  The unperturbed block also gives
+J_old, so a stage update costs one tail call for the probe plus one per
+trial step.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .costs import CostSpec, TailEvaluator, evaluate_cost_to_go, stage_cost
+from .costs import CostSpec, TailEvaluator, evaluate_cost_to_go
 from .dynamics import DivergenceError, LinearSystem, rollout
 from .kernels import (
     Dictionary,
@@ -137,12 +141,14 @@ class StageUpdateResult:
     c_new: np.ndarray
     objective_old: float
     objective_new: float
-    evals: int  # objective evaluations, counting each row block of the gradient probe
-    tail_calls: int  # tail re-simulations: J0, the gradient probe, one per trial step
+    # objective evaluations: the probe's n + 1 row blocks (block 0 is J0), one per
+    # trial step, and one for J0 alone when the probe diverges
+    evals: int
+    # tail re-simulations: the probe, one per trial step, and one for J0 alone
+    # when the probe diverges
+    tail_calls: int
     value_step_sq: float  # ||pi_new - pi_old||_F^2 over the sampled states
-    rkhs_step_sq: float  # dc' (K + ridge I) dc, the kernel-space step norm
     secant_gap: float  # |dJ + value_step_sq / delta|
-    update_residual: float  # ||K dc + delta Ks' D|| in coefficient space
     accepted: bool
     reason: str
 
@@ -244,19 +250,20 @@ class _StageWorkspace:
         self.cross = cross_gram(solver.kernel, states, solver.dictionary)
         self.pi_old = self.cross @ self.c_old
         self.drift = states @ solver.sys.A.T
-        self.state_cost = stage_cost(states, np.zeros((len(states), solver.sys.m)), solver.spec)
+        self.state_cost = solver.spec.state_cost(states)
         self.evals = 0
         self.tail_calls = 0
+
+    def _objective(self, pi, continuation) -> float:
+        control_cost = self.solver.spec.control_cost(pi)
+        return float((self.state_cost + control_cost + np.asarray(continuation)).mean())
 
     def objective_of(self, C) -> float:
         """Sample-average stage cost plus continuation; equals empirical_stage_objective."""
         self.evals += 1
         self.tail_calls += 1
         pi = self.cross @ np.asarray(C, dtype=float)
-        solver = self.solver
-        control_cost = ((pi @ solver.spec.R) * pi).sum(axis=1)
-        continuation = np.asarray(self.tail_values(self.drift + pi @ solver.sys.B.T), dtype=float)
-        return float((self.state_cost + control_cost + continuation).mean())
+        return self._objective(pi, self.tail_values(self.drift + pi @ self.solver.sys.B.T))
 
     def trial_objective(self, C) -> float:
         """Objective at a trial point; a diverging continuation scores +inf (no descent)."""
@@ -265,13 +272,13 @@ class _StageWorkspace:
         except DivergenceError:
             return np.inf
 
-    def value_gradient(self) -> Optional[np.ndarray]:
-        """Gradient of the stage objective with respect to the sampled controls.
+    def value_gradient(self):
+        """(J0, G): the objective at c_old and its gradient with respect to the sampled controls.
 
         The continuation term is differentiated by forward differences on the
-        successor states, batched into a single tail evaluation.  Returns None
-        when a perturbed row diverges; the unperturbed rows are the successors
-        under c_old, which the objective at c_old has already simulated.
+        successor states, batched into a single tail evaluation whose first
+        row block is the unperturbed successors under c_old; that block gives
+        J0.  A DivergenceError from any row propagates.
         """
         B = self.solver.sys.B
         y0 = self.drift + self.pi_old @ B.T
@@ -282,18 +289,13 @@ class _StageWorkspace:
             Ybig[j + 1, :, j] += h[:, j]
         self.evals += n + 1
         self.tail_calls += 1
-        try:
-            vals = np.asarray(self.tail_values(Ybig.reshape(-1, n))).reshape(n + 1, N)
-        except DivergenceError:
-            return None
+        vals = np.asarray(self.tail_values(Ybig.reshape(-1, n))).reshape(n + 1, N)
         dV = ((vals[1:] - vals[0]) / h.T).T  # (N, n)
-        return (2.0 * self.pi_old @ self.solver.spec.R + dV @ B) / N
+        G = (2.0 * self.pi_old @ self.solver.spec.R + dV @ B) / N
+        return self._objective(self.pi_old, vals[0]), G
 
-    def descent_direction(self):
-        """Gram-preconditioned direction from the projected value gradient, or None."""
-        G = self.value_gradient()
-        if G is None:
-            return None
+    def descent_direction(self, G):
+        """Gram-preconditioned direction from the value gradient G: (V, P, ||P||^2, <G, P>)."""
         W = self.cross.T @ G
         V = -(self.solver.K_inv @ W)
         P = self.cross @ V
@@ -301,26 +303,17 @@ class _StageWorkspace:
         s0 = float(np.sum(G * P))
         return V, P, p2, s0
 
-    def diagnostics(self, c_new, J_old, J_new):
-        K_ridge, delta = self.solver.K_ridge, self.solver.cfg.delta_lr
-        dC = c_new - self.c_old
-        dpi = self.cross @ dC
-        value_sq = float(np.sum(dpi * dpi))
-        rkhs_sq = float(np.sum(dC * (K_ridge @ dC)))
-        gap = abs(J_new - J_old + value_sq / delta)
-        D = discrete_frechet_derivative(self.pi_old + dpi, self.pi_old, J_new, J_old)
-        resid = float(np.linalg.norm(K_ridge @ dC + delta * (self.cross.T @ D)))
-        return value_sq, rkhs_sq, gap, resid
-
 
 def _result(ws: _StageWorkspace, J0: float, reason: str, c_new=None, J1=None) -> StageUpdateResult:
     """The stage's outcome; without c_new the step is rejected and c_old kept."""
     accepted = c_new is not None
     if accepted:
-        value_sq, rkhs_sq, gap, resid = ws.diagnostics(c_new, J0, J1)
+        dpi = ws.cross @ (c_new - ws.c_old)
+        value_sq = float(np.sum(dpi * dpi))
+        gap = abs(J1 - J0 + value_sq / ws.solver.cfg.delta_lr)
     else:
         c_new, J1 = ws.c_old.copy(), J0
-        value_sq = rkhs_sq = gap = resid = 0.0
+        value_sq = gap = 0.0
     return StageUpdateResult(
         c_new=c_new,
         objective_old=J0,
@@ -328,15 +321,13 @@ def _result(ws: _StageWorkspace, J0: float, reason: str, c_new=None, J1=None) ->
         evals=ws.evals,
         tail_calls=ws.tail_calls,
         value_step_sq=value_sq,
-        rkhs_step_sq=rkhs_sq,
         secant_gap=gap,
-        update_residual=resid,
         accepted=accepted,
         reason=reason,
     )
 
 
-def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
+def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateResult:
     """Root of g(a) = J(c_old + a V) - J0 + a^2 ||P||^2 / delta along the descent direction.
 
     The solve works on q(a) = g(a) / a.  Its value at 0 is the known slope
@@ -351,10 +342,7 @@ def _solve_secant(ws: _StageWorkspace, J0: float) -> StageUpdateResult:
     is accepted as "inexact-secant", and when no trial descends the old
     coefficients are kept.
     """
-    direction = ws.descent_direction()
-    if direction is None:
-        return _result(ws, J0, "gradient-diverged")
-    V, P, p2, s0 = direction
+    V, P, p2, s0 = ws.descent_direction(G)
     scale = 1.0 + abs(J0)
     delta = ws.solver.cfg.delta_lr
     tol = ROOT_TOL * ws.solver.cfg.inner_tol * scale
@@ -409,13 +397,22 @@ def solve_implicit_update(
     Guarantees objective_new <= objective_old: when the inner solver cannot
     find a descending step the old coefficients are returned unchanged.
     tail_values must evaluate the continuation cost at arbitrary successor
-    states (normally a TailEvaluator over the updated later stages).  A trial
-    step whose continuation diverges counts as no descent and the step
-    shrinks; a DivergenceError propagates only when the old coefficients'
-    objective or value gradient diverges.
+    states (normally a TailEvaluator over the updated later stages).
+
+    The objective at c_old, J0, comes from the gradient probe's unperturbed
+    row block, so it costs no tail call of its own.  When the probe
+    diverges, J0 is evaluated from the unperturbed rows alone: a
+    DivergenceError there propagates, because the old coefficients'
+    objective diverges; otherwise only a perturbed row diverged, and the
+    stage keeps c_old as "gradient-diverged".  A trial step whose
+    continuation diverges counts as no descent and the step shrinks.
     """
     ws = _StageWorkspace(solver, c_old, tail_values, states_at_t)
-    return _solve_secant(ws, ws.objective_of(ws.c_old))
+    try:
+        J0, G = ws.value_gradient()
+    except DivergenceError:
+        return _result(ws, ws.objective_of(ws.c_old), "gradient-diverged")
+    return _solve_secant(ws, J0, G)
 
 
 def build_dictionaries(

@@ -13,7 +13,14 @@ from kernelpi.costs import (
     terminal_cost,
 )
 from kernelpi.dynamics import STATE_GUARD, DivergenceError, LinearSystem, TrajectoryBatch, rollout
-from kernelpi.kernels import Dictionary, KernelPolicy, KernelSpec, StagePolicy, cross_gram
+from kernelpi.kernels import (
+    Dictionary,
+    KernelPolicy,
+    KernelSpec,
+    StagePolicy,
+    cross_gram,
+    eval_policy_batch,
+)
 
 PAIR_SPEC = CollisionSpec(safety_distance=1.0, softening=0.1)
 
@@ -311,3 +318,97 @@ def test_stage_workspace_objective_matches_empirical_stage_objective(problem):
     for C in [C0] + [rng.normal(size=(4, sys_.m)) for _ in range(4)]:
         expected = empirical_stage_objective(C, states, tail.values, sys_, spec, cross)
         assert ws.objective_of(C) == pytest.approx(expected, rel=1e-12)
+
+
+def _spd(rng, n, scale):
+    G = rng.normal(size=(n, n))
+    return scale * (G @ G.T / n + 0.5 * np.eye(n))
+
+
+def _reference_tail_values(sys_, spec, policy, start_stage, X):
+    """The tail by its definition: x'Qx + u'Ru + psi(x) per stage, then the terminal cost."""
+    total = np.zeros(X.shape[0])
+    for t in range(start_stage, policy.horizon):
+        outside = ~(np.sum(X * X, axis=1) <= STATE_GUARD**2)
+        if outside.any():
+            raise DivergenceError("reference", sample_index=int(np.argmax(outside)), stage=t)
+        U = eval_policy_batch(policy, t, X)
+        total += np.einsum("ni,ij,nj->n", X, spec.Q, X) + np.einsum("ni,ij,nj->n", U, spec.R, U)
+        if spec.psi is not None:
+            total += spec.psi(X)
+        X = X @ sys_.A.T + U @ sys_.B.T
+    total += np.einsum("ni,ij,nj->n", X, spec.Q_F, X)
+    if spec.psi_F is not None:
+        total += spec.psi_F(X)
+    return total
+
+
+def _tail_case(family, penalty, seed=5):
+    """A four-stage kernel policy on the two-vehicle crossing with non-diagonal SPD weights."""
+    from kernelpi.intersection import ScenarioConfig, build_intersection, sample_initial_states
+
+    rng = np.random.default_rng(seed)
+    scen = ScenarioConfig(n_cav=2, horizon=4, entry_offsets=(12.0, 14.0), position_jitter=1.0)
+    scenario, sys_, _, scenario_cost = build_intersection(scen)
+    psi, psi_F = {
+        "intersection": (scenario_cost.psi, scenario_cost.psi_F),
+        "callable": (
+            lambda x: np.log1p(np.sum(x * x, axis=-1)),
+            lambda x: 0.5 * np.cos(x[..., 0]) - 0.5,
+        ),
+        "none": (None, None),
+    }[penalty]
+    n, m = sys_.n, sys_.m
+    spec = CostSpec(
+        Q=_spd(rng, n, 1e-2), R=_spd(rng, m, 0.3), Q_F=_spd(rng, n, 1e-1), psi=psi, psi_F=psi_F
+    )
+    kernel = KernelSpec(family=family, length_scale=2.0, degree=2, offset=1.0)
+    scale = {"linear": 1e-2, "polynomial": 1e-4, "gaussian-rbf": 0.2}[family]
+    sample = lambda N: sample_initial_states(scenario, rng, N)
+    stages = [
+        StagePolicy(Dictionary(points=sample(3), stage=t), rng.normal(size=(3, m)) * scale)
+        for t in range(4)
+    ]
+    return sys_, spec, KernelPolicy(kernel, stages), sample
+
+
+FAMILIES = pytest.mark.parametrize("family", ["gaussian-rbf", "polynomial", "linear"])
+PENALTIES = pytest.mark.parametrize("penalty", ["intersection", "callable", "none"])
+
+
+@FAMILIES
+@PENALTIES
+def test_tail_evaluator_matches_a_plain_reference_loop(family, penalty):
+    sys_, spec, policy, sample = _tail_case(family, penalty)
+    X = sample(7)
+    for start in (0, 2, 4):
+        vals = TailEvaluator(sys_, spec, policy, start).values(X)
+        ref = _reference_tail_values(sys_, spec, policy, start, X)
+        np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
+
+
+@FAMILIES
+@PENALTIES
+def test_tail_evaluator_guard_names_the_reference_sample_and_stage(family, penalty):
+    sys_, spec, policy, sample = _tail_case(family, penalty)
+    unstable = LinearSystem(A=3.0 * np.eye(sys_.n), B=sys_.B)
+    X = sample(5)
+    X[3] = 2.0e5 / np.linalg.norm(X[3]) * X[3]  # inside the guard; out after one step of A
+    with pytest.raises(DivergenceError) as ref:
+        _reference_tail_values(unstable, spec, policy, 1, X)
+    assert ref.value.sample_index == 3 and ref.value.stage > 1
+    with pytest.raises(DivergenceError) as exc:
+        TailEvaluator(unstable, spec, policy, 1).values(X)
+    assert (exc.value.sample_index, exc.value.stage) == (ref.value.sample_index, ref.value.stage)
+
+
+def test_tail_evaluator_factorizes_no_matrix(monkeypatch):
+    # the cost factors belong to the CostSpec, built once; a tail only stacks them
+    sys_, spec, policy, sample = _tail_case("gaussian-rbf", "intersection")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tail factorized a matrix")
+
+    for name in ("cholesky", "eig", "eigh", "inv", "qr", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    TailEvaluator(sys_, spec, policy, 1).values(sample(4))

@@ -10,10 +10,10 @@ from kernelpi.kernels import (
     KernelSpec,
     StagePolicy,
     cross_gram,
-    eval_kernel,
     eval_policy,
     eval_policy_batch,
     gram_matrix,
+    kernel_matrix,
     median_length_scale,
 )
 from kernelpi.offline import SolverConfig, StageSolver
@@ -30,32 +30,32 @@ def vectors(dim, lo=-10.0, hi=10.0):
 
 def test_rbf_self_evaluation_is_one():
     for x in (np.zeros(3), np.array([1.0, -2.0]), np.array([5.0])):
-        assert eval_kernel(RBF, x, x) == pytest.approx(1.0, abs=0)
+        assert kernel_matrix(RBF, x[None], x[None])[0, 0] == pytest.approx(1.0, abs=0)
 
 
 def test_rbf_known_value():
     x = np.array([0.0, 0.0])
     y = np.array([np.sqrt(2.0), 0.0])
-    assert eval_kernel(RBF, x, y) == pytest.approx(np.exp(-1.0), rel=1e-12)
+    assert kernel_matrix(RBF, x[None], y[None])[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
 
 def test_linear_kernel_is_inner_product():
-    assert eval_kernel(LIN, [1.0, 2.0], [3.0, 4.0]) == pytest.approx(11.0)
+    assert kernel_matrix(LIN, [[1.0, 2.0]], [[3.0, 4.0]])[0, 0] == pytest.approx(11.0)
 
 
 def test_polynomial_kernel_value():
     spec = KernelSpec(family="polynomial", degree=2, offset=1.0)
-    assert eval_kernel(spec, [1.0, 1.0], [2.0, 0.0]) == pytest.approx(9.0)
+    assert kernel_matrix(spec, [[1.0, 1.0]], [[2.0, 0.0]])[0, 0] == pytest.approx(9.0)
 
 
 def test_eval_kernel_dimension_mismatch():
     with pytest.raises(ValueError):
-        eval_kernel(RBF, [1.0, 2.0], [1.0])
+        kernel_matrix(RBF, [[1.0, 2.0]], [[1.0]])
 
 
 def test_eval_kernel_rejects_non_finite():
     with pytest.raises(ValueError):
-        eval_kernel(RBF, [np.nan, 0.0], [0.0, 0.0])
+        kernel_matrix(RBF, [[np.nan, 0.0]], [[0.0, 0.0]])
 
 
 def test_invalid_kernel_specs():
@@ -165,8 +165,8 @@ def test_median_length_scale():
 @given(x=vectors(3), y=vectors(3), family=st.sampled_from(["gaussian-rbf", "linear", "polynomial"]))
 def test_kernel_symmetry(x, y, family):
     spec = KernelSpec(family=family, length_scale=1.7, degree=3, offset=0.5)
-    a = eval_kernel(spec, x, y)
-    b = eval_kernel(spec, y, x)
+    a = kernel_matrix(spec, x[None], y[None])[0, 0]
+    b = kernel_matrix(spec, y[None], x[None])[0, 0]
     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 

@@ -169,7 +169,7 @@ def test_accepted_steps_satisfy_descent_identity():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_quadratic_stage_root_is_closed_form_within_five_tail_calls(seed):
+def test_quadratic_stage_root_is_closed_form_within_four_tail_calls(seed):
     # with a linear kernel and a terminal-cost tail, J is quadratic along the
     # step: J(t) = J0 + s t + kappa t^2, so the secant identity's root along the
     # solver's own direction is t* = -s / (kappa + ||P||^2 / delta)
@@ -189,7 +189,7 @@ def test_quadratic_stage_root_is_closed_form_within_five_tail_calls(seed):
     kappa = float(np.sum((P @ spec.R) * P) + np.sum((PB @ spec.Q_F) * PB)) / N
     t_star = -s / (kappa + float(np.sum(P * P)) / cfg.delta_lr)
     assert t_solver == pytest.approx(t_star, rel=1e-9)
-    assert res.tail_calls <= 5
+    assert res.tail_calls <= 4
 
 
 def _penalty_stage(seed):
@@ -423,8 +423,7 @@ def test_stage_solver_directions_descend_and_match_a_direct_solve(seed, family, 
     tail = lambda Y: terminal_cost(Y, spec)
     ws = _StageWorkspace(solver, np.zeros((M, m)), tail, rng.normal(size=(N, n)))
     G = rng.normal(size=(N, m))
-    ws.value_gradient = lambda: G
-    V, P, p2, s0 = ws.descent_direction()
+    V, P, p2, s0 = ws.descent_direction(G)
     assert s0 <= 0.0
     if np.linalg.cond(solver.K_ridge) < 1e6:
         V_ref = -np.linalg.solve(solver.K_ridge, ws.cross.T @ G)
@@ -454,3 +453,53 @@ def test_diverging_trial_step_shrinks_instead_of_aborting(delta_lr):
     assert len(records) == 20
     costs = [r.cost for r in records] + [records[-1].cost_after]
     assert all(b <= a + 1e-9 * (1.0 + abs(a)) for a, b in zip(costs, costs[1:]))
+
+
+def _edge_of_guard_stage(a, y_far):
+    """A scalar stage whose second sampled state has the successor y_far under c_old = 0.
+
+    The forward-difference probe moves that successor by 1e-5 (1 + |y_far|),
+    so with y_far just inside STATE_GUARD only its perturbed copy crosses it.
+    """
+    from kernelpi.costs import TailEvaluator
+    from kernelpi.kernels import KernelPolicy, StagePolicy
+
+    sys_ = LinearSystem(A=[[a]], B=[[1.0]])
+    spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
+    kernel = KernelSpec(family="linear")
+    d = Dictionary(points=[[1.0]])
+    policy = KernelPolicy(kernel, [StagePolicy.zero(1, d) for _ in range(4)])
+    tail = TailEvaluator(sys_, spec, policy, 1).values
+    states = np.array([[1.0], [y_far / a]])
+    solver = StageSolver(kernel, d, SolverConfig(), spec, sys_)
+    return sys_, spec, solver, tail, states, cross_gram(kernel, states, d)
+
+
+def test_probe_diverging_only_in_perturbed_rows_keeps_c_old_with_the_objective_at_c_old():
+    from kernelpi.dynamics import STATE_GUARD
+
+    # a contracting tail: the unperturbed successor stays inside the guard
+    sys_, spec, solver, tail, states, cross = _edge_of_guard_stage(0.5, STATE_GUARD - 2.0)
+    c_old = np.zeros((1, 1))
+    res = solve_implicit_update(solver, c_old, tail, states)
+    assert res.reason == "gradient-diverged" and not res.accepted
+    np.testing.assert_array_equal(res.c_new, c_old)
+    J_old = empirical_stage_objective(c_old, states, tail, sys_, spec, cross)
+    assert res.objective_old == pytest.approx(J_old, rel=1e-12)
+    assert res.objective_new == res.objective_old
+    # the probe (n + 1 = 2 row blocks) and J0 from the unperturbed rows alone
+    assert (res.tail_calls, res.evals) == (2, 3)
+
+
+def test_probe_with_diverging_unperturbed_rows_raises_their_divergence():
+    from kernelpi.dynamics import STATE_GUARD, DivergenceError
+
+    # an expanding tail: the probe first fails on a perturbed row at stage 1,
+    # but the unperturbed successor of sample 1 leaves the guard at stage 2
+    _, _, solver, tail, states, _ = _edge_of_guard_stage(2.0, STATE_GUARD - 2.0)
+    with pytest.raises(DivergenceError) as probe:
+        _StageWorkspace(solver, np.zeros((1, 1)), tail, states).value_gradient()
+    assert (probe.value.sample_index, probe.value.stage) == (3, 1)
+    with pytest.raises(DivergenceError) as exc:
+        solve_implicit_update(solver, np.zeros((1, 1)), tail, states)
+    assert (exc.value.sample_index, exc.value.stage) == (1, 2)
