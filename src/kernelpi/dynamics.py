@@ -90,7 +90,11 @@ def assemble_team_system(subsystems: Sequence[LinearSystem]) -> LinearSystem:
 
 
 def step(sys: LinearSystem, x, u) -> np.ndarray:
-    """One transition x+ = A x + B u with shape and finiteness checks."""
+    """One transition x+ = A x + B u with shape checks and the divergence guard.
+
+    A next state that is non-finite or whose norm exceeds STATE_GUARD raises
+    a DivergenceError: the rule rollout and the tail simulation apply.
+    """
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     if x.shape[0] != sys.n:
@@ -98,8 +102,8 @@ def step(sys: LinearSystem, x, u) -> np.ndarray:
     if u.shape[0] != sys.m:
         raise ValueError(f"control has dimension {u.shape[0]}, expected {sys.m}")
     nxt = sys.A @ x + sys.B @ u
-    if not np.isfinite(nxt).all():
-        raise DivergenceError("non-finite state after step")
+    if not nxt @ nxt <= STATE_GUARD**2:
+        raise DivergenceError("state after step is non-finite or beyond the guard")
     return nxt
 
 

@@ -1,16 +1,18 @@
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kernelpi.cli import export_run, main, oracle_compare
 from kernelpi.config import (
+    MODES,
     ConfigError,
     RunConfig,
     config_from_mapping,
@@ -455,3 +457,83 @@ def test_online_command_runs_and_exports(tmp_path):
     cost = (out / "cost_history.csv").read_text().strip().splitlines()
     assert len(cost) == 1 + 10  # horizon 20 minus 10 identification steps
     assert (out / "trajectories.csv").exists() and (out / "distances.csv").exists()
+
+
+_SHORT_SOLVER = dict(
+    delta_lr=st.floats(-2.0, 3.0).map(lambda e: 10.0**e),
+    max_outer_iters=st.integers(1, 2),
+    mc_samples=st.integers(1, 4),
+    dict_size=st.integers(1, 3),
+    kernel_family=st.sampled_from(["gaussian-rbf", "linear", "polynomial"]),
+    convergence_tol=st.just(0.0),
+)
+
+
+@st.composite
+def _short_run(draw, mode):
+    """A valid config of a tiny, short solve in the given mode."""
+    data = {"mode": mode, "seed": draw(st.integers(0, 2**16))}
+    if mode in ("offline", "online"):
+        # online runs identify long enough for an unstable HDV to run away
+        online = mode == "online"
+        ident = draw(st.integers(10, 40)) if online else 0
+        data["scenario"] = {
+            "n_cav": draw(st.integers(1, 2)),
+            "n_hdv": 1 if online else draw(st.integers(0, 1)),
+            "horizon": ident + draw(st.integers(1, 3)),
+            "hdv_gain": 10.0 ** draw(st.floats(-3.0, 9.0)),
+        }
+        data["solver"] = draw(st.fixed_dictionaries(_SHORT_SOLVER))
+        if online:
+            data["online"] = {"ident_steps": ident, "window": draw(st.integers(1, 3))}
+    elif mode == "oracle-compare":
+        data["oracle"] = {
+            "horizon": draw(st.integers(1, 3)),
+            "n_vehicles": draw(st.integers(1, 2)),
+            "state_weight": draw(st.floats(0.0, 10.0)),
+            "control_weight": draw(st.floats(1e-3, 10.0)),
+            "scalar_check": False,
+        }
+        data["solver"] = draw(st.fixed_dictionaries({**_SHORT_SOLVER, "kernel_family": st.just("linear")}))
+    else:
+        data["probe"] = {
+            "samples": draw(st.integers(2, 3)),
+            "dict_size": draw(st.integers(1, 2)),
+            "horizon": 2,
+            "iterations": 1,
+        }
+    return data
+
+
+# The shipped online scenario with an HDV whose speed grows 1e8-fold per step:
+# identification must stop at the state guard, not overflow the estimator.
+_RUNAWAY_HDV = {
+    "mode": "online",
+    "seed": 11,
+    "scenario": {"n_cav": 2, "n_hdv": 1, "horizon": 45, "hdv_gain": 1.0e9},
+    "solver": {"max_outer_iters": 2, "mc_samples": 1, "dict_size": 1},
+    "online": {"ident_steps": 40, "window": 3},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=st.sampled_from(MODES).flatmap(_short_run))
+@example(config=_RUNAWAY_HDV)
+def test_short_solves_of_valid_configs_exit_cleanly(config):
+    # every valid config ends in a documented exit code, never an exception:
+    # 0 on success, 2 for a config the run refuses, 3 on divergence
+    mode = config["mode"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**config, "output_dir": str(out)}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConflictingPathsWarning)
+            code = main([mode, str(path)])
+        assert code in (0, 2, 3)
+        if mode == "offline" and code == 0:
+            tol = load_config(path).solver.inner_tol
+            rows = (out / "cost_history.csv").read_text().strip().splitlines()[1:]
+            costs = [float(row.split(",")[1]) for row in rows]
+            for before, after in zip(costs, costs[1:]):
+                assert after <= before + tol * (1.0 + abs(before))

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from kernelpi.costs import (
     CollisionSpec,
     CostSpec,
+    StateCost,
     TailEvaluator,
     collision_penalty,
     empirical_stage_objective,
@@ -29,6 +30,31 @@ def grid_extractor(x):
     # interpret consecutive state pairs as planar coordinates
     x = np.asarray(x, dtype=float)
     return x.reshape(x.shape[:-1] + (-1, 2))
+
+
+# the displacement p1 - p2 of the planar points p1 = (x0, x1), p2 = (x2, x3)
+DISPLACEMENT = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+
+
+def pair_penalty():
+    """collision_penalty of the two planar points as a StateCost, shifted to vanish at x = 0."""
+    to_sums = np.array([[1.0, 0.0], [1.0, 0.0]])
+    return StateCost(
+        DISPLACEMENT, np.zeros(2), to_sums, PAIR_SPEC.safety_distance**2, PAIR_SPEC.softening
+    )
+
+
+def bowl_penalty():
+    """The pair penalty plus k |p1 - p2|^2; k = d_safe^2 / softening^2 keeps it >= 0."""
+    k = PAIR_SPEC.safety_distance**2 / PAIR_SPEC.softening**2
+    to_sums = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, k], [0.0, k]])
+    return StateCost(
+        np.hstack([DISPLACEMENT, DISPLACEMENT]),
+        np.zeros(4),
+        to_sums,
+        PAIR_SPEC.safety_distance**2,
+        PAIR_SPEC.softening,
+    )
 
 
 def test_collision_single_vehicle_is_zero():
@@ -87,38 +113,28 @@ def test_stage_cost_known_value():
 
 
 def test_stage_cost_additive_penalty():
-    spec = CostSpec(
-        Q=np.eye(4),
-        R=np.eye(2),
-        Q_F=np.eye(4),
-        psi=lambda x: collision_penalty(grid_extractor(x), PAIR_SPEC),
-    )
-    x = np.zeros(4)  # both planar points coincide at the origin
-    assert stage_cost(x, np.zeros(2), spec) == pytest.approx(10.0)
+    psi = pair_penalty()
+    spec = CostSpec(Q=np.eye(4), R=np.eye(2), Q_F=np.eye(4), psi=psi)
+    x = np.array([0.0, 0.0, 2.0, 0.0])  # the planar points are two meters apart
+    u = np.array([1.0, -1.0])
+    # the shift is the penalty at the zero state, where the points coincide: 1 / 0.1
+    expected_psi = collision_penalty(grid_extractor(x), PAIR_SPEC) - 10.0
+    assert psi(x) == pytest.approx(expected_psi, rel=1e-12)
+    assert psi(np.zeros(4)) == 0.0
+    assert stage_cost(x, u, spec) == pytest.approx(4.0 + 2.0 + 1.0 / 4.1 - 10.0, rel=1e-12)
 
 
 def test_terminal_cost_values():
     spec = CostSpec(Q=np.eye(2), R=[[1.0]], Q_F=2.0 * np.eye(2))
     assert terminal_cost(np.zeros(2), spec) == 0.0
     assert terminal_cost([1.0, 1.0], spec) == pytest.approx(4.0)
-    spec_pen = CostSpec(
-        Q=np.eye(4),
-        R=np.eye(2),
-        Q_F=np.eye(4),
-        psi_F=lambda x: collision_penalty(grid_extractor(x), PAIR_SPEC),
-    )
-    assert terminal_cost(np.zeros(4), spec_pen) == pytest.approx(10.0)
-
-
-def test_cost_spec_validation():
-    good = CostSpec(Q=np.eye(2), R=[[1.0]], Q_F=np.eye(2))
-    good.validate()
-    with pytest.raises(ValueError):
-        CostSpec(Q=-np.eye(2), R=[[1.0]], Q_F=np.eye(2)).validate()
-    with pytest.raises(ValueError):
-        CostSpec(Q=[[1.0, 0.5], [0.0, 1.0]], R=[[1.0]], Q_F=np.eye(2)).validate()
-    with pytest.raises(ValueError):
-        CostSpec(Q=np.eye(2), R=[[1.0]], Q_F=np.eye(2), psi=lambda x: 1.0 + 0.0 * x[..., 0]).validate()
+    spec_pen = CostSpec(Q=np.eye(4), R=np.eye(2), Q_F=np.eye(4), psi_F=pair_penalty())
+    assert terminal_cost(np.zeros(4), spec_pen) == 0.0
+    x = np.array([0.0, 0.0, 2.0, 0.0])
+    assert terminal_cost(x, spec_pen) == pytest.approx(4.0 + 1.0 / 4.1 - 10.0, rel=1e-12)
+    # the terminal penalty is psi_F alone: psi does not reach the terminal cost
+    spec_stage_only = CostSpec(Q=np.eye(4), R=np.eye(2), Q_F=np.eye(4), psi=pair_penalty())
+    assert terminal_cost(x, spec_stage_only) == pytest.approx(4.0, rel=1e-12)
 
 
 def _quad_spec(n, m):
@@ -148,9 +164,9 @@ def test_cost_to_go_matches_forward_sum():
     sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 0.95]], B=[[0.0], [0.1]])
     policy = lambda t, X: 0.3 * rng.standard_normal((X.shape[0], 1)) * 0 + 0.1 * X[:, :1]
     batch = rollout(sys_, policy, rng.normal(size=(4, 2)), horizon=3)
-    spec = CostSpec(
-        Q=np.eye(2), R=[[0.5]], Q_F=2 * np.eye(2), psi=lambda x: np.sum(x**2, axis=-1) ** 2 * 0.01
-    )
+    # a proximity bump around the point (-1, 0.5), in stage and terminal cost
+    bump = StateCost(np.eye(2), np.array([1.0, -0.5]), np.array([[1.0, 0.0], [1.0, 0.0]]), 0.5, 0.2)
+    spec = CostSpec(Q=np.eye(2), R=[[0.5]], Q_F=2 * np.eye(2), psi=bump, psi_F=bump)
     table = evaluate_cost_to_go(batch, spec)
     forward = np.zeros(4)
     for t in range(3):
@@ -167,8 +183,8 @@ def test_cost_to_go_nonnegative_with_nonnegative_penalties():
         Q=0.1 * np.eye(4),
         R=np.eye(2),
         Q_F=np.eye(4),
-        psi=lambda x: collision_penalty(grid_extractor(x), PAIR_SPEC),
-        psi_F=lambda x: collision_penalty(grid_extractor(x), PAIR_SPEC),
+        psi=bowl_penalty(),
+        psi_F=bowl_penalty(),
     )
     batch = rollout(sys_, lambda t, X: rng.normal(size=(X.shape[0], 2)), rng.normal(size=(5, 4)), horizon=4)
     table = evaluate_cost_to_go(batch, spec)
@@ -352,10 +368,7 @@ def _tail_case(family, penalty, seed=5):
     scenario, sys_, _, scenario_cost = build_intersection(scen)
     psi, psi_F = {
         "intersection": (scenario_cost.psi, scenario_cost.psi_F),
-        "callable": (
-            lambda x: np.log1p(np.sum(x * x, axis=-1)),
-            lambda x: 0.5 * np.cos(x[..., 0]) - 0.5,
-        ),
+        "direct": (pair_penalty(), bowl_penalty()),
         "none": (None, None),
     }[penalty]
     n, m = sys_.n, sys_.m
@@ -373,7 +386,7 @@ def _tail_case(family, penalty, seed=5):
 
 
 FAMILIES = pytest.mark.parametrize("family", ["gaussian-rbf", "polynomial", "linear"])
-PENALTIES = pytest.mark.parametrize("penalty", ["intersection", "callable", "none"])
+PENALTIES = pytest.mark.parametrize("penalty", ["intersection", "direct", "none"])
 
 
 @FAMILIES

@@ -95,6 +95,15 @@ def test_step_flags_non_finite_result():
             step(sys_, [1e308, 0.0], [0.0])
 
 
+def test_step_applies_the_state_guard():
+    # one divergence rule: step stops where rollout and the tail stop
+    sys_ = LinearSystem(A=[[10.0]], B=[[0.0]])
+    assert step(sys_, [STATE_GUARD / 10.0], [0.0])[0] == STATE_GUARD
+    for x in (STATE_GUARD / 10.0 * (1.0 + 1e-9), -1e7, np.inf, np.nan):
+        with pytest.raises(DivergenceError):
+            step(sys_, [x], [0.0])
+
+
 def _drift_system():
     return LinearSystem(A=[[1.0, 0.1], [0.0, 1.0]], B=[[0.005], [0.1]])
 

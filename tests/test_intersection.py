@@ -67,7 +67,6 @@ def test_penalty_vanishes_at_zero_state():
         _, _, _, cost = build_intersection(cfg)
         assert abs(float(cost.psi(np.zeros(cost.n)))) < 1e-12
         assert abs(float(cost.psi_F(np.zeros(cost.n)))) < 1e-12
-        cost.validate()
 
 
 def test_build_rejects_start_inside_region():

@@ -48,12 +48,12 @@ def test_polynomial_kernel_value():
     assert kernel_matrix(spec, [[1.0, 1.0]], [[2.0, 0.0]])[0, 0] == pytest.approx(9.0)
 
 
-def test_eval_kernel_dimension_mismatch():
+def test_kernel_matrix_dimension_mismatch():
     with pytest.raises(ValueError):
         kernel_matrix(RBF, [[1.0, 2.0]], [[1.0]])
 
 
-def test_eval_kernel_rejects_non_finite():
+def test_kernel_matrix_rejects_non_finite():
     with pytest.raises(ValueError):
         kernel_matrix(RBF, [[np.nan, 0.0]], [[0.0, 0.0]])
 

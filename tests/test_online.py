@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kernelpi.costs import CostSpec
-from kernelpi.dynamics import LinearSystem, rollout
+from kernelpi.dynamics import STATE_GUARD, LinearSystem, rollout
 from kernelpi.intersection import ScenarioConfig, build_intersection, min_pairwise_distance
 from kernelpi.kernels import KernelPolicy, KernelSpec, eval_policy
 from kernelpi.offline import SolverConfig, build_dictionaries, run_policy_iteration
@@ -332,6 +332,17 @@ def test_run_online_identifies_hidden_coupling():
     post = log.states[cfg.ident_steps :]
     assert log.min_distance_post_ident == pytest.approx(min_pairwise_distance(post, scenario))
     assert log.pe_result.status in ("satisfied", "not_satisfied", "insufficient_data")
+
+
+def test_unstable_plant_stops_identification_at_the_state_guard():
+    # x doubles each step: identification must stop at the guard, as a
+    # divergence, instead of feeding ever larger states to the estimator
+    plant = LinearSystem([[2.0]], [[1.0]])
+    cfg = OnlineConfig(horizon=45, window=2, ident_steps=40, solver=linear_solver(), seed=0)
+    log = run_online(plant, cfg, lq_spec(1, 1), x0=[1.0])
+    assert log.diverged
+    assert len(log.identification_steps) < 25
+    assert log.max_state_norm <= STATE_GUARD
 
 
 def test_run_online_requires_state_or_scenario():
