@@ -309,8 +309,17 @@ def _cmd_online(cfg: RunConfig, out_dir: Path) -> int:
         "max_state_norm": log.max_state_norm,
         "pe_status": log.pe_result.status,
         "diverged": log.diverged,
+        "diverged_step": log.diverged_step,
     }
     export_run(log, out_dir, cfg=cfg, scenario=scenario, runtime=runtime)
+    if log.diverged:
+        phase = "identification" if log.diverged_step < cfg.online.ident_steps else "planning"
+        norm = float(np.linalg.norm(log.states[-1]))
+        print(
+            f"error: online run diverged at step {log.diverged_step} ({phase} phase): the next "
+            f"plant state crossed the state guard; last state norm {norm:.6g}",
+            file=sys.stderr,
+        )
     print(
         f"online: {len(log.steps)} steps, min distance post-identification "
         f"{log.min_distance_post_ident:.3f} m, results in {out_dir}"

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import LinearSystem, TrajectoryBatch, check_guard
+from .dynamics import LinearSystem, TrajectoryBatch, check_norms
 from .kernels import KernelPolicy, StageExpansion
 
 __all__ = [
@@ -101,10 +101,11 @@ class StateCost:
         self.lin = lin
         self.offset = offset
         self.squares_to_sums = squares_to_sums
-        self.ones = np.ones(squares_to_sums.shape[1] - 1)
         self.pair_weight = pair_weight
+        self.pair_weights = np.full(squares_to_sums.shape[1] - 1, float(pair_weight))
         self.softening = softening
-        self.shift = float(self._terms(offset))
+        self.shift = 0.0
+        self.shift = float(self.of_sums((offset * offset) @ squares_to_sums))
 
     @classmethod
     def quadratic(cls, M: np.ndarray, psi: Optional["StateCost"] = None) -> "StateCost":
@@ -126,22 +127,32 @@ class StateCost:
             self.softening,
         )
 
-    def _terms(self, z):
-        sums = (z * z) @ self.squares_to_sums
+    def of_sums(self, sums):
+        """The cost from the sums s = (z * z) @ squares_to_sums, batched over leading axes."""
         out = sums[..., -1]
-        if self.ones.size:
-            out = out + (self.pair_weight / (sums[..., :-1] + self.softening)) @ self.ones
-        return out
-
-    def of_map(self, z):
-        """The cost at the states whose map is z = x lin + offset."""
-        out = self._terms(z)
+        if self.pair_weights.size:
+            out = out + (1.0 / (sums[..., :-1] + self.softening)) @ self.pair_weights
         if self.shift:
             out = out - self.shift
         return out
 
+    def slopes_of_sums(self, sums, cross_sums):
+        """The cost's derivative along a tangent dz of its map z.
+
+        With cross_sums = (z * dz) @ squares_to_sums the sums move by
+        ds = 2 cross_sums, so the slope is
+        ds_last - sum_p pair_weight ds_p / (s_p + softening)^2.  sums
+        broadcasts against cross_sums.
+        """
+        out = cross_sums[..., -1]
+        if self.pair_weights.size:
+            shifted = sums[..., :-1] + self.softening
+            out = out - (cross_sums[..., :-1] / (shifted * shifted)) @ self.pair_weights
+        return 2.0 * out
+
     def __call__(self, x):
-        return self.of_map(np.asarray(x, dtype=float) @ self.lin + self.offset)
+        z = np.asarray(x, dtype=float) @ self.lin + self.offset
+        return self.of_sums((z * z) @ self.squares_to_sums)
 
 
 @dataclass
@@ -230,15 +241,19 @@ class TailEvaluator:
     tail_cost, fixed for the tail, and the stage's kernel features times
     coeffs [B' | 0 | F_R], which adds the control's effect on the next state
     and its cost factor.  For the linear kernel the features are X itself, so
-    the two matrices are summed and a stage is one product.
+    the two matrices are summed and a stage is one product.  A third product
+    takes the squares of [next state | cost map] to the next state's squared
+    norm, which the next stage's guard and kernel read, and the cost map's
+    sums of squares; the cost's nonlinear rest (StateCost.of_sums) is
+    applied once per call, over all stages.
     """
 
     def __init__(self, sys: LinearSystem, spec: CostSpec, policy: KernelPolicy, start_stage: int):
         if not 0 <= start_stage <= policy.horizon:
             raise ValueError("start_stage out of range")
-        self.sys = sys
         self.spec = spec
         self.start_stage = start_stage
+        self.stage_count = policy.horizon - start_stage
         cost = spec.tail_cost
         control_factor = spec.control_cost.lin
         width = cost.lin.shape[1]
@@ -246,6 +261,9 @@ class TailEvaluator:
         control_map = np.zeros((sys.m, sys.n + width))
         control_map[:, : sys.n] = sys.B.T
         control_map[:, sys.n + width - control_factor.shape[1] :] = control_factor
+        self._to_sums = np.zeros((sys.n + width, 1 + cost.squares_to_sums.shape[1]))
+        self._to_sums[: sys.n, 0] = 1.0
+        self._to_sums[sys.n :, 1:] = cost.squares_to_sums
         self._linear = policy.kernel.family == "linear"
         self._stages = []
         for t in range(start_stage, policy.horizon):
@@ -255,21 +273,59 @@ class TailEvaluator:
                 step += self._state_map
             self._stages.append((expansion, step))
 
-    def values(self, states) -> np.ndarray:
+    def values(self, states, directions=None):
+        """Continuation values at the rows of states, shape (N,).
+
+        With directions, a (k, n) array of rows d_j, it returns (values,
+        slopes) where slopes[i, j] is the exact directional derivative
+        dV/dy . d_j at row i.  The tangent rows ride below the state rows,
+        in k blocks of N, through the same products of every stage: the
+        kernel features' Jacobian (kernels._Anchors) and the cost's
+        derivative (StateCost.slopes_of_sums) carry them.  Only state rows
+        meet the divergence guard; a tangent that overflows gives a
+        non-finite slope.
+        """
         X = np.atleast_2d(np.asarray(states, dtype=float))
-        n = self.sys.n
+        N, n = X.shape
+        blocks = 1
+        if directions is not None:
+            D = np.atleast_2d(np.asarray(directions, dtype=float))
+            blocks += D.shape[0]
+            X = np.concatenate([X, np.repeat(D, N, axis=0)])
         cost = self.spec.tail_cost
-        total = np.zeros(X.shape[0])
-        for t, (expansion, step) in enumerate(self._stages, start=self.start_stage):
-            sq = check_guard(X, t, "tail simulation")
+        width = self._to_sums.shape[1]
+        sums = np.empty((self.stage_count, blocks * N, width))
+        if self.stage_count:
+            # |x|^2 of the state rows, then x . dx of each tangent row with its
+            # state row, through the state part of the map each stage uses below
+            X3 = X.reshape(blocks, N, n)
+            norms = (X3 * X3[0]).reshape(blocks * N, n) @ self._to_sums[:n, 0]
+        for i, (expansion, step) in enumerate(self._stages):
+            check_norms(norms[:N], self.start_stage + i, "tail simulation")
             if self._linear:
                 Z = X @ step
             else:
-                Z = expansion.features(X, sq) @ step
+                Z = expansion.features(X, norms, N) @ step
                 Z += X @ self._state_map
-            total += cost.of_map(Z[:, n:] + cost.offset)
+            Z[:N, n:] += cost.offset
+            Z3 = Z.reshape(blocks, N, -1)
+            np.matmul((Z3 * Z3[0]).reshape(blocks * N, -1), self._to_sums, out=sums[i])
+            norms = sums[i, :, 0]
             X = Z[:, :n]
-        return total + self.spec.final_cost(X)
+        final = self.spec.final_cost
+        z = (X @ final.lin).reshape(blocks, N, -1)
+        z[0] += final.offset
+        final_sums = (z * z[0]).reshape(blocks * N, -1) @ final.squares_to_sums
+        final_sums = final_sums.reshape(blocks, N, -1)
+        total = final.of_sums(final_sums[0])
+        if blocks > 1:
+            slopes = final.slopes_of_sums(final_sums[0], final_sums[1:])
+        if self.stage_count:
+            sums = sums.reshape(self.stage_count, blocks, N, width)[..., 1:]
+            total = cost.of_sums(sums[:, 0]).sum(axis=0) + total
+            if blocks > 1:
+                slopes = cost.slopes_of_sums(sums[:, :1], sums[:, 1:]).sum(axis=0) + slopes
+        return total if blocks == 1 else (total, slopes.T)
 
 
 def empirical_stage_objective(

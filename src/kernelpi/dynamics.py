@@ -15,6 +15,7 @@ __all__ = [
     "DivergenceError",
     "STATE_GUARD",
     "check_guard",
+    "check_norms",
     "discretize_double_integrator",
     "assemble_team_system",
     "step",
@@ -145,15 +146,20 @@ def _policy_fn(policy: PolicyLike, m: int):
 
 
 def check_guard(X: np.ndarray, t: int, what: str = "trajectory") -> np.ndarray:
-    """Squared row norms of the states X at stage t, after the divergence guard.
+    """Squared row norms of the states X at stage t, after the divergence guard (check_norms)."""
+    return check_norms(np.einsum("ij,ij->i", X, X), t, what)
+
+
+def check_norms(sq: np.ndarray, t: int, what: str = "trajectory") -> np.ndarray:
+    """The squared state norms sq at stage t, after the divergence guard.
 
     A row whose squared norm is not <= STATE_GUARD^2 (NaN, inf, or beyond the
     guard) raises a DivergenceError naming the first such sample and stage t.
+    One test of the largest norm covers every row, NaN included, because the
+    maximum of an array holding NaN is NaN.
     """
-    sq = np.einsum("ij,ij->i", X, X)
-    within = sq <= STATE_GUARD**2
-    if not within.all():
-        i = int(np.argmin(within))
+    if not sq.max(initial=0.0) <= STATE_GUARD**2:
+        i = int(np.argmin(sq <= STATE_GUARD**2))
         raise DivergenceError(
             f"{what} diverged at sample {i}, stage {t}", sample_index=i, stage=t
         )

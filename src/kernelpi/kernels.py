@@ -66,21 +66,52 @@ def _sq_norms(P: np.ndarray) -> np.ndarray:
     return np.sum(P * P, axis=1)
 
 
-def _from_products(
-    spec: KernelSpec, XY: np.ndarray, x_sq: np.ndarray, y_sq: np.ndarray
-) -> np.ndarray:
-    """Kernel values from the inner products XY = X Y' and the squared row norms of X and Y.
+class _Anchors:
+    """Anchor points compiled for their kernel family; each family's formula is written here only.
 
-    This is the one place each family's formula is written; the norms are
-    read by the gaussian-rbf family only.
+    values(X, norms, rows) returns the kernel values k(x, p_j) at the first
+    `rows` rows of X.  Any later rows are tangents dx, in blocks of `rows`
+    that match the state rows in order, and come back as the derivatives
+    dk = (dk/dx) dx, so one product with the anchors serves both.  norms
+    holds |x|^2 for each state row and then x . dx for each tangent row.  With
+    c = 1/length_scale^2 the gaussian-rbf exponent -c |x - p|^2 / 2 is
+    x.(c p) - c |p|^2/2 - c |x|^2/2, so the anchors are kept scaled by c with
+    the halved scaled squared norms beside them.
     """
-    if spec.family == "gaussian-rbf":
-        sq = x_sq[:, None] + y_sq[None, :] - 2.0 * XY
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp((-0.5 / spec.length_scale**2) * sq)
-    if spec.family == "linear":
-        return XY
-    return (XY + spec.offset) ** spec.degree
+
+    __slots__ = ("spec", "scaled", "half_sq", "rate")
+
+    def __init__(self, spec: KernelSpec, points: np.ndarray):
+        self.spec = spec
+        self.scaled = points
+        if spec.family == "gaussian-rbf":
+            self.rate = 1.0 / spec.length_scale**2
+            self.scaled = self.rate * points
+            self.half_sq = 0.5 * self.rate * _sq_norms(points)
+
+    def values(self, X: np.ndarray, norms: np.ndarray, rows=None) -> np.ndarray:
+        spec = self.spec
+        K = X @ self.scaled.T
+        N = X.shape[0] if rows is None else rows
+        KX = K[:N]
+        dK = K[N:].reshape(-1, N, K.shape[1]) if K.shape[0] > N else None
+        if spec.family == "gaussian-rbf":
+            KX -= self.half_sq
+            KX -= (0.5 * self.rate) * norms[:N, None]
+            np.minimum(KX, 0.0, out=KX)
+            np.exp(KX, out=KX)
+            if dK is not None:
+                # dk = k (c p - c x) . dx
+                dK -= (self.rate * norms[N:]).reshape(-1, N, 1)
+                dK *= KX
+        elif spec.family == "polynomial":
+            base = KX + spec.offset
+            if dK is not None:
+                # dk = degree (x.p + offset)^(degree - 1) p . dx
+                dK *= spec.degree * base ** (spec.degree - 1)
+            np.power(base, spec.degree, out=KX)
+        # the linear kernel x.p is its own derivative p.dx: the products are final
+        return K
 
 
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
@@ -89,7 +120,7 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     Y = _as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    return _from_products(spec, X @ Y.T, _sq_norms(X), _sq_norms(Y))
+    return _Anchors(spec, Y).values(X, _sq_norms(X))
 
 
 @dataclass
@@ -169,32 +200,34 @@ class StageExpansion:
     """One stage policy compiled for repeated evaluation at batches of states.
 
     The per-stage work that does not depend on the evaluation points is done
-    once here: the anchors' squared norms, and for the linear kernel the
-    collapse of sum_j (x . p_j) c_j into the single feedback matrix P' C.
-    The stage is snapshotted; later mutation of its coefficients is not
-    reflected.
+    once here: the anchors compiled for their family (_Anchors), and for the
+    linear kernel the collapse of sum_j (x . p_j) c_j into the single
+    feedback matrix P' C.  The stage is snapshotted; later mutation of its
+    coefficients is not reflected.
     """
 
-    __slots__ = ("kernel", "points", "sq_norms", "coeffs")
+    __slots__ = ("anchors", "coeffs")
 
     def __init__(self, kernel: KernelSpec, stage: StagePolicy):
-        self.kernel = kernel
-        self.points = stage.dictionary.points
+        points = stage.dictionary.points
         if kernel.family == "linear":
-            self.coeffs = self.points.T @ stage.coefficients
+            self.anchors = None
+            self.coeffs = points.T @ stage.coefficients
         else:
+            self.anchors = _Anchors(kernel, points)
             self.coeffs = stage.coefficients
-            self.sq_norms = _sq_norms(self.points)
 
-    def features(self, X: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
-        """The factor of coeffs at the rows of X, given their squared norms.
+    def features(self, X: np.ndarray, norms: np.ndarray, rows=None) -> np.ndarray:
+        """The factor of coeffs at the rows of X, given the squared norms of the state rows.
 
         That is X itself for the linear kernel, and the kernel values at the
-        anchors otherwise.
+        anchors otherwise.  Rows past the first `rows` are tangents and give
+        the features' derivatives along them; norms then goes on with their
+        products x . dx (_Anchors.values).
         """
-        if self.kernel.family == "linear":
+        if self.anchors is None:
             return X
-        return _from_products(self.kernel, X @ self.points.T, row_sq_norms, self.sq_norms)
+        return self.anchors.values(X, norms, rows)
 
     def controls(self, X: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
         """(N, m) controls at the rows of X, given their squared norms."""

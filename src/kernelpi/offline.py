@@ -27,10 +27,11 @@ the step length by a safeguarded secant solve in one dimension.  It stops at
 the first descending step whose secant gap is at most
 ROOT_TOL * inner_tol * (1 + |J_old|), so the identity above holds to that
 precision for every accepted step.  The direction comes from one gradient
-probe, a single tail evaluation of the unperturbed successor states and
-their forward-difference perturbations.  The unperturbed block also gives
-J_old, so a stage update costs one tail call for the probe plus one per
-trial step.
+probe: a single tail evaluation at the successor states under the old
+coefficients that also carries B's columns as tangent directions, so it
+returns the continuation values, and with them J_old, together with their
+exact slopes dV/dy B.  A stage update costs one tail call for the probe plus
+one per trial step.
 """
 
 from __future__ import annotations
@@ -141,12 +142,14 @@ class StageUpdateResult:
     c_new: np.ndarray
     objective_old: float
     objective_new: float
-    # objective evaluations: the probe's n + 1 row blocks (block 0 is J0), one per
-    # trial step, and one for J0 alone when the probe diverges
+    # objective evaluations: J0 from the probe and one per trial step
     evals: int
-    # tail re-simulations: the probe, one per trial step, and one for J0 alone
-    # when the probe diverges
+    # tail re-simulations: the probe and one per trial step
     tail_calls: int
+    # state rows times stages re-simulated over those tail calls
+    tail_row_stages: int
+    # the probe's tangent rows times stages, apart from the state rows
+    tangent_row_stages: int
     value_step_sq: float  # ||pi_new - pi_old||_F^2 over the sampled states
     secant_gap: float  # |dJ + value_step_sq / delta|
     accepted: bool
@@ -242,17 +245,26 @@ class _StageWorkspace:
     objective evaluation.
     """
 
-    def __init__(self, solver: StageSolver, c_old, tail_values, states):
+    def __init__(self, solver: StageSolver, c_old, tail: TailEvaluator, states):
         states = np.atleast_2d(np.asarray(states, dtype=float))
         self.solver = solver
         self.c_old = np.asarray(c_old, dtype=float)
-        self.tail_values = tail_values
+        self.tail = tail
         self.cross = cross_gram(solver.kernel, states, solver.dictionary)
         self.pi_old = self.cross @ self.c_old
         self.drift = states @ solver.sys.A.T
         self.state_cost = solver.spec.state_cost(states)
         self.evals = 0
         self.tail_calls = 0
+        self.tail_row_stages = 0
+        self.tangent_row_stages = 0
+
+    def _tail_values(self, Y, directions=None):
+        self.tail_calls += 1
+        self.tail_row_stages += Y.shape[0] * self.tail.stage_count
+        if directions is not None:
+            self.tangent_row_stages += Y.shape[0] * directions.shape[0] * self.tail.stage_count
+        return self.tail.values(Y, directions)
 
     def _objective(self, pi, continuation) -> float:
         control_cost = self.solver.spec.control_cost(pi)
@@ -261,9 +273,8 @@ class _StageWorkspace:
     def objective_of(self, C) -> float:
         """Sample-average stage cost plus continuation; equals empirical_stage_objective."""
         self.evals += 1
-        self.tail_calls += 1
         pi = self.cross @ np.asarray(C, dtype=float)
-        return self._objective(pi, self.tail_values(self.drift + pi @ self.solver.sys.B.T))
+        return self._objective(pi, self._tail_values(self.drift + pi @ self.solver.sys.B.T))
 
     def trial_objective(self, C) -> float:
         """Objective at a trial point; a diverging continuation scores +inf (no descent)."""
@@ -275,24 +286,18 @@ class _StageWorkspace:
     def value_gradient(self):
         """(J0, G): the objective at c_old and its gradient with respect to the sampled controls.
 
-        The continuation term is differentiated by forward differences on the
-        successor states, batched into a single tail evaluation whose first
-        row block is the unperturbed successors under c_old; that block gives
-        J0.  A DivergenceError from any row propagates.
+        One tail call at the successors under c_old, with the columns of B as
+        tangent directions, gives the continuation values, and so J0, and
+        their exact slopes dV/dy B; then G = (2 pi_old R + dV/dy B) / N.  A
+        DivergenceError from a successor row propagates.  A tangent that
+        overflows leaves G non-finite.
         """
         B = self.solver.sys.B
         y0 = self.drift + self.pi_old @ B.T
-        N, n = y0.shape
-        h = 1.0e-5 * (1.0 + np.abs(y0))
-        Ybig = np.repeat(y0[None, :, :], n + 1, axis=0)
-        for j in range(n):
-            Ybig[j + 1, :, j] += h[:, j]
-        self.evals += n + 1
-        self.tail_calls += 1
-        vals = np.asarray(self.tail_values(Ybig.reshape(-1, n))).reshape(n + 1, N)
-        dV = ((vals[1:] - vals[0]) / h.T).T  # (N, n)
-        G = (2.0 * self.pi_old @ self.solver.spec.R + dV @ B) / N
-        return self._objective(self.pi_old, vals[0]), G
+        self.evals += 1
+        vals, slopes = self._tail_values(y0, B.T)
+        G = (2.0 * self.pi_old @ self.solver.spec.R + slopes) / y0.shape[0]
+        return self._objective(self.pi_old, vals), G
 
     def descent_direction(self, G):
         """Gram-preconditioned direction from the value gradient G: (V, P, ||P||^2, <G, P>)."""
@@ -320,11 +325,32 @@ def _result(ws: _StageWorkspace, J0: float, reason: str, c_new=None, J1=None) ->
         objective_new=J1,
         evals=ws.evals,
         tail_calls=ws.tail_calls,
+        tail_row_stages=ws.tail_row_stages,
+        tangent_row_stages=ws.tangent_row_stages,
         value_step_sq=value_sq,
         secant_gap=gap,
         accepted=accepted,
         reason=reason,
     )
+
+
+def _next_trial(points) -> float:
+    """The root of q interpolated through its latest points, nan when they do not define one.
+
+    Three points with distinct q give the inverse quadratic interpolation;
+    otherwise the secant through the last two is taken.
+    """
+    (a1, q1), (a2, q2) = points[-2:]
+    if len(points) == 3:
+        a0, q0 = points[0]
+        d01, d02, d12 = q0 - q1, q0 - q2, q1 - q2
+        if d01 * d02 != 0.0 and d01 * d12 != 0.0 and d02 * d12 != 0.0:
+            return (
+                a0 * q1 * q2 / (d01 * d02)
+                - a1 * q0 * q2 / (d01 * d12)
+                + a2 * q0 * q1 / (d02 * d12)
+            )
+    return a2 - q2 * (a2 - a1) / (q2 - q1) if q2 != q1 else np.nan
 
 
 def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateResult:
@@ -334,9 +360,11 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
     s0 < 0, so the lower end of the bracket costs no objective evaluation,
     and when J is quadratic in a (linear dynamics and controls, quadratic
     tail) q is linear, so a secant step through two trials lands on the root.
-    Each step takes the secant through the two latest points and bisects the
-    bracket instead when that point is not finite or not inside it; a trial
-    whose continuation diverges scores +inf and shrinks the upper end.  The
+    The second trial takes the secant through the two points of q so far, and
+    every later one the inverse quadratic interpolation through the three
+    latest (_next_trial).  The bracket is bisected instead when that point is
+    not finite or not inside it; a trial whose continuation diverges scores
+    +inf and shrinks the upper end.  The
     first trial with |g| <= ROOT_TOL * inner_tol * (1 + |J0|) and J < J0 is
     accepted.  When none is found, the descending trial with the smallest |g|
     is accepted as "inexact-secant", and when no trial descends the old
@@ -353,7 +381,7 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
         return _result(ws, J0, "stationary")
     a = -s0 * delta / p2
     lo, hi = 0.0, np.inf
-    a_prev, q_prev = 0.0, s0
+    points = [(0.0, s0)]  # the latest points (a, q(a)), oldest first
     best = (np.inf, None, J0)
     for _ in range(MAX_TRIALS):
         Ja = ws.trial_objective(ws.c_old + a * V)
@@ -364,6 +392,7 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
             if abs(g) < best[0]:
                 best = (abs(g), a, Ja)
         q = g / a
+        points = points[-2:] + [(a, q)]
         if q < 0:
             lo = a
         else:  # includes +inf and nan: a diverged trial shrinks the bracket
@@ -375,11 +404,10 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
         elif hi - lo <= BRACKET_RTOL * hi:
             break  # J is too rough along V to resolve the root any further
         else:
-            dq = q - q_prev
-            a_next = a - q * (a - a_prev) / dq if dq != 0.0 else np.nan
+            a_next = _next_trial(points)
             if not lo < a_next < hi:
                 a_next = 0.5 * (lo + hi)
-        a_prev, q_prev, a = a, q, a_next
+        a = a_next
     _, a, Ja = best
     if a is None:
         return _result(ws, J0, "no-descent")
@@ -389,29 +417,26 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
 def solve_implicit_update(
     solver: StageSolver,
     c_old: np.ndarray,
-    tail_values: Callable[[np.ndarray], np.ndarray],
+    tail: TailEvaluator,
     states_at_t,
 ) -> StageUpdateResult:
     """Improve a stage's coefficients against the already-updated tail.
 
     Guarantees objective_new <= objective_old: when the inner solver cannot
     find a descending step the old coefficients are returned unchanged.
-    tail_values must evaluate the continuation cost at arbitrary successor
-    states (normally a TailEvaluator over the updated later stages).
+    tail re-simulates the continuation from the successor states (a
+    TailEvaluator over the updated later stages).
 
-    The objective at c_old, J0, comes from the gradient probe's unperturbed
-    row block, so it costs no tail call of its own.  When the probe
-    diverges, J0 is evaluated from the unperturbed rows alone: a
-    DivergenceError there propagates, because the old coefficients'
-    objective diverges; otherwise only a perturbed row diverged, and the
-    stage keeps c_old as "gradient-diverged".  A trial step whose
-    continuation diverges counts as no descent and the step shrinks.
+    The objective at c_old, J0, and its gradient come from one probe of the
+    tail (_StageWorkspace.value_gradient).  A DivergenceError there
+    propagates, because the old coefficients' objective diverges; a
+    non-finite gradient keeps c_old as "gradient-diverged".  A trial step
+    whose continuation diverges counts as no descent and the step shrinks.
     """
-    ws = _StageWorkspace(solver, c_old, tail_values, states_at_t)
-    try:
-        J0, G = ws.value_gradient()
-    except DivergenceError:
-        return _result(ws, ws.objective_of(ws.c_old), "gradient-diverged")
+    ws = _StageWorkspace(solver, c_old, tail, states_at_t)
+    J0, G = ws.value_gradient()
+    if not np.isfinite(G).all():
+        return _result(ws, J0, "gradient-diverged")
     return _solve_secant(ws, J0, G)
 
 
@@ -487,7 +512,7 @@ def run_policy_iteration(
             for t in range(horizon - 1, -1, -1):
                 tail = TailEvaluator(sys, spec, policy, t + 1)
                 res = solve_implicit_update(
-                    solvers[t], policy.stages[t].coefficients, tail.values, batch.states[:, t]
+                    solvers[t], policy.stages[t].coefficients, tail, batch.states[:, t]
                 )
                 policy.stages[t] = StagePolicy(solvers[t].dictionary, res.c_new)
                 stage_results[t] = res

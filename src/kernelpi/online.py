@@ -213,11 +213,15 @@ class OnlineLog:
     steps: list
     states: np.ndarray  # (S+1, n) observed states including the final one
     controls: np.ndarray  # (S, m)
-    diverged: bool
+    diverged_step: Optional[int]  # the step whose next state crossed the guard, if any
     pe_result: object
     min_distance: float
     min_distance_post_ident: float
     max_state_norm: float
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_step is not None
 
     @property
     def planning_steps(self) -> list:
@@ -258,14 +262,14 @@ def run_online(
     steps: list = []
     states = [x.copy()]
     controls: list = []
-    diverged = False
+    diverged_step = None
 
     for s in range(cfg.ident_steps):
         u = excitation_input(rngs["excitation"], cfg.sigma_excitation, np.zeros(m))
         try:
             x_next = dyn_step(plant, x, u)
         except DivergenceError:
-            diverged = True
+            diverged_step = s
             break
         rls, resid = rls_update(rls, x, u, x_next)
         steps.append(
@@ -285,7 +289,7 @@ def run_online(
 
     kernel = _resolve_online_kernel(cfg, model, x)
 
-    if not diverged:
+    if diverged_step is None:
         warm = shift_warm_start([], cfg.ident_steps - 1, x, model, kernel, cfg)
         for s in range(cfg.ident_steps, cfg.horizon):
             result = plan_window(x, model, warm, kernel, s, cfg, spec)
@@ -293,7 +297,7 @@ def run_online(
             try:
                 x_next = dyn_step(plant, x, u)
             except DivergenceError:
-                diverged = True
+                diverged_step = s
                 break
             steps.append(
                 OnlineStepRecord(
@@ -322,7 +326,7 @@ def run_online(
         steps=steps,
         states=states_arr,
         controls=controls_arr,
-        diverged=diverged,
+        diverged_step=diverged_step,
         pe_result=pe_check(rls),
         min_distance=d_all,
         min_distance_post_ident=d_post,

@@ -537,3 +537,22 @@ def test_short_solves_of_valid_configs_exit_cleanly(config):
             costs = [float(row.split(",")[1]) for row in rows]
             for before, after in zip(costs, costs[1:]):
                 assert after <= before + tol * (1.0 + abs(before))
+
+
+def test_diverged_online_run_reports_where_it_diverged(tmp_path, capsys):
+    # the shipped online run with a runaway HDV crosses the state guard during
+    # identification: the exit status says so, and stderr and runtime.yaml
+    # say at which step, in which phase and from what state norm
+    data = yaml.safe_load((CONFIGS / "online_intersection.yaml").read_text())
+    data["scenario"].update(hdv_gain=1.0e9, horizon=45)
+    data["output_dir"] = str(tmp_path / "run")
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["online", str(path)]) == 3
+    runtime = yaml.safe_load((tmp_path / "run" / "runtime.yaml").read_text())
+    assert runtime["diverged"] is True
+    step = runtime["diverged_step"]
+    assert isinstance(step, int) and 0 <= step < data["online"]["ident_steps"]
+    err = capsys.readouterr().err
+    assert f"diverged at step {step}" in err
+    assert "identification" in err and "state norm" in err

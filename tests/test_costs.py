@@ -330,7 +330,7 @@ def test_stage_workspace_objective_matches_empirical_stage_objective(problem):
     stage = StagePolicy(Dictionary(points=sample(3)), rng.normal(size=(3, sys_.m)) * 0.2)
     tail = TailEvaluator(sys_, spec, KernelPolicy(kernel, [stage] * 3), 1)
     C0 = rng.normal(size=(4, sys_.m)) * 0.2
-    ws = _StageWorkspace(StageSolver(kernel, d, SolverConfig(), spec, sys_), C0, tail.values, states)
+    ws = _StageWorkspace(StageSolver(kernel, d, SolverConfig(), spec, sys_), C0, tail, states)
     for C in [C0] + [rng.normal(size=(4, sys_.m)) for _ in range(4)]:
         expected = empirical_stage_objective(C, states, tail.values, sys_, spec, cross)
         assert ws.objective_of(C) == pytest.approx(expected, rel=1e-12)
@@ -425,3 +425,48 @@ def test_tail_evaluator_factorizes_no_matrix(monkeypatch):
     for name in ("cholesky", "eig", "eigh", "inv", "qr", "solve", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
     TailEvaluator(sys_, spec, policy, 1).values(sample(4))
+
+
+def _per_stage_tail_values(sys_, spec, policy, start_stage, X):
+    """The tail stage by stage: each stage's whole cost through the spec's StateCosts."""
+    total = np.zeros(X.shape[0])
+    for t in range(start_stage, policy.horizon):
+        U = eval_policy_batch(policy, t, X)
+        total += spec.state_cost(X) + spec.control_cost(U)
+        X = X @ sys_.A.T + U @ sys_.B.T
+    return total + spec.final_cost(X)
+
+
+@FAMILIES
+@pytest.mark.parametrize("penalty", ["intersection", "none"])
+def test_fused_tail_values_match_the_per_stage_formula(family, penalty):
+    # the fused loop keeps each stage's sums of squares and applies the cost's
+    # nonlinear rest once per call; carrying tangent rows changes no value
+    sys_, spec, policy, sample = _tail_case(family, penalty)
+    X = sample(6)
+    D = np.random.default_rng(3).normal(size=(2, sys_.n))
+    for start in (0, 2, 4):
+        tail = TailEvaluator(sys_, spec, policy, start)
+        ref = _per_stage_tail_values(sys_, spec, policy, start, X)
+        np.testing.assert_allclose(tail.values(X), ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(tail.values(X, D)[0], ref, rtol=1e-12, atol=0)
+
+
+@FAMILIES
+@pytest.mark.parametrize("penalty", ["intersection", "none"])
+@pytest.mark.parametrize("start", [0, 2, 4], ids=["full", "partial", "empty"])
+def test_tail_slopes_match_central_differences(family, penalty, start):
+    sys_, spec, policy, sample = _tail_case(family, penalty)
+    tail = TailEvaluator(sys_, spec, policy, start)
+    X = sample(5)
+    D = np.vstack([sys_.B.T, np.random.default_rng(8).normal(size=(2, sys_.n))])
+    values, slopes = tail.values(X, D)
+    assert slopes.shape == (5, D.shape[0])
+    h = 1e-5
+    central = np.stack(
+        [(tail.values(X + h * d) - tail.values(X - h * d)) / (2.0 * h) for d in D], axis=1
+    )
+    np.testing.assert_allclose(slopes, central, rtol=1e-6, atol=1e-7 * np.abs(central).max())
+    if start == 4 and penalty == "none":
+        # an empty tail is the terminal cost x'Q_F x, whose slope is 2 x'Q_F d
+        np.testing.assert_allclose(slopes, 2.0 * X @ spec.Q_F @ D.T, rtol=1e-12)

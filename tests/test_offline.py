@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernelpi.costs import CostSpec, empirical_stage_objective, terminal_cost
+from kernelpi.costs import CostSpec, TailEvaluator, empirical_stage_objective
 from kernelpi.dynamics import LinearSystem, assemble_team_system, discretize_double_integrator
-from kernelpi.kernels import Dictionary, KernelSpec, cross_gram
+from kernelpi.kernels import Dictionary, KernelPolicy, KernelSpec, StagePolicy, cross_gram
 from kernelpi.offline import (
     ROOT_TOL,
     PolicyIterationDiverged,
@@ -59,6 +59,11 @@ def test_secant_identity_random_instances(seed):
     assert abs(lhs - (J_new - J_old)) <= 1e-12 * max(1.0, abs(J_new - J_old))
 
 
+def _terminal_tail(sys_, spec, kernel):
+    """A tail with no stages left: its values are the terminal cost."""
+    return TailEvaluator(sys_, spec, KernelPolicy(kernel, []), 0)
+
+
 def _quadratic_stage(seed=0, N=6, M=3, n=2, m=1, family="gaussian-rbf"):
     """Stage problem with terminal continuation: objective quadratic in c."""
     rng = np.random.default_rng(seed)
@@ -70,7 +75,7 @@ def _quadratic_stage(seed=0, N=6, M=3, n=2, m=1, family="gaussian-rbf"):
     kernel = KernelSpec(family=family, length_scale=1.5)
     d = Dictionary(points=rng.normal(size=(M, n)))
     cross = cross_gram(kernel, states, d)
-    tail = lambda Y: terminal_cost(Y, spec)
+    tail = _terminal_tail(sys_, spec, kernel)
     solver_for = lambda cfg: StageSolver(kernel, d, cfg, spec, sys_)
     return sys_, spec, states, cross, tail, rng, solver_for
 
@@ -86,7 +91,7 @@ def _objective_gradient(sys_, spec, states, cross, C):
 def test_derivative_approaches_directional_gradient():
     sys_, spec, states, cross, tail, rng, _ = _quadratic_stage(seed=5)
     C = rng.normal(size=(3, 1))
-    J0 = empirical_stage_objective(C, states, tail, sys_, spec, cross)
+    J0 = empirical_stage_objective(C, states, tail.values, sys_, spec, cross)
     direction = rng.normal(size=C.shape)
     G = _objective_gradient(sys_, spec, states, cross, C)
     exact = float(np.sum(G * (cross @ direction)))
@@ -95,7 +100,7 @@ def test_derivative_approaches_directional_gradient():
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
         # scale the coefficient step so the stacked value step has norm eps
         a = eps / np.linalg.norm(P)
-        J1 = empirical_stage_objective(C + a * direction, states, tail, sys_, spec, cross)
+        J1 = empirical_stage_objective(C + a * direction, states, tail.values, sys_, spec, cross)
         D = discrete_frechet_derivative(cross @ (C + a * direction), cross @ C, J1, J0)
         # <D, P> equals the one-sided difference quotient along the direction
         slope = float(np.sum(D * P))
@@ -112,7 +117,7 @@ def test_stationary_point_returns_old_coefficients():
     states = rng.normal(size=(5, 2))
     kernel = KernelSpec(family="gaussian-rbf", length_scale=1.0)
     d = Dictionary(points=rng.normal(size=(3, 2)))
-    tail = lambda Y: terminal_cost(Y, spec)
+    tail = _terminal_tail(sys_, spec, kernel)
     c_old = np.zeros((3, 1))
     cfg = SolverConfig(delta_lr=5.0)
     res = solve_implicit_update(StageSolver(kernel, d, cfg, spec, sys_), c_old, tail, states)
@@ -130,13 +135,13 @@ def test_scalar_update_matches_bisection_oracle():
     kernel = KernelSpec(family="linear")
     d = Dictionary(points=np.array([[1.0]]))
     cross = cross_gram(kernel, states, d)
-    tail = lambda Y: terminal_cost(Y, spec)
+    tail = _terminal_tail(sys_, spec, kernel)
     delta = 4.0
     c_old = np.array([[0.2]])
     cfg = SolverConfig(delta_lr=delta)
 
     def J(c):
-        return empirical_stage_objective(np.array([[c]]), states, tail, sys_, spec, cross)
+        return empirical_stage_objective(np.array([[c]]), states, tail.values, sys_, spec, cross)
 
     J0 = J(0.2)
     g = lambda step: J(0.2 + step) - J0 + step**2 / delta
@@ -194,10 +199,8 @@ def test_quadratic_stage_root_is_closed_form_within_four_tail_calls(seed):
 
 def _penalty_stage(seed):
     """A stage of a two-vehicle crossing: RBF kernel, collision penalty, 3-stage tail."""
-    from kernelpi.costs import TailEvaluator
     from kernelpi.dynamics import rollout
     from kernelpi.intersection import ScenarioConfig, build_intersection, sample_initial_states
-    from kernelpi.kernels import KernelPolicy, StagePolicy
 
     rng = np.random.default_rng(seed)
     scen = ScenarioConfig(
@@ -214,7 +217,7 @@ def _penalty_stage(seed):
     policy = KernelPolicy(kernel, stages)
     states = rollout(learner, policy, X0).states
     d = stages[0].dictionary
-    tail = TailEvaluator(learner, cost, policy, 1).values
+    tail = TailEvaluator(learner, cost, policy, 1)
     solver_for = lambda cfg: StageSolver(kernel, d, cfg, cost, learner)
     return learner, cost, states[:, 0], solver_for, tail, stages[0].coefficients, rng
 
@@ -420,8 +423,9 @@ def test_stage_solver_directions_descend_and_match_a_direct_solve(seed, family, 
     assert np.all(np.isfinite(K_inv))
     np.testing.assert_array_equal(K_inv, K_inv.T)
 
-    tail = lambda Y: terminal_cost(Y, spec)
-    ws = _StageWorkspace(solver, np.zeros((M, m)), tail, rng.normal(size=(N, n)))
+    ws = _StageWorkspace(
+        solver, np.zeros((M, m)), _terminal_tail(sys_, spec, kernel), rng.normal(size=(N, n))
+    )
     G = rng.normal(size=(N, m))
     V, P, p2, s0 = ws.descent_direction(G)
     assert s0 <= 0.0
@@ -458,48 +462,89 @@ def test_diverging_trial_step_shrinks_instead_of_aborting(delta_lr):
 def _edge_of_guard_stage(a, y_far):
     """A scalar stage whose second sampled state has the successor y_far under c_old = 0.
 
-    The forward-difference probe moves that successor by 1e-5 (1 + |y_far|),
-    so with y_far just inside STATE_GUARD only its perturbed copy crosses it.
+    The tail re-simulates stages 1..3 under zero control, so with y_far just
+    inside STATE_GUARD a contracting plant (a < 1) keeps that successor
+    inside the guard, and an expanding one (a > 1) carries it past the guard
+    at stage 2.
     """
-    from kernelpi.costs import TailEvaluator
-    from kernelpi.kernels import KernelPolicy, StagePolicy
-
     sys_ = LinearSystem(A=[[a]], B=[[1.0]])
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
     kernel = KernelSpec(family="linear")
     d = Dictionary(points=[[1.0]])
     policy = KernelPolicy(kernel, [StagePolicy.zero(1, d) for _ in range(4)])
-    tail = TailEvaluator(sys_, spec, policy, 1).values
+    tail = TailEvaluator(sys_, spec, policy, 1)
     states = np.array([[1.0], [y_far / a]])
     solver = StageSolver(kernel, d, SolverConfig(), spec, sys_)
     return sys_, spec, solver, tail, states, cross_gram(kernel, states, d)
 
 
-def test_probe_diverging_only_in_perturbed_rows_keeps_c_old_with_the_objective_at_c_old():
+def test_probe_at_the_edge_of_the_guard_takes_the_exact_gradient():
     from kernelpi.dynamics import STATE_GUARD
 
-    # a contracting tail: the unperturbed successor stays inside the guard
-    sys_, spec, solver, tail, states, cross = _edge_of_guard_stage(0.5, STATE_GUARD - 2.0)
+    # a successor just inside the guard: the probe's tangent rows meet no
+    # guard, and dV/dy = 2 y (1 + a^2 + a^4 + a^6) for three stages and the
+    # terminal cost under zero control
+    a = 0.5
+    sys_, spec, solver, tail, states, cross = _edge_of_guard_stage(a, STATE_GUARD - 2.0)
+    ws = _StageWorkspace(solver, np.zeros((1, 1)), tail, states)
+    J0, G = ws.value_gradient()
+    y = a * states
+    dV = 2.0 * y * sum(a ** (2 * k) for k in range(4))
+    np.testing.assert_allclose(G, dV / 2, rtol=1e-12)
+    J_old = empirical_stage_objective(np.zeros((1, 1)), states, tail.values, sys_, spec, cross)
+    assert J0 == pytest.approx(J_old, rel=1e-12)
+    assert (ws.tail_calls, ws.evals) == (1, 1)
+    assert (ws.tail_row_stages, ws.tangent_row_stages) == (2 * 3, 2 * 3)
+    res = solve_implicit_update(solver, np.zeros((1, 1)), tail, states)
+    assert res.accepted and res.objective_new < res.objective_old
+
+
+def test_probe_with_non_finite_slopes_keeps_c_old_with_the_objective_at_c_old():
+    # the states stay on the contracting axis while B's tangent direction
+    # grows 1e200-fold per stage, so the slopes overflow and G is not finite
+    sys_ = LinearSystem(A=np.diag([0.5, 1e200]), B=[[1.0], [1.0]])
+    spec = CostSpec(Q=np.eye(2), R=np.eye(1), Q_F=np.eye(2))
+    kernel = KernelSpec(family="linear")
+    d = Dictionary(points=[[1.0, 0.0]])
+    policy = KernelPolicy(kernel, [StagePolicy.zero(1, d) for _ in range(4)])
+    tail = TailEvaluator(sys_, spec, policy, 1)
+    states = np.array([[1.0, 0.0], [-2.0, 0.0]])
     c_old = np.zeros((1, 1))
-    res = solve_implicit_update(solver, c_old, tail, states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solver = StageSolver(kernel, d, SolverConfig(), spec, sys_)
+        res = solve_implicit_update(solver, c_old, tail, states)
     assert res.reason == "gradient-diverged" and not res.accepted
     np.testing.assert_array_equal(res.c_new, c_old)
-    J_old = empirical_stage_objective(c_old, states, tail, sys_, spec, cross)
+    cross = cross_gram(kernel, states, d)
+    J_old = empirical_stage_objective(c_old, states, tail.values, sys_, spec, cross)
     assert res.objective_old == pytest.approx(J_old, rel=1e-12)
     assert res.objective_new == res.objective_old
-    # the probe (n + 1 = 2 row blocks) and J0 from the unperturbed rows alone
-    assert (res.tail_calls, res.evals) == (2, 3)
+    assert (res.tail_calls, res.evals) == (1, 1)
 
 
 def test_probe_with_diverging_unperturbed_rows_raises_their_divergence():
     from kernelpi.dynamics import STATE_GUARD, DivergenceError
 
-    # an expanding tail: the probe first fails on a perturbed row at stage 1,
-    # but the unperturbed successor of sample 1 leaves the guard at stage 2
+    # an expanding tail: the successor of sample 1 leaves the guard at stage 2,
+    # and the probe, whose only guarded rows are the successors, raises there
     _, _, solver, tail, states, _ = _edge_of_guard_stage(2.0, STATE_GUARD - 2.0)
     with pytest.raises(DivergenceError) as probe:
         _StageWorkspace(solver, np.zeros((1, 1)), tail, states).value_gradient()
-    assert (probe.value.sample_index, probe.value.stage) == (3, 1)
+    assert (probe.value.sample_index, probe.value.stage) == (1, 2)
     with pytest.raises(DivergenceError) as exc:
         solve_implicit_update(solver, np.zeros((1, 1)), tail, states)
     assert (exc.value.sample_index, exc.value.stage) == (1, 2)
+
+
+def test_next_trial_interpolates_the_inverse_of_q():
+    from kernelpi.offline import _next_trial
+
+    # a = 1 + q + q^2 / 4 is quadratic in q, so three points pin its root a(0) = 1
+    points = [(1.0 + q + 0.25 * q * q, q) for q in (-1.5, 0.5, 2.0)]
+    assert _next_trial(points) == pytest.approx(1.0, rel=1e-14)
+    # two points, or three whose q values repeat, give the secant through the last two
+    (a1, q1), (a2, q2) = points[1:]
+    secant = a2 - q2 * (a2 - a1) / (q2 - q1)
+    assert _next_trial(points[1:]) == secant
+    assert _next_trial([(0.0, q1)] + points[1:]) == secant
+    assert np.isnan(_next_trial([(1.0, 2.0), (3.0, 2.0)]))
