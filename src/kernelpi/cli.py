@@ -365,16 +365,20 @@ def _cmd_probe(cfg: RunConfig, out_dir: Path) -> int:
     ]
     rows = complexity_probe(points, iterations=pr.iterations, seed=cfg.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "probe.csv",
-        ["mc_samples", "dict_size", "horizon", "seconds_per_iteration"],
-        [[r.mc_samples, r.dict_size, r.horizon, r.seconds_per_iteration] for r in rows],
-    )
+    columns = [
+        "mc_samples",
+        "dict_size",
+        "horizon",
+        "seconds_per_iteration",
+        "row_stages_per_iteration",
+    ]
+    _write_csv(out_dir / "probe.csv", columns, [[getattr(r, c) for c in columns] for r in rows])
     export_run([], out_dir, cfg=cfg)
     for r in rows:
         print(
             f"probe: N={r.mc_samples} M={r.dict_size} T={r.horizon} "
-            f"-> {r.seconds_per_iteration:.4f} s/iteration"
+            f"-> {r.seconds_per_iteration:.4f} s/iteration, "
+            f"{r.row_stages_per_iteration:.0f} row-stages/iteration"
         )
     return 0
 

@@ -5,6 +5,11 @@ followed by sums of squares.  A CostSpec builds its three once: x'Qx + psi(x),
 x'Q_F x + psi_F(x) and u'Ru.  The penalties psi and psi_F are StateCosts
 themselves and take Q's factor into their own map, so the state part of a
 stage is one map and one pass over its squares.
+
+TailEvaluator re-simulates the continuation of a stage on rows
+[x | |x|^2 | 1], two products per stage to the next state and its cost map.
+A backward sweep builds each tail on the one after it, so every stage policy
+is compiled once per sweep.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import LinearSystem, TrajectoryBatch, check_norms
+from .dynamics import STATE_GUARD, LinearSystem, TrajectoryBatch, check_norms
 from .kernels import KernelPolicy, StageExpansion
 
 __all__ = [
@@ -228,6 +233,32 @@ def evaluate_cost_to_go(batch: TrajectoryBatch, spec: CostSpec) -> CostToGoTable
     return CostToGoTable(V)
 
 
+class _TailMaps:
+    """The matrices every stage of a tail shares (see TailEvaluator).
+
+    stage is [[A' | L]; 0; [0 | offset]], control [B' | 0 | F_R], final
+    [[L_F]; 0; [offset_F]], and to_sums takes the squares of [x | z] to
+    [|x|^2 | the cost map's sums of squares].
+    """
+
+    def __init__(self, sys: LinearSystem, spec: CostSpec):
+        n = sys.n
+        cost, final = spec.tail_cost, spec.final_cost
+        width = cost.lin.shape[1]
+        factor = spec.control_cost.lin
+        self.stage = np.zeros((n + 2, n + width))
+        self.stage[:n, :n] = sys.A.T
+        self.stage[:n, n:] = cost.lin
+        self.stage[n + 1, n:] = cost.offset
+        self.control = np.zeros((sys.m, n + width))
+        self.control[:, :n] = sys.B.T
+        self.control[:, n + width - factor.shape[1] :] = factor
+        self.final = np.vstack([final.lin, np.zeros_like(final.offset), final.offset])
+        self.to_sums = np.zeros((n + width, 1 + cost.squares_to_sums.shape[1]))
+        self.to_sums[:n, 0] = 1.0
+        self.to_sums[n:, 1:] = cost.squares_to_sums
+
+
 class TailEvaluator:
     """Continuation values by re-simulating stages start_stage..T under given policies.
 
@@ -237,53 +268,75 @@ class TailEvaluator:
     policies are snapshotted at construction; later mutation of the policy
     object is not reflected.
 
-    Each stage is two products: X [A' | L] with L the map of the spec's
-    tail_cost, fixed for the tail, and the stage's kernel features times
-    coeffs [B' | 0 | F_R], which adds the control's effect on the next state
-    and its cost factor.  For the linear kernel the features are X itself, so
-    the two matrices are summed and a stage is one product.  A third product
-    takes the squares of [next state | cost map] to the next state's squared
-    norm, which the next stage's guard and kernel read, and the cost map's
-    sums of squares; the cost's nonlinear rest (StateCost.of_sums) is
-    applied once per call, over all stages.
+    rest, when given, is the tail from start_stage + 1 of the same system,
+    cost and policy: its compiled stages and shared maps (_TailMaps) are
+    reused, and only stage start_stage is compiled.  A backward sweep so
+    compiles each stage policy once.
+
+    A row is carried as [x | |x|^2 | 1], and one product with the stage's
+    anchor matrix gives its kernel values k (kernels._Anchors).  Each stage
+    is compiled into one stacked matrix
+    [[A' | L]; 0; [0 | offset]; coeffs [B' | 0 | F_R]], with L and offset
+    the map of the spec's tail_cost and F_R the control's cost factor, so one
+    product of [row | k] gives the next state and the stage's cost map,
+    drift, control and offset included.  For the linear kernel the control
+    part folds into the first n rows: a stage is one (n + 2)-row product.
+    A last product takes the squares of [next state | cost map] to the next
+    state's squared norm and the cost map's sums of squares; the cost's
+    nonlinear rest (StateCost.of_sums) runs once per call, over all stages.
     """
 
-    def __init__(self, sys: LinearSystem, spec: CostSpec, policy: KernelPolicy, start_stage: int):
+    def __init__(
+        self,
+        sys: LinearSystem,
+        spec: CostSpec,
+        policy: KernelPolicy,
+        start_stage: int,
+        rest: Optional["TailEvaluator"] = None,
+    ):
         if not 0 <= start_stage <= policy.horizon:
             raise ValueError("start_stage out of range")
         self.spec = spec
         self.start_stage = start_stage
         self.stage_count = policy.horizon - start_stage
-        cost = spec.tail_cost
-        control_factor = spec.control_cost.lin
-        width = cost.lin.shape[1]
-        self._state_map = np.hstack([sys.A.T, cost.lin])
-        control_map = np.zeros((sys.m, sys.n + width))
-        control_map[:, : sys.n] = sys.B.T
-        control_map[:, sys.n + width - control_factor.shape[1] :] = control_factor
-        self._to_sums = np.zeros((sys.n + width, 1 + cost.squares_to_sums.shape[1]))
-        self._to_sums[: sys.n, 0] = 1.0
-        self._to_sums[sys.n :, 1:] = cost.squares_to_sums
-        self._linear = policy.kernel.family == "linear"
-        self._stages = []
-        for t in range(start_stage, policy.horizon):
-            expansion = StageExpansion(policy.kernel, policy.stages[t])
-            step = expansion.coeffs @ control_map
-            if self._linear:
-                step += self._state_map
-            self._stages.append((expansion, step))
+        if rest is None:
+            self._maps = _TailMaps(sys, spec)
+            later = range(start_stage, policy.horizon)
+            self._stages = [self._compile(policy.kernel, policy.stages[t]) for t in later]
+        else:
+            if rest.start_stage != start_stage + 1 or rest.stage_count != self.stage_count - 1:
+                raise ValueError("rest must be the tail from start_stage + 1 of the same policy")
+            self._maps = rest._maps
+            stage = self._compile(policy.kernel, policy.stages[start_stage])
+            self._stages = [stage] + rest._stages
+        # a row [x | |x|^2 | 1 | k] is as wide as the tallest stacked matrix
+        self._row_width = max((s.shape[0] for _, s in self._stages), default=sys.n + 2)
+
+    def _compile(self, kernel, stage):
+        """(anchors, stacked matrix) of one stage policy; anchors is None for the linear kernel."""
+        expansion = StageExpansion(kernel, stage)
+        step = expansion.coeffs @ self._maps.control
+        if expansion.anchors is None:
+            stacked = self._maps.stage.copy()
+            stacked[: step.shape[0]] += step
+            return None, stacked
+        return expansion.anchors, np.vstack([self._maps.stage, step])
 
     def values(self, states, directions=None):
         """Continuation values at the rows of states, shape (N,).
 
         With directions, a (k, n) array of rows d_j, it returns (values,
         slopes) where slopes[i, j] is the exact directional derivative
-        dV/dy . d_j at row i.  The tangent rows ride below the state rows,
-        in k blocks of N, through the same products of every stage: the
-        kernel features' Jacobian (kernels._Anchors) and the cost's
-        derivative (StateCost.slopes_of_sums) carry them.  Only state rows
-        meet the divergence guard; a tangent that overflows gives a
-        non-finite slope.
+        dV/dy . d_j at row i.  The tangent rows [dx | 2 x . dx | 0] ride
+        below the state rows, in k blocks of N, through the same products of
+        every stage: the kernel features' Jacobian (kernels._Anchors) and the
+        cost's derivative (StateCost.slopes_of_sums) carry them.
+
+        Only state rows meet the divergence guard, one test of their stored
+        squared norms after the loop; when it fails, dynamics.check_norms
+        raises for the first stage with a row past the guard.  Such a row
+        runs on through the later stages without warnings.  A tangent that
+        overflows gives a non-finite slope.
         """
         X = np.atleast_2d(np.asarray(states, dtype=float))
         N, n = X.shape
@@ -291,41 +344,75 @@ class TailEvaluator:
         if directions is not None:
             D = np.atleast_2d(np.asarray(directions, dtype=float))
             blocks += D.shape[0]
-            X = np.concatenate([X, np.repeat(D, N, axis=0)])
-        cost = self.spec.tail_cost
-        width = self._to_sums.shape[1]
-        sums = np.empty((self.stage_count, blocks * N, width))
-        if self.stage_count:
-            # |x|^2 of the state rows, then x . dx of each tangent row with its
-            # state row, through the state part of the map each stage uses below
-            X3 = X.reshape(blocks, N, n)
-            norms = (X3 * X3[0]).reshape(blocks * N, n) @ self._to_sums[:n, 0]
-        for i, (expansion, step) in enumerate(self._stages):
-            check_norms(norms[:N], self.start_stage + i, "tail simulation")
-            if self._linear:
-                Z = X @ step
-            else:
-                Z = expansion.features(X, norms, N) @ step
-                Z += X @ self._state_map
-            Z[:N, n:] += cost.offset
-            Z3 = Z.reshape(blocks, N, -1)
-            np.matmul((Z3 * Z3[0]).reshape(blocks * N, -1), self._to_sums, out=sums[i])
-            norms = sums[i, :, 0]
-            X = Z[:, :n]
+        # column-major, so that the kernel values of a stage are one contiguous
+        # block for the kernel's exp and power
+        W = np.zeros((blocks * N, self._row_width), order="F")
+        W3 = W.reshape(blocks, N, -1)
+        W3[0, :, :n] = X
+        if blocks > 1:
+            W3[1:, :, :n] = D[:, None, :]
+        W[:N, n + 1] = 1.0
         final = self.spec.final_cost
-        z = (X @ final.lin).reshape(blocks, N, -1)
-        z[0] += final.offset
+        if self._stages:
+            sums = self._simulate(W, N, blocks)
+        # the |x|^2 row of maps.final is zero: after the stages the norm column
+        # lags a stage behind, and nothing reads it
+        z = (W[:, : n + 2] @ self._maps.final).reshape(blocks, N, -1)
         final_sums = (z * z[0]).reshape(blocks * N, -1) @ final.squares_to_sums
         final_sums = final_sums.reshape(blocks, N, -1)
         total = final.of_sums(final_sums[0])
         if blocks > 1:
             slopes = final.slopes_of_sums(final_sums[0], final_sums[1:])
-        if self.stage_count:
-            sums = sums.reshape(self.stage_count, blocks, N, width)[..., 1:]
+        if self._stages:
+            cost = self.spec.tail_cost
+            sums = sums.reshape(self.stage_count, blocks, N, -1)[..., 1:]
             total = cost.of_sums(sums[:, 0]).sum(axis=0) + total
             if blocks > 1:
                 slopes = cost.slopes_of_sums(sums[:, :1], sums[:, 1:]).sum(axis=0) + slopes
         return total if blocks == 1 else (total, slopes.T)
+
+    def _simulate(self, W, N, blocks):
+        """Run the stages on the rows of W, in place, and return each stage's sums.
+
+        W's rows are [x | |x|^2 | 1 | room for k], the N state rows first;
+        this fills |x|^2.  The (stages, rows, 1 + sums) result holds the
+        squared norm of each row a stage leaves (x . dx for tangent rows)
+        and the sums of squares of its cost map.
+        """
+        maps = self._maps
+        n = maps.stage.shape[0] - 2
+        rows = blocks * N
+        # sums[0] holds the squared norms of the rows entering the first stage
+        sums = np.empty((self.stage_count + 1, rows, maps.to_sums.shape[1]))
+        to_sums = maps.to_sums
+        Z = np.empty((rows, maps.stage.shape[1]))
+        Z3 = Z.reshape(blocks, N, -1)
+        squares = np.empty_like(Z)
+        squares3 = squares.reshape(blocks, N, -1)
+        W3 = W.reshape(blocks, N, -1)
+        row, state, norm, tangent_norm = W[:, : n + 2], W[:, :n], W[:, n], W[N:, n]
+        # a row past the guard runs on to the test after the loop, and may
+        # overflow on the way without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(W3[..., :n] * W3[0, :, :n], to_sums[:n], out=sums[0].reshape(blocks, N, -1))
+            for i, (anchors, stacked) in enumerate(self._stages):
+                norm[...] = sums[i, :, 0]
+                if blocks > 1:
+                    # the sums hold x . dx; the tangent of |x|^2 is twice that
+                    tangent_norm *= 2.0
+                if anchors is None:
+                    np.matmul(row, stacked, out=Z)
+                else:
+                    K = W[:, n + 2 : stacked.shape[0]]
+                    anchors.apply(np.matmul(row, anchors.matrix, out=K), N)
+                    np.matmul(W[:, : stacked.shape[0]], stacked, out=Z)
+                np.multiply(Z3, Z3[0], out=squares3)
+                np.matmul(squares, to_sums, out=sums[i + 1])
+                state[...] = Z[:, :n]
+        if not sums[:-1, :N, 0].max(initial=0.0) <= STATE_GUARD**2:
+            for i in range(self.stage_count):
+                check_norms(sums[i, :N, 0], self.start_stage + i, "tail simulation")
+        return sums[1:]
 
 
 def empirical_stage_objective(

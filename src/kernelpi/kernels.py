@@ -69,49 +69,63 @@ def _sq_norms(P: np.ndarray) -> np.ndarray:
 class _Anchors:
     """Anchor points compiled for their kernel family; each family's formula is written here only.
 
-    values(X, norms, rows) returns the kernel values k(x, p_j) at the first
-    `rows` rows of X.  Any later rows are tangents dx, in blocks of `rows`
-    that match the state rows in order, and come back as the derivatives
-    dk = (dk/dx) dx, so one product with the anchors serves both.  norms
-    holds |x|^2 for each state row and then x . dx for each tangent row.  With
-    c = 1/length_scale^2 the gaussian-rbf exponent -c |x - p|^2 / 2 is
-    x.(c p) - c |p|^2/2 - c |x|^2/2, so the anchors are kept scaled by c with
-    the halved scaled squared norms beside them.
+    matrix is (n + 2, M): an augmented row [x | |x|^2 | 1] times it gives, at
+    every anchor p_j, x . p_j for the linear kernel, the base x . p_j + offset
+    for the polynomial kernel, and for the gaussian-rbf kernel the exponent
+    -c |x - p_j|^2 / 2 = c x . p_j - c |x|^2 / 2 - c |p_j|^2 / 2 with
+    c = 1/length_scale^2.  A tangent row [dx | 2 x . dx | 0] of such a row
+    gives that product's exact derivative along dx, so one product serves
+    both.  apply then turns the products into kernel values, and those of the
+    tangent rows into the values' derivatives, in place.
     """
 
-    __slots__ = ("spec", "scaled", "half_sq", "rate")
+    __slots__ = ("spec", "matrix")
 
     def __init__(self, spec: KernelSpec, points: np.ndarray):
         self.spec = spec
-        self.scaled = points
+        n = points.shape[1]
+        self.matrix = np.zeros((n + 2, points.shape[0]))
+        self.matrix[:n] = points.T
         if spec.family == "gaussian-rbf":
-            self.rate = 1.0 / spec.length_scale**2
-            self.scaled = self.rate * points
-            self.half_sq = 0.5 * self.rate * _sq_norms(points)
+            rate = 1.0 / spec.length_scale**2
+            self.matrix[:n] *= rate
+            self.matrix[n] = -0.5 * rate
+            self.matrix[n + 1] = -0.5 * rate * _sq_norms(points)
+        elif spec.family == "polynomial":
+            self.matrix[n + 1] = spec.offset
 
-    def values(self, X: np.ndarray, norms: np.ndarray, rows=None) -> np.ndarray:
+    def apply(self, K: np.ndarray, rows: int) -> np.ndarray:
+        """Kernel values in place of the products K of the first `rows` augmented rows.
+
+        Any later rows of K are the products of tangent rows, in blocks of
+        `rows` that match the state rows in order; they become the
+        derivatives dk = (dk/dx) dx of the values.
+        """
         spec = self.spec
-        K = X @ self.scaled.T
-        N = X.shape[0] if rows is None else rows
-        KX = K[:N]
-        dK = K[N:].reshape(-1, N, K.shape[1]) if K.shape[0] > N else None
+        KX = K[:rows]
+        dK = K[rows:].reshape(-1, rows, K.shape[1]) if K.shape[0] > rows else None
         if spec.family == "gaussian-rbf":
-            KX -= self.half_sq
-            KX -= (0.5 * self.rate) * norms[:N, None]
+            # rounding can lift the exponent of x = p_j above 0; k <= 1
             np.minimum(KX, 0.0, out=KX)
             np.exp(KX, out=KX)
             if dK is not None:
-                # dk = k (c p - c x) . dx
-                dK -= (self.rate * norms[N:]).reshape(-1, N, 1)
-                dK *= KX
+                dK *= KX  # dk = k c (p - x) . dx
         elif spec.family == "polynomial":
-            base = KX + spec.offset
             if dK is not None:
                 # dk = degree (x.p + offset)^(degree - 1) p . dx
-                dK *= spec.degree * base ** (spec.degree - 1)
-            np.power(base, spec.degree, out=KX)
+                dK *= spec.degree * KX ** (spec.degree - 1)
+            np.power(KX, spec.degree, out=KX)
         # the linear kernel x.p is its own derivative p.dx: the products are final
         return K
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """The kernel values k(x, p_j) at the rows of X."""
+        N, n = X.shape
+        rows = np.empty((N, n + 2))
+        rows[:, :n] = X
+        rows[:, n] = _sq_norms(X)
+        rows[:, n + 1] = 1.0
+        return self.apply(rows @ self.matrix, N)
 
 
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
@@ -120,7 +134,7 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     Y = _as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    return _Anchors(spec, Y).values(X, _sq_norms(X))
+    return _Anchors(spec, Y).values(X)
 
 
 @dataclass
@@ -217,21 +231,10 @@ class StageExpansion:
             self.anchors = _Anchors(kernel, points)
             self.coeffs = stage.coefficients
 
-    def features(self, X: np.ndarray, norms: np.ndarray, rows=None) -> np.ndarray:
-        """The factor of coeffs at the rows of X, given the squared norms of the state rows.
-
-        That is X itself for the linear kernel, and the kernel values at the
-        anchors otherwise.  Rows past the first `rows` are tangents and give
-        the features' derivatives along them; norms then goes on with their
-        products x . dx (_Anchors.values).
-        """
-        if self.anchors is None:
-            return X
-        return self.anchors.values(X, norms, rows)
-
-    def controls(self, X: np.ndarray, row_sq_norms: np.ndarray) -> np.ndarray:
-        """(N, m) controls at the rows of X, given their squared norms."""
-        return self.features(X, row_sq_norms) @ self.coeffs
+    def controls(self, X: np.ndarray) -> np.ndarray:
+        """(N, m) controls at the rows of X."""
+        features = X if self.anchors is None else self.anchors.values(X)
+        return features @ self.coeffs
 
 
 def _check_stage(policy: KernelPolicy, t: int) -> StagePolicy:
@@ -246,7 +249,7 @@ def eval_policy_batch(policy: KernelPolicy, t: int, states) -> np.ndarray:
     X = _as_points(states, "states")
     if X.shape[1] != stage.dictionary.dim:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {stage.dictionary.dim}")
-    return StageExpansion(policy.kernel, stage).controls(X, _sq_norms(X))
+    return StageExpansion(policy.kernel, stage).controls(X)
 
 
 def eval_policy(policy: KernelPolicy, t: int, x) -> np.ndarray:

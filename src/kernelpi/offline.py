@@ -31,7 +31,9 @@ probe: a single tail evaluation at the successor states under the old
 coefficients that also carries B's columns as tangent directions, so it
 returns the continuation values, and with them J_old, together with their
 exact slopes dV/dy B.  A stage update costs one tail call for the probe plus
-one per trial step.
+one per trial step.  Each sweep grows one tail from the terminal cost: once
+stage t is updated, the tail for stage t - 1 is the previous one with only
+stage t compiled in front, so each stage policy is compiled once per sweep.
 """
 
 from __future__ import annotations
@@ -509,13 +511,15 @@ def run_policy_iteration(
         t0 = time.perf_counter()
         stage_results = [None] * horizon
         try:
+            tail = TailEvaluator(sys, spec, policy, horizon)
             for t in range(horizon - 1, -1, -1):
-                tail = TailEvaluator(sys, spec, policy, t + 1)
                 res = solve_implicit_update(
                     solvers[t], policy.stages[t].coefficients, tail, batch.states[:, t]
                 )
                 policy.stages[t] = StagePolicy(solvers[t].dictionary, res.c_new)
                 stage_results[t] = res
+                if t:
+                    tail = TailEvaluator(sys, spec, policy, t, tail)
         except DivergenceError as exc:
             raise PolicyIterationDiverged(
                 f"stage improvement diverged at iteration {k}: {exc}", records, policy, exc
@@ -564,14 +568,19 @@ class ProbeRow:
     dict_size: int
     horizon: int
     seconds_per_iteration: float
+    # state and tangent rows times stages re-simulated per timed iteration
+    row_stages_per_iteration: float
 
 
 def complexity_probe(points: Sequence[tuple], iterations: int = 2, seed: int = 0) -> list:
-    """Per-iteration wall times of the solver over a (samples, anchors, horizon) grid.
+    """Per-iteration times and row-stages of the solver over a (samples, anchors, horizon) grid.
 
     Runs a small two-vehicle crossing instance at each grid point and reports
     the mean sweep time, skipping the first iteration (it pays one-off setup
-    costs).  Timing rows are informational; no hard bounds are asserted here.
+    costs), and the mean row-stages those sweeps re-simulated
+    (StageUpdateResult.tail_row_stages plus tangent_row_stages), a count
+    that does not depend on the machine.  Timing rows are informational; no
+    hard bounds are asserted here.
     """
     from .intersection import ScenarioConfig, build_intersection, sample_initial_states
 
@@ -602,12 +611,16 @@ def complexity_probe(points: Sequence[tuple], iterations: int = 2, seed: int = 0
             seed=seed,
         )
         timed = records[1:] if len(records) > 1 else records
+        row_stages = [
+            sum(s.tail_row_stages + s.tangent_row_stages for s in r.stages) for r in timed
+        ]
         rows.append(
             ProbeRow(
                 mc_samples=int(n_samples),
                 dict_size=int(dict_size),
                 horizon=int(horizon),
                 seconds_per_iteration=float(np.mean([r.wall_time for r in timed])),
+                row_stages_per_iteration=float(np.mean(row_stages)),
             )
         )
     return rows

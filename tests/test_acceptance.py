@@ -247,7 +247,13 @@ def test_ac8_complexity_scaling_smoke(verdict):
     t0, tN, tM, tT = (r.seconds_per_iteration for r in rows)
     n_factor = tN / t0
     t_factor = tT / t0
-    detail = f"doubling samples: x{n_factor:.2f} (band [1.5, 3]); doubling horizon: x{t_factor:.2f} (superlinear > 2)"
+    # the row-stage ratios are deterministic: they tell whether a time ratio
+    # outside its band comes from the work or from the machine
+    w0, wN, wM, wT = (r.row_stages_per_iteration for r in rows)
+    detail = (
+        f"doubling samples: x{n_factor:.2f} (band [1.5, 3]), row-stages x{wN / w0:.2f}; "
+        f"doubling horizon: x{t_factor:.2f} (superlinear > 2), row-stages x{wT / w0:.2f}"
+    )
     if not 1.5 <= n_factor <= 3.0:
         warnings.warn(f"sample-count scaling outside the loose band: {detail}")
     if not t_factor > 2.0:

@@ -470,3 +470,57 @@ def test_tail_slopes_match_central_differences(family, penalty, start):
     if start == 4 and penalty == "none":
         # an empty tail is the terminal cost x'Q_F x, whose slope is 2 x'Q_F d
         np.testing.assert_allclose(slopes, 2.0 * X @ spec.Q_F @ D.T, rtol=1e-12)
+
+
+def _sweep_tail(sys_, spec, policy, start):
+    """The tail from start built as a sweep builds it: each stage on the tail after it."""
+    tail = TailEvaluator(sys_, spec, policy, policy.horizon)
+    for t in range(policy.horizon - 1, start - 1, -1):
+        tail = TailEvaluator(sys_, spec, policy, t, tail)
+    return tail
+
+
+@FAMILIES
+@pytest.mark.parametrize("start", [0, 2, 3, 4], ids=["full", "partial", "last-stage", "empty"])
+def test_tail_built_on_rest_matches_a_fresh_tail_bit_for_bit(family, start):
+    sys_, spec, policy, sample = _tail_case(family, "intersection")
+    X = sample(6)
+    D = np.vstack([sys_.B.T, np.random.default_rng(2).normal(size=(1, sys_.n))])
+    fresh = TailEvaluator(sys_, spec, policy, start)
+    swept = _sweep_tail(sys_, spec, policy, start)
+    assert swept.stage_count == fresh.stage_count == policy.horizon - start
+    np.testing.assert_array_equal(swept.values(X), fresh.values(X))
+    for got, expected in zip(swept.values(X, D), fresh.values(X, D)):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_rest_for_the_wrong_start_stage_is_rejected():
+    sys_, spec, policy, _ = _tail_case("gaussian-rbf", "none")
+    for start, rest_start in [(1, 3), (1, 1), (2, 1), (3, 3)]:
+        with pytest.raises(ValueError):
+            TailEvaluator(sys_, spec, policy, start, TailEvaluator(sys_, spec, policy, rest_start))
+    shorter = KernelPolicy(policy.kernel, policy.stages[:3])
+    with pytest.raises(ValueError):
+        TailEvaluator(sys_, spec, policy, 2, TailEvaluator(sys_, spec, shorter, 3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["linear", "gaussian-rbf"])
+def test_guard_names_the_first_crossing_when_later_stages_overflow(family):
+    # x1 grows by 1e50 per stage whatever the control, so a row with x1 = 1e-100
+    # crosses the guard entering stage 3 and overflows a few stages later
+    sys_ = LinearSystem(A=[[1e50, 0.0], [0.0, 0.5]], B=[[0.0], [1.0]])
+    spec = CostSpec(Q=np.eye(2), R=[[1.0]], Q_F=np.eye(2))
+    kernel = KernelSpec(family=family, length_scale=1.0)
+    rng = np.random.default_rng(0)
+    stages = [
+        StagePolicy(Dictionary(points=rng.normal(size=(2, 2)), stage=t), rng.normal(size=(2, 1)))
+        for t in range(9)
+    ]
+    policy = KernelPolicy(kernel, stages)
+    X = np.array([[0.0, 0.3], [1e-200, 0.1], [1e-100, -0.2], [-1e-100, 0.4]])
+    tail = TailEvaluator(sys_, spec, policy, 0)
+    for directions in (None, sys_.B.T):
+        with pytest.raises(DivergenceError) as exc:
+            tail.values(X, directions)
+        assert (exc.value.sample_index, exc.value.stage) == (2, 3)

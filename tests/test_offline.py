@@ -391,6 +391,23 @@ def test_stage_gram_factors_are_built_once_per_run(monkeypatch):
     assert len(calls) == 4
 
 
+def test_each_stage_policy_is_compiled_once_per_sweep(monkeypatch):
+    # a sweep grows one tail from the terminal cost, so stage t's policy is
+    # compiled once, into the tail the update of stage t - 1 reads
+    import kernelpi.costs as costs
+
+    calls = []
+    original = costs.StageExpansion
+    monkeypatch.setattr(
+        costs, "StageExpansion", lambda *a, **kw: calls.append(1) or original(*a, **kw)
+    )
+    sys_, spec, _, _, _, rng, _ = _quadratic_stage(seed=17, N=4, M=2)
+    cfg = SolverConfig(delta_lr=4.0, max_outer_iters=3, mc_samples=4, dict_size=2, convergence_tol=0.0)
+    _, records = run_policy_iteration(sys_, spec, 5, rng.normal(size=(4, 2)), cfg)
+    assert len(records) == 3
+    assert len(calls) == 3 * 4
+
+
 def test_duplicate_anchors_with_a_ridge_build_a_stage_solver_without_warning():
     # the solver factors K + ridge * mean(diag K) * I, which is positive
     # definite although two anchors coincide, so nothing warns of singularity
@@ -439,6 +456,10 @@ def test_complexity_probe_single_point():
     assert len(rows) == 1
     assert rows[0].mc_samples == 4 and rows[0].dict_size == 3 and rows[0].horizon == 3
     assert rows[0].seconds_per_iteration > 0
+    # the work counter, unlike the time, repeats exactly
+    assert rows[0].row_stages_per_iteration > 0
+    again = complexity_probe([(4, 3, 3)], iterations=1, seed=0)
+    assert again[0].row_stages_per_iteration == rows[0].row_stages_per_iteration
 
 
 @pytest.mark.parametrize("delta_lr", [1.0, 1e3, 1e9])
