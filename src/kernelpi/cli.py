@@ -95,6 +95,22 @@ def _distance_rows(states: np.ndarray, scenario: Scenario):
     return rows
 
 
+# one row per stage update: the outer iteration, the stage, then
+# StageUpdateResult fields
+_STAGE_TRACE = [
+    "iteration",
+    "stage",
+    "accepted",
+    "reason",
+    "evals",
+    "tail_calls",
+    "tail_row_stages",
+    "backward_row_stages",
+    "value_step_sq",
+    "secant_gap",
+]
+
+
 def export_run(
     log,
     out_dir,
@@ -106,7 +122,8 @@ def export_run(
     """Write the result tables for a run into out_dir.
 
     log is either a list of IterationRecord (offline) or an OnlineLog.  The
-    cost table has one row per iteration or planning step; trajectory and
+    cost table has one row per iteration or planning step, and offline runs
+    add a stage trace with one row per stage update; trajectory and
     distance tables are written when a scenario is available.  batch_states
     carries the (N, T+1, n) trajectories to export for offline runs; online
     runs export their own realized trajectory.
@@ -136,6 +153,12 @@ def export_run(
         written.append(
             _write_csv(out / "cost_history.csv", ["index", "cost", "delta_pi_sq"], cost_rows)
         )
+        trace_rows = [
+            [r.iteration, t] + [getattr(s, c) for c in _STAGE_TRACE[2:]]
+            for r in log
+            for t, s in enumerate(r.stages)
+        ]
+        written.append(_write_csv(out / "stage_trace.csv", _STAGE_TRACE, trace_rows))
         traj = batch_states
 
     if scenario is not None:

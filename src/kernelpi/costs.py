@@ -9,7 +9,11 @@ stage is one map and one pass over its squares.
 TailEvaluator re-simulates the continuation of a stage on rows
 [x | |x|^2 | 1], two products per stage to the next state and its cost map.
 A backward sweep builds each tail on the one after it, so every stage policy
-is compiled once per sweep.
+is compiled once per sweep.  A simulation can be kept as a Trajectory: what
+a reverse-mode pass over it reads, which gives the continuation's exact
+gradient dV/dy at its rows through the cost's StateCost.sums_gradient and
+the kernel's vector-Jacobian product.  TailEvaluator.extend puts one more
+stage in front of a kept trajectory.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import STATE_GUARD, LinearSystem, TrajectoryBatch, check_norms
-from .kernels import KernelPolicy, StageExpansion
+from .kernels import KernelPolicy, KernelSpec, StageExpansion
 
 __all__ = [
     "CostSpec",
@@ -33,6 +37,7 @@ __all__ = [
     "terminal_cost",
     "evaluate_cost_to_go",
     "TailEvaluator",
+    "Trajectory",
     "empirical_stage_objective",
 ]
 
@@ -141,19 +146,18 @@ class StateCost:
             out = out - self.shift
         return out
 
-    def slopes_of_sums(self, sums, cross_sums):
-        """The cost's derivative along a tangent dz of its map z.
+    def sums_gradient(self, sums):
+        """The cost's derivative with respect to its sums, batched over leading axes.
 
-        With cross_sums = (z * dz) @ squares_to_sums the sums move by
-        ds = 2 cross_sums, so the slope is
-        ds_last - sum_p pair_weight ds_p / (s_p + softening)^2.  sums
-        broadcasts against cross_sums.
+        It is 1 for the last sum and -pair_weight / (s_p + softening)^2 for
+        a pair's.  Through s = (z * z) @ squares_to_sums, the gradient with
+        respect to the map z is 2 z * (sums_gradient(s) @ squares_to_sums').
         """
-        out = cross_sums[..., -1]
+        out = np.ones_like(sums)
         if self.pair_weights.size:
             shifted = sums[..., :-1] + self.softening
-            out = out - (cross_sums[..., :-1] / (shifted * shifted)) @ self.pair_weights
-        return 2.0 * out
+            out[..., :-1] = -self.pair_weights / (shifted * shifted)
+        return out
 
     def __call__(self, x):
         z = np.asarray(x, dtype=float) @ self.lin + self.offset
@@ -234,29 +238,80 @@ def evaluate_cost_to_go(batch: TrajectoryBatch, spec: CostSpec) -> CostToGoTable
 
 
 class _TailMaps:
-    """The matrices every stage of a tail shares (see TailEvaluator).
+    """The matrices and row layout every stage of a tail shares (see TailEvaluator).
 
-    stage is [[A' | L]; 0; [0 | offset]], control [B' | 0 | F_R], final
-    [[L_F]; 0; [offset_F]], and to_sums takes the squares of [x | z] to
-    [|x|^2 | the cost map's sums of squares].
+    A row is kept as a column block [x | z | |x|^2 | s | 1 | k]: the state,
+    the cost map z and its sums of squares s of the stage before (zeros in
+    the first block), the state's squared norm, a one and the kernel values.
+    head is the number of rows before k.  stage is the stacked matrix's part
+    shared by every stage, [[A' | L]; 0; [0 | offset]] on the rows x and 1;
+    control is [B' | 0 | F_R]; to_sums takes the squares of [x | z] to
+    [|x|^2 | s]; from_sums is twice the cost's squares_to_sums, which takes
+    the cost's derivative with respect to s to its map z
+    (StateCost.sums_gradient).
     """
 
     def __init__(self, sys: LinearSystem, spec: CostSpec):
         n = sys.n
-        cost, final = spec.tail_cost, spec.final_cost
+        cost = spec.tail_cost
         width = cost.lin.shape[1]
+        count = cost.squares_to_sums.shape[1]
+        self.n, self.norm, self.one = n, n + width, n + width + 1 + count
+        self.head = self.one + 1
         factor = spec.control_cost.lin
-        self.stage = np.zeros((n + 2, n + width))
+        self.stage = np.zeros((self.head, n + width))
         self.stage[:n, :n] = sys.A.T
         self.stage[:n, n:] = cost.lin
-        self.stage[n + 1, n:] = cost.offset
+        self.stage[self.one, n:] = cost.offset
         self.control = np.zeros((sys.m, n + width))
         self.control[:, :n] = sys.B.T
         self.control[:, n + width - factor.shape[1] :] = factor
-        self.final = np.vstack([final.lin, np.zeros_like(final.offset), final.offset])
-        self.to_sums = np.zeros((n + width, 1 + cost.squares_to_sums.shape[1]))
-        self.to_sums[:n, 0] = 1.0
-        self.to_sums[n:, 1:] = cost.squares_to_sums
+        self.to_sums = np.zeros((1 + count, n + width))
+        self.to_sums[0, :n] = 1.0
+        self.to_sums[1:, n:] = cost.squares_to_sums.T
+        self.from_sums = 2.0 * cost.squares_to_sums
+
+    def lift(self, matrix: np.ndarray) -> np.ndarray:
+        """An anchor matrix for rows [x | |x|^2 | 1] moved onto the rows of a block's head."""
+        n = self.n
+        lifted = np.zeros((self.head, matrix.shape[1]))
+        lifted[:n] = matrix[:n]
+        lifted[self.norm] = matrix[n]
+        lifted[self.one] = matrix[n + 1]
+        return lifted
+
+
+class _Stage:
+    """One stage policy compiled for a tail.
+
+    K = kernel @ head gives the kernel values of a block (None for the
+    linear kernel); forward @ block[:height] gives [next state | cost map];
+    gate = forward[:, head:]' takes the gradient of that product to the
+    kernel values; back takes [that gradient | the kernel products'
+    gradient] to the block's x and |x|^2 rows, the latter doubled.
+    """
+
+    __slots__ = ("anchors", "kernel", "forward", "gate", "back", "height")
+
+    def __init__(self, maps: _TailMaps, kernel: KernelSpec, stage):
+        expansion = StageExpansion(kernel, stage)
+        self.anchors = expansion.anchors
+        step = expansion.coeffs @ maps.control
+        rows = list(range(maps.n)) + [maps.norm]
+        if expansion.anchors is None:
+            stacked = maps.stage.copy()
+            stacked[: step.shape[0]] += step
+            self.kernel = self.gate = None
+            self.back = stacked[rows]
+        else:
+            lifted = maps.lift(expansion.anchors.matrix)
+            stacked = np.vstack([maps.stage, step])
+            self.kernel = np.ascontiguousarray(lifted.T)
+            self.gate = step
+            self.back = np.hstack([stacked[rows], lifted[rows]])
+        self.back[-1] *= 2.0
+        self.forward = np.ascontiguousarray(stacked.T)
+        self.height = stacked.shape[0]
 
 
 class TailEvaluator:
@@ -273,16 +328,17 @@ class TailEvaluator:
     reused, and only stage start_stage is compiled.  A backward sweep so
     compiles each stage policy once.
 
-    A row is carried as [x | |x|^2 | 1], and one product with the stage's
-    anchor matrix gives its kernel values k (kernels._Anchors).  Each stage
-    is compiled into one stacked matrix
-    [[A' | L]; 0; [0 | offset]; coeffs [B' | 0 | F_R]], with L and offset
-    the map of the spec's tail_cost and F_R the control's cost factor, so one
-    product of [row | k] gives the next state and the stage's cost map,
-    drift, control and offset included.  For the linear kernel the control
-    part folds into the first n rows: a stage is one (n + 2)-row product.
-    A last product takes the squares of [next state | cost map] to the next
-    state's squared norm and the cost map's sums of squares; the cost's
+    A row is carried as a column block whose head holds x, |x|^2 and 1 (see
+    _TailMaps), and one product with the stage's anchor matrix gives its
+    kernel values k (kernels._Anchors).  Each stage is compiled into one
+    stacked matrix [[A' | L]; 0; [0 | offset]; coeffs [B' | 0 | F_R]], with
+    L and offset the map of the spec's tail_cost and F_R the control's cost
+    factor, so one product of the block gives the next state and the
+    stage's cost map, drift, control and offset included, straight into the
+    next block.  For the linear kernel the control part folds into the rows
+    of x: a stage is one product of the head.  A last product takes the
+    squares of [next state | cost map] to the next state's squared norm and
+    the cost map's sums of squares, in place in the next block; the cost's
     nonlinear rest (StateCost.of_sums) runs once per call, over all stages.
     """
 
@@ -302,117 +358,201 @@ class TailEvaluator:
         if rest is None:
             self._maps = _TailMaps(sys, spec)
             later = range(start_stage, policy.horizon)
-            self._stages = [self._compile(policy.kernel, policy.stages[t]) for t in later]
+            self._stages = [_Stage(self._maps, policy.kernel, policy.stages[t]) for t in later]
         else:
             if rest.start_stage != start_stage + 1 or rest.stage_count != self.stage_count - 1:
                 raise ValueError("rest must be the tail from start_stage + 1 of the same policy")
             self._maps = rest._maps
-            stage = self._compile(policy.kernel, policy.stages[start_stage])
+            stage = _Stage(self._maps, policy.kernel, policy.stages[start_stage])
             self._stages = [stage] + rest._stages
-        # a row [x | |x|^2 | 1 | k] is as wide as the tallest stacked matrix
-        self._row_width = max((s.shape[0] for _, s in self._stages), default=sys.n + 2)
+        # a block is as tall as the tallest stacked matrix; every simulation
+        # of a sweep allocates room for the whole horizon, so a freed one is
+        # reused whole rather than fragmenting the heap as tails grow
+        self._block = max((s.height for s in self._stages), default=self._maps.head)
+        self._capacity = policy.horizon + 1
 
-    def _compile(self, kernel, stage):
-        """(anchors, stacked matrix) of one stage policy; anchors is None for the linear kernel."""
-        expansion = StageExpansion(kernel, stage)
-        step = expansion.coeffs @ self._maps.control
-        if expansion.anchors is None:
-            stacked = self._maps.stage.copy()
-            stacked[: step.shape[0]] += step
-            return None, stacked
-        return expansion.anchors, np.vstack([self._maps.stage, step])
-
-    def values(self, states, directions=None):
+    def values(self, states, keep=False):
         """Continuation values at the rows of states, shape (N,).
 
-        With directions, a (k, n) array of rows d_j, it returns (values,
-        slopes) where slopes[i, j] is the exact directional derivative
-        dV/dy . d_j at row i.  The tangent rows [dx | 2 x . dx | 0] ride
-        below the state rows, in k blocks of N, through the same products of
-        every stage: the kernel features' Jacobian (kernels._Anchors) and the
-        cost's derivative (StateCost.slopes_of_sums) carry them.
+        With keep, it returns (values, trajectory): the Trajectory holds what
+        a backward pass over this simulation reads, and its gradient() gives
+        the exact dV/dy at the rows.
 
-        Only state rows meet the divergence guard, one test of their stored
-        squared norms after the loop; when it fails, dynamics.check_norms
-        raises for the first stage with a row past the guard.  Such a row
-        runs on through the later stages without warnings.  A tangent that
-        overflows gives a non-finite slope.
+        The divergence guard tests the stored squared norms of the rows
+        entering each stage once, after the loop; when it fails,
+        dynamics.check_norms raises for the first stage with a row past the
+        guard.  Such a row runs on through the later stages without
+        warnings.  The final rows meet no guard.
+        """
+        path = self._simulate(self._stages, np.atleast_2d(np.asarray(states, dtype=float)))
+        return (path.values, path) if keep else path.values
+
+    def extend(self, states, rest: Optional["Trajectory"] = None) -> "Trajectory":
+        """The trajectory from states through this tail's first stage, then rest.
+
+        rest is a trajectory of the remaining stages from the successors of
+        states under that stage, so the result covers this whole tail; one
+        stage is simulated.  An empty tail takes no rest: its trajectory is
+        the terminal cost at states.
         """
         X = np.atleast_2d(np.asarray(states, dtype=float))
-        N, n = X.shape
-        blocks = 1
-        if directions is not None:
-            D = np.atleast_2d(np.asarray(directions, dtype=float))
-            blocks += D.shape[0]
-        # column-major, so that the kernel values of a stage are one contiguous
-        # block for the kernel's exp and power
-        W = np.zeros((blocks * N, self._row_width), order="F")
-        W3 = W.reshape(blocks, N, -1)
-        W3[0, :, :n] = X
-        if blocks > 1:
-            W3[1:, :, :n] = D[:, None, :]
-        W[:N, n + 1] = 1.0
-        final = self.spec.final_cost
-        if self._stages:
-            sums = self._simulate(W, N, blocks)
-        # the |x|^2 row of maps.final is zero: after the stages the norm column
-        # lags a stage behind, and nothing reads it
-        z = (W[:, : n + 2] @ self._maps.final).reshape(blocks, N, -1)
-        final_sums = (z * z[0]).reshape(blocks * N, -1) @ final.squares_to_sums
-        final_sums = final_sums.reshape(blocks, N, -1)
-        total = final.of_sums(final_sums[0])
-        if blocks > 1:
-            slopes = final.slopes_of_sums(final_sums[0], final_sums[1:])
-        if self._stages:
-            cost = self.spec.tail_cost
-            sums = sums.reshape(self.stage_count, blocks, N, -1)[..., 1:]
-            total = cost.of_sums(sums[:, 0]).sum(axis=0) + total
-            if blocks > 1:
-                slopes = cost.slopes_of_sums(sums[:, :1], sums[:, 1:]).sum(axis=0) + slopes
-        return total if blocks == 1 else (total, slopes.T)
+        if rest is None:
+            if self.stage_count:
+                raise ValueError("only an empty tail extends without a rest")
+            return self._simulate([], X)
+        if rest.stage_count != self.stage_count - 1:
+            raise ValueError("rest must cover the stages after this tail's first")
+        return self._simulate(self._stages[:1], X, rest)
 
-    def _simulate(self, W, N, blocks):
-        """Run the stages on the rows of W, in place, and return each stage's sums.
+    def _simulate(self, stages, X, rest=None) -> "Trajectory":
+        """Run the compiled stages on the rows of X and keep what the backward pass reads.
 
-        W's rows are [x | |x|^2 | 1 | room for k], the N state rows first;
-        this fills |x|^2.  The (stages, rows, 1 + sums) result holds the
-        squared norm of each row a stage leaves (x . dx for tangent rows)
-        and the sums of squares of its cost map.
+        Rows are kept as columns, so that every product and every kernel's
+        exp and power runs on contiguous blocks: W[i] is the block of the
+        rows entering stage i, W[-1] that of the rows the stages leave.
+        Without rest the values end in the terminal cost; with it, in rest's
+        values.
         """
         maps = self._maps
-        n = maps.stage.shape[0] - 2
-        rows = blocks * N
-        # sums[0] holds the squared norms of the rows entering the first stage
-        sums = np.empty((self.stage_count + 1, rows, maps.to_sums.shape[1]))
-        to_sums = maps.to_sums
-        Z = np.empty((rows, maps.stage.shape[1]))
-        Z3 = Z.reshape(blocks, N, -1)
-        squares = np.empty_like(Z)
-        squares3 = squares.reshape(blocks, N, -1)
-        W3 = W.reshape(blocks, N, -1)
-        row, state, norm, tangent_norm = W[:, : n + 2], W[:, :n], W[:, n], W[N:, n]
+        N, n = X.shape
+        k = len(stages)
+        top, norm, head = maps.stage.shape[1], maps.norm, maps.head
+        sums = slice(norm, maps.one)
+        W = np.empty((self._capacity, self._block, N))[: k + 1]
+        squares = np.empty((top, N))
+        W[0, :n] = X.T
+        W[0, n:top] = 0.0
+        W[:, maps.one] = 1.0
         # a row past the guard runs on to the test after the loop, and may
         # overflow on the way without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(W3[..., :n] * W3[0, :, :n], to_sums[:n], out=sums[0].reshape(blocks, N, -1))
-            for i, (anchors, stacked) in enumerate(self._stages):
-                norm[...] = sums[i, :, 0]
-                if blocks > 1:
-                    # the sums hold x . dx; the tangent of |x|^2 is twice that
-                    tangent_norm *= 2.0
-                if anchors is None:
-                    np.matmul(row, stacked, out=Z)
+            np.multiply(W[0, :top], W[0, :top], out=squares)
+            np.matmul(maps.to_sums, squares, out=W[0, sums])
+            for i, stage in enumerate(stages):
+                block, following = W[i], W[i + 1, :top]
+                if stage.anchors is not None:
+                    stage.anchors.apply(
+                        np.matmul(stage.kernel, block[:head], out=block[head : stage.height])
+                    )
+                np.matmul(stage.forward, block[: stage.height], out=following)
+                np.multiply(following, following, out=squares)
+                np.matmul(maps.to_sums, squares, out=W[i + 1, sums])
+        if not W[:-1, norm].max(initial=0.0) <= STATE_GUARD**2:
+            for i in range(k):
+                check_norms(W[i, norm], self.start_stage + i, "tail simulation")
+        return Trajectory(self.spec, maps, stages, W, rest)
+
+
+class Trajectory:
+    """One simulation of a tail from its rows, kept for a backward (adjoint) pass.
+
+    values are the continuation values at the rows; states() the rows
+    entering each stage and the final rows; gradient() the exact dV/dy at
+    the rows by reverse mode.  A trajectory covers its own stages
+    (TailEvaluator._simulate) and then either the terminal cost or rest,
+    the trajectory of the later stages from its last rows' successors.
+
+    Walking back, the gradient with respect to a stage's product
+    [next state | cost map] is [lambda | 2 z * (from_sums @ the cost's
+    sums_gradient)], with lambda the gradient at the next rows.  The gate
+    takes it to the kernel values, the anchors' vjp from there to their
+    products, and the stage's back matrix takes both to the block's x and
+    |x|^2 rows: lambda at x is the x part plus x times the doubled |x|^2
+    part.  Each trajectory keeps its gradient once computed, so a trajectory
+    extended by one stage walks one stage back, and then drops what the walk
+    read.
+    """
+
+    def __init__(self, spec, maps, stages, W, rest):
+        self._spec = spec
+        self._maps = maps
+        self._stages = stages
+        self._W = W
+        self.rest = rest
+        self.stage_count = len(stages) + (rest.stage_count if rest is not None else 0)
+        self._gradient = None
+        n = maps.n
+        if rest is None:
+            final = spec.final_cost
+            z = W[-1, :n].T @ final.lin + final.offset
+            self._final_map = z, (z * z) @ final.squares_to_sums
+            total = final.of_sums(self._final_map[1])
+        else:
+            total = rest.values
+        if stages:
+            sums = W[1:, maps.norm + 1 : maps.one].swapaxes(1, 2)
+            total = spec.tail_cost.of_sums(sums).sum(axis=0) + total
+        self.values = total
+
+    def states(self) -> np.ndarray:
+        """(N, stage_count + 1, n): the rows entering every stage, then the final rows."""
+        n = self._maps.n
+        parts, path = [], self
+        while path.rest is not None:
+            parts.append(path._W[:-1, :n])
+            path = path.rest
+        parts.append(path._W[:, :n])
+        return np.concatenate(parts).transpose(2, 0, 1)
+
+    def gradient(self):
+        """(dV/dy at the rows, stages walked back to get it).
+
+        A gradient that overflows is returned non-finite, without warnings.
+        """
+        chain, path = [], self
+        while path is not None and path._gradient is None:
+            chain.append(path)
+            path = path.rest
+        lam = None if path is None else path._gradient
+        walked = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for path in reversed(chain):
+                walked += len(path._stages)
+                lam = path._backward(lam)
+        return self._gradient, walked
+
+    def _backward(self, lam):
+        """Walk this trajectory's own stages back from lam, the gradient at its last rows' successors.
+
+        The walk runs in place in the blocks, which it consumes: stage i's
+        gradient [lambda | z grad | kernel products' grad] is written over
+        block i + 1 once stage i + 1 has read it, and lambda at the rows
+        entering stage i over their x.
+        """
+        maps, spec = self._maps, self._spec
+        n, top, head = maps.n, maps.stage.shape[1], maps.head
+        if lam is None:
+            z, sums = self._final_map
+            final = spec.final_cost
+            z_grad = 2.0 * z * (final.sums_gradient(sums) @ final.squares_to_sums.T)
+            lam = z_grad @ final.lin.T
+        states = np.ascontiguousarray(self._W[:, :n])
+        if self._stages:
+            W = self._W
+            cost_sums = W[1:, maps.norm + 1 : maps.one].swapaxes(1, 2)
+            per_sum = spec.tail_cost.sums_gradient(cost_sums).swapaxes(1, 2)
+            W[1:, n:top] *= np.matmul(maps.from_sums, per_sum)
+            W[-1, :n] = lam.T
+            for i in range(len(self._stages) - 1, -1, -1):
+                stage, block, grad = self._stages[i], W[i], W[i + 1]
+                if stage.anchors is None:
+                    g = stage.back @ grad[:top]
                 else:
-                    K = W[:, n + 2 : stacked.shape[0]]
-                    anchors.apply(np.matmul(row, anchors.matrix, out=K), N)
-                    np.matmul(W[:, : stacked.shape[0]], stacked, out=Z)
-                np.multiply(Z3, Z3[0], out=squares3)
-                np.matmul(squares, to_sums, out=sums[i + 1])
-                state[...] = Z[:, :n]
-        if not sums[:-1, :N, 0].max(initial=0.0) <= STATE_GUARD**2:
-            for i in range(self.stage_count):
-                check_norms(sums[i, :N, 0], self.start_stage + i, "tail simulation")
-        return sums[1:]
+                    end = top + stage.height - head
+                    np.matmul(stage.gate, grad[:top], out=grad[top:end])
+                    stage.anchors.vjp(
+                        block[head : stage.height], grad[top:end], lambda: stage.kernel @ block[:head]
+                    )
+                    g = stage.back @ grad[:end]
+                np.multiply(block[:n], g[n], out=block[:n])
+                block[:n] += g[:n]
+            lam = W[0, :n].T.copy()
+        # no later walk passes a kept gradient: keep only the states
+        self._gradient = lam
+        self._W = states
+        self._final_map = None
+        self._stages = ()
+        return lam
 
 
 def empirical_stage_objective(

@@ -4,11 +4,17 @@ A feedback policy is stored stage by stage as a dictionary of anchor states
 together with a coefficient matrix.  Evaluating the policy at a state x sums
 the coefficient rows weighted by the kernel values k(x, anchor_j), so the
 policy output is linear in the coefficients for a fixed evaluation point.
+
+A dictionary compiles its anchors for a kernel once (_Anchors, cached on the
+Dictionary): one (n + 2)-row matrix per family, applied to rows
+[x | |x|^2 | 1], then the family's nonlinearity.  The same compiled anchors
+serve the Gram and cross-Gram matrices, rollouts and the tail simulation,
+whose backward pass reads their vector-Jacobian product (_Anchors.vjp).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,10 +79,9 @@ class _Anchors:
     every anchor p_j, x . p_j for the linear kernel, the base x . p_j + offset
     for the polynomial kernel, and for the gaussian-rbf kernel the exponent
     -c |x - p_j|^2 / 2 = c x . p_j - c |x|^2 / 2 - c |p_j|^2 / 2 with
-    c = 1/length_scale^2.  A tangent row [dx | 2 x . dx | 0] of such a row
-    gives that product's exact derivative along dx, so one product serves
-    both.  apply then turns the products into kernel values, and those of the
-    tangent rows into the values' derivatives, in place.
+    c = 1/length_scale^2.  apply then turns the products into kernel values
+    in place, and vjp carries a gradient with respect to the kernel values
+    back to the products.
     """
 
     __slots__ = ("spec", "matrix")
@@ -94,29 +99,34 @@ class _Anchors:
         elif spec.family == "polynomial":
             self.matrix[n + 1] = spec.offset
 
-    def apply(self, K: np.ndarray, rows: int) -> np.ndarray:
-        """Kernel values in place of the products K of the first `rows` augmented rows.
-
-        Any later rows of K are the products of tangent rows, in blocks of
-        `rows` that match the state rows in order; they become the
-        derivatives dk = (dk/dx) dx of the values.
-        """
+    def apply(self, K: np.ndarray) -> np.ndarray:
+        """Kernel values in place of the products K of augmented rows with matrix."""
         spec = self.spec
-        KX = K[:rows]
-        dK = K[rows:].reshape(-1, rows, K.shape[1]) if K.shape[0] > rows else None
         if spec.family == "gaussian-rbf":
             # rounding can lift the exponent of x = p_j above 0; k <= 1
-            np.minimum(KX, 0.0, out=KX)
-            np.exp(KX, out=KX)
-            if dK is not None:
-                dK *= KX  # dk = k c (p - x) . dx
+            np.minimum(K, 0.0, out=K)
+            np.exp(K, out=K)
         elif spec.family == "polynomial":
-            if dK is not None:
-                # dk = degree (x.p + offset)^(degree - 1) p . dx
-                dK *= spec.degree * KX ** (spec.degree - 1)
-            np.power(KX, spec.degree, out=KX)
-        # the linear kernel x.p is its own derivative p.dx: the products are final
+            np.power(K, spec.degree, out=K)
+        # the linear kernel's products x . p are its values
         return K
+
+    def vjp(self, K: np.ndarray, dK: np.ndarray, products) -> np.ndarray:
+        """The vector-Jacobian product of apply: dK times dk/dp, in place.
+
+        K holds the kernel values apply gave at the products p, and dK a
+        gradient with respect to those values; products() returns p, and
+        only the polynomial family calls it.  dk/dp is k itself for the rbf
+        value exp(p), degree p^(degree - 1) for the polynomial p^degree and
+        1 for the linear kernel.  The gradient with respect to the augmented
+        rows is then matrix @ dK.
+        """
+        spec = self.spec
+        if spec.family == "gaussian-rbf":
+            dK *= K
+        elif spec.family == "polynomial":
+            dK *= spec.degree * products() ** (spec.degree - 1)
+        return dK
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """The kernel values k(x, p_j) at the rows of X."""
@@ -125,7 +135,7 @@ class _Anchors:
         rows[:, :n] = X
         rows[:, n] = _sq_norms(X)
         rows[:, n + 1] = 1.0
-        return self.apply(rows @ self.matrix, N)
+        return self.apply(rows @ self.matrix)
 
 
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
@@ -139,13 +149,25 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
 
 @dataclass
 class Dictionary:
-    """Ordered anchor states for one stage of a kernel policy."""
+    """Ordered anchor states for one stage of a kernel policy.
+
+    The points are fixed once built: anchors(spec) compiles them for a
+    kernel on first use and hands out that compilation afterwards.
+    """
 
     points: np.ndarray
     stage: int = 0
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.points = _as_points(self.points, "dictionary points")
+
+    def anchors(self, spec: KernelSpec) -> _Anchors:
+        """The points compiled for the kernel spec, once per dictionary and spec."""
+        compiled = self._compiled.get(spec)
+        if compiled is None:
+            compiled = self._compiled[spec] = _Anchors(spec, self.points)
+        return compiled
 
     @property
     def size(self) -> int:
@@ -164,7 +186,7 @@ def gram_matrix(spec: KernelSpec, dictionary: Dictionary) -> np.ndarray:
     """
     if dictionary.size == 0:
         raise ValueError("dictionary must be non-empty")
-    K = kernel_matrix(spec, dictionary.points, dictionary.points)
+    K = dictionary.anchors(spec).values(dictionary.points)
     return 0.5 * (K + K.T)
 
 
@@ -173,7 +195,9 @@ def cross_gram(spec: KernelSpec, samples, dictionary: Dictionary) -> np.ndarray:
     samples = _as_points(samples, "samples")
     if samples.shape[0] == 0:
         raise ValueError("samples must be non-empty")
-    return kernel_matrix(spec, samples, dictionary.points)
+    if samples.shape[1] != dictionary.dim:
+        raise ValueError(f"dimension mismatch: {samples.shape[1]} vs {dictionary.dim}")
+    return dictionary.anchors(spec).values(samples)
 
 
 @dataclass
@@ -214,21 +238,20 @@ class StageExpansion:
     """One stage policy compiled for repeated evaluation at batches of states.
 
     The per-stage work that does not depend on the evaluation points is done
-    once here: the anchors compiled for their family (_Anchors), and for the
-    linear kernel the collapse of sum_j (x . p_j) c_j into the single
-    feedback matrix P' C.  The stage is snapshotted; later mutation of its
-    coefficients is not reflected.
+    once here: the dictionary's anchors compiled for their family
+    (Dictionary.anchors), and for the linear kernel the collapse of
+    sum_j (x . p_j) c_j into the single feedback matrix P' C.  The stage is
+    snapshotted; later mutation of its coefficients is not reflected.
     """
 
     __slots__ = ("anchors", "coeffs")
 
     def __init__(self, kernel: KernelSpec, stage: StagePolicy):
-        points = stage.dictionary.points
         if kernel.family == "linear":
             self.anchors = None
-            self.coeffs = points.T @ stage.coefficients
+            self.coeffs = stage.dictionary.points.T @ stage.coefficients
         else:
-            self.anchors = _Anchors(kernel, points)
+            self.anchors = stage.dictionary.anchors(kernel)
             self.coeffs = stage.coefficients
 
     def controls(self, X: np.ndarray) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Full-horizon policy iteration with implicit secant-type stage updates.
 
-Each outer iteration simulates the sample batch forward under the current
-policy, evaluates the remaining cost backward, and then improves the policy
-stage by stage from the last stage to the first.  A stage improvement solves
-the implicit step condition
+Each outer iteration improves the policy stage by stage from the last stage
+to the first, at the sample batch simulated under the policy entering it.
+A stage improvement solves the implicit step condition
 
     J_t(c_new) - J_t(c_old) = -(1/delta) ||pi_new - pi_old||^2
 
@@ -26,26 +25,37 @@ The inner solver picks the Gram-preconditioned descent direction and finds
 the step length by a safeguarded secant solve in one dimension.  It stops at
 the first descending step whose secant gap is at most
 ROOT_TOL * inner_tol * (1 + |J_old|), so the identity above holds to that
-precision for every accepted step.  The direction comes from one gradient
-probe: a single tail evaluation at the successor states under the old
-coefficients that also carries B's columns as tangent directions, so it
-returns the continuation values, and with them J_old, together with their
-exact slopes dV/dy B.  A stage update costs one tail call for the probe plus
-one per trial step.  Each sweep grows one tail from the terminal cost: once
-stage t is updated, the tail for stage t - 1 is the previous one with only
-stage t compiled in front, so each stage policy is compiled once per sweep.
+precision for every accepted step.  Each sweep grows one tail from the
+terminal cost: once stage t is updated, the tail for stage t - 1 is the
+previous one with only stage t compiled in front, so each stage policy is
+compiled once per sweep.
+
+The direction comes from the gradient of J at the old coefficients, which
+needs the continuation values at the successor states and their slopes
+dV/dy B.  Every trial keeps its simulated trajectory (costs.Trajectory),
+and a sweep hands each stage the trajectory from its successors under the
+updated later stages: stage t + 1's chosen trajectory, the kept best trial
+or the one it was handed, extended by one forward stage of stage t + 1 at
+the batch rows (TailEvaluator.extend).  Its values give J_old and one
+reverse-mode pass over it gives dV/dy, so a stage update in a sweep costs
+one tail call per trial step and none at the old coefficients.  The
+trajectory stage 0 keeps runs from the initial states through stage T
+under the updated policy: it is the next iteration's batch, checked
+against the state guard at every stage, and its mean value, stage 0's new
+objective, is the next iteration's cost.  So only iteration 0 rolls the
+batch out and evaluates its cost-to-go.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .costs import CostSpec, TailEvaluator, evaluate_cost_to_go
-from .dynamics import DivergenceError, LinearSystem, rollout
+from .costs import CostSpec, TailEvaluator, Trajectory, evaluate_cost_to_go
+from .dynamics import DivergenceError, LinearSystem, check_guard, rollout
 from .kernels import (
     Dictionary,
     KernelPolicy,
@@ -144,18 +154,23 @@ class StageUpdateResult:
     c_new: np.ndarray
     objective_old: float
     objective_new: float
-    # objective evaluations: J0 from the probe and one per trial step
+    # objective evaluations: J0 and one per tail call at trial coefficients
     evals: int
-    # tail re-simulations: the probe and one per trial step
+    # tail re-simulations: one per trial step, one more for an
+    # "inexact-secant" step, and one at c_old when no trajectory was handed
+    # over
     tail_calls: int
-    # state rows times stages re-simulated over those tail calls
+    # rows times stages re-simulated over those tail calls
     tail_row_stages: int
-    # the probe's tangent rows times stages, apart from the state rows
-    tangent_row_stages: int
+    # rows times stages walked back for the gradient at c_old
+    backward_row_stages: int
     value_step_sq: float  # ||pi_new - pi_old||_F^2 over the sampled states
     secant_gap: float  # |dJ + value_step_sq / delta|
     accepted: bool
     reason: str
+    # the kept trajectory from the successor states under c_new; the sweep
+    # takes it, so that records keep no trajectory alive
+    successors: Optional[Trajectory] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -244,14 +259,18 @@ class _StageWorkspace:
     The cross-Gram matrix at the sampled states, the state part of the stage
     cost, x'Qx + psi(x), and the drift X A' do not depend on the candidate
     coefficients, so they are computed once here rather than on every
-    objective evaluation.
+    objective evaluation.  handed, when given, is the trajectory from the
+    successor states under c_old (see the module docstring).
     """
 
-    def __init__(self, solver: StageSolver, c_old, tail: TailEvaluator, states):
+    def __init__(
+        self, solver: StageSolver, c_old, tail: TailEvaluator, states, handed=None
+    ):
         states = np.atleast_2d(np.asarray(states, dtype=float))
         self.solver = solver
         self.c_old = np.asarray(c_old, dtype=float)
         self.tail = tail
+        self.handed = handed
         self.cross = cross_gram(solver.kernel, states, solver.dictionary)
         self.pi_old = self.cross @ self.c_old
         self.drift = states @ solver.sys.A.T
@@ -259,47 +278,53 @@ class _StageWorkspace:
         self.evals = 0
         self.tail_calls = 0
         self.tail_row_stages = 0
-        self.tangent_row_stages = 0
+        self.backward_row_stages = 0
 
-    def _tail_values(self, Y, directions=None):
+    def _tail_values(self, Y):
         self.tail_calls += 1
         self.tail_row_stages += Y.shape[0] * self.tail.stage_count
-        if directions is not None:
-            self.tangent_row_stages += Y.shape[0] * directions.shape[0] * self.tail.stage_count
-        return self.tail.values(Y, directions)
+        return self.tail.values(Y, keep=True)
 
     def _objective(self, pi, continuation) -> float:
         control_cost = self.solver.spec.control_cost(pi)
         return float((self.state_cost + control_cost + np.asarray(continuation)).mean())
 
-    def objective_of(self, C) -> float:
-        """Sample-average stage cost plus continuation; equals empirical_stage_objective."""
+    def objective_of(self, C):
+        """(J, trajectory): the sample-average stage cost plus continuation, and its trajectory.
+
+        J equals empirical_stage_objective; the trajectory is the tail's
+        simulation from the successor states.
+        """
         self.evals += 1
         pi = self.cross @ np.asarray(C, dtype=float)
-        return self._objective(pi, self._tail_values(self.drift + pi @ self.solver.sys.B.T))
+        values, path = self._tail_values(self.drift + pi @ self.solver.sys.B.T)
+        return self._objective(pi, values), path
 
-    def trial_objective(self, C) -> float:
-        """Objective at a trial point; a diverging continuation scores +inf (no descent)."""
+    def trial(self, C):
+        """objective_of at a trial point; a diverging continuation scores +inf (no descent)."""
         try:
             return self.objective_of(C)
         except DivergenceError:
-            return np.inf
+            return np.inf, None
 
     def value_gradient(self):
         """(J0, G): the objective at c_old and its gradient with respect to the sampled controls.
 
-        One tail call at the successors under c_old, with the columns of B as
-        tangent directions, gives the continuation values, and so J0, and
-        their exact slopes dV/dy B; then G = (2 pi_old R + dV/dy B) / N.  A
-        DivergenceError from a successor row propagates.  A tangent that
-        overflows leaves G non-finite.
+        The continuation values come from the handed-over trajectory or,
+        without one, from one tail call at the successors under c_old, whose
+        trajectory is kept as handed.  A reverse-mode pass over it gives
+        dV/dy, and G = (2 pi_old R + dV/dy B) / N.  A DivergenceError from a
+        successor row propagates.  A gradient that overflows leaves G
+        non-finite.
         """
         B = self.solver.sys.B
-        y0 = self.drift + self.pi_old @ B.T
         self.evals += 1
-        vals, slopes = self._tail_values(y0, B.T)
-        G = (2.0 * self.pi_old @ self.solver.spec.R + slopes) / y0.shape[0]
-        return self._objective(self.pi_old, vals), G
+        if self.handed is None:
+            _, self.handed = self._tail_values(self.drift + self.pi_old @ B.T)
+        slopes, walked = self.handed.gradient()
+        self.backward_row_stages += slopes.shape[0] * walked
+        G = (2.0 * self.pi_old @ self.solver.spec.R + slopes @ B) / slopes.shape[0]
+        return self._objective(self.pi_old, self.handed.values), G
 
     def descent_direction(self, G):
         """Gram-preconditioned direction from the value gradient G: (V, P, ||P||^2, <G, P>)."""
@@ -311,15 +336,21 @@ class _StageWorkspace:
         return V, P, p2, s0
 
 
-def _result(ws: _StageWorkspace, J0: float, reason: str, c_new=None, J1=None) -> StageUpdateResult:
-    """The stage's outcome; without c_new the step is rejected and c_old kept."""
+def _result(
+    ws: _StageWorkspace, J0: float, reason: str, c_new=None, J1=None, path=None
+) -> StageUpdateResult:
+    """The stage's outcome; without c_new the step is rejected and c_old kept.
+
+    path is the trajectory of the accepted trial; a rejected step keeps the
+    one at c_old.
+    """
     accepted = c_new is not None
     if accepted:
         dpi = ws.cross @ (c_new - ws.c_old)
         value_sq = float(np.sum(dpi * dpi))
         gap = abs(J1 - J0 + value_sq / ws.solver.cfg.delta_lr)
     else:
-        c_new, J1 = ws.c_old.copy(), J0
+        c_new, J1, path = ws.c_old.copy(), J0, ws.handed
         value_sq = gap = 0.0
     return StageUpdateResult(
         c_new=c_new,
@@ -328,11 +359,12 @@ def _result(ws: _StageWorkspace, J0: float, reason: str, c_new=None, J1=None) ->
         evals=ws.evals,
         tail_calls=ws.tail_calls,
         tail_row_stages=ws.tail_row_stages,
-        tangent_row_stages=ws.tangent_row_stages,
+        backward_row_stages=ws.backward_row_stages,
         value_step_sq=value_sq,
         secant_gap=gap,
         accepted=accepted,
         reason=reason,
+        successors=path,
     )
 
 
@@ -369,7 +401,8 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
     +inf and shrinks the upper end.  The
     first trial with |g| <= ROOT_TOL * inner_tol * (1 + |J0|) and J < J0 is
     accepted.  When none is found, the descending trial with the smallest |g|
-    is accepted as "inexact-secant", and when no trial descends the old
+    is accepted as "inexact-secant", simulated once more for its trajectory
+    (only the trial in hand keeps one), and when no trial descends the old
     coefficients are kept.
     """
     V, P, p2, s0 = ws.descent_direction(G)
@@ -386,13 +419,14 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
     points = [(0.0, s0)]  # the latest points (a, q(a)), oldest first
     best = (np.inf, None, J0)
     for _ in range(MAX_TRIALS):
-        Ja = ws.trial_objective(ws.c_old + a * V)
+        Ja, path = ws.trial(ws.c_old + a * V)
         g = Ja - J0 + (a * a) * p2 / delta
         if Ja < J0:
             if abs(g) <= tol:
-                return _result(ws, J0, "ok", ws.c_old + a * V, Ja)
+                return _result(ws, J0, "ok", ws.c_old + a * V, Ja, path)
             if abs(g) < best[0]:
                 best = (abs(g), a, Ja)
+        path = None  # only the trial in hand keeps its trajectory
         q = g / a
         points = points[-2:] + [(a, q)]
         if q < 0:
@@ -413,7 +447,9 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
     _, a, Ja = best
     if a is None:
         return _result(ws, J0, "no-descent")
-    return _result(ws, J0, "inexact-secant", ws.c_old + a * V, Ja)
+    # only one trial's trajectory is kept at a time: simulate the best again
+    Ja, path = ws.trial(ws.c_old + a * V)
+    return _result(ws, J0, "inexact-secant", ws.c_old + a * V, Ja, path)
 
 
 def solve_implicit_update(
@@ -421,21 +457,26 @@ def solve_implicit_update(
     c_old: np.ndarray,
     tail: TailEvaluator,
     states_at_t,
+    handed: Optional[Trajectory] = None,
 ) -> StageUpdateResult:
     """Improve a stage's coefficients against the already-updated tail.
 
     Guarantees objective_new <= objective_old: when the inner solver cannot
     find a descending step the old coefficients are returned unchanged.
     tail re-simulates the continuation from the successor states (a
-    TailEvaluator over the updated later stages).
+    TailEvaluator over the updated later stages).  handed, when given, is
+    that tail's trajectory from the successor states under c_old; without
+    it one tail call at c_old simulates it.
 
-    The objective at c_old, J0, and its gradient come from one probe of the
-    tail (_StageWorkspace.value_gradient).  A DivergenceError there
-    propagates, because the old coefficients' objective diverges; a
-    non-finite gradient keeps c_old as "gradient-diverged".  A trial step
-    whose continuation diverges counts as no descent and the step shrinks.
+    The objective at c_old, J0, and its gradient come from that trajectory
+    and one reverse-mode pass over it (_StageWorkspace.value_gradient).  A
+    DivergenceError there propagates, because the old coefficients'
+    objective diverges; a non-finite gradient keeps c_old as
+    "gradient-diverged".  A trial step whose continuation diverges counts
+    as no descent and the step shrinks.  The result carries the trajectory
+    from the successor states under c_new (successors).
     """
-    ws = _StageWorkspace(solver, c_old, tail, states_at_t)
+    ws = _StageWorkspace(solver, c_old, tail, states_at_t, handed)
     J0, G = ws.value_gradient()
     if not np.isfinite(G).all():
         return _result(ws, J0, "gradient-diverged")
@@ -469,16 +510,19 @@ def run_policy_iteration(
     policy: Optional[KernelPolicy] = None,
     dict_rng: Optional[np.random.Generator] = None,
 ):
-    """Iterate forward simulation, backward evaluation, and stage improvement.
+    """Iterate backward stage improvement from the batch simulated under the policy.
 
     When a policy is given it is improved in place from its warm state, and
     every stage must carry its dictionary.  Otherwise a zero policy is built
     over dictionaries drawn with dict_rng (default_rng(0) when not given) from
-    a zero-control rollout of the batch.  Dictionaries stay fixed for the
-    call, so each stage's StageSolver is built once, before the first
-    iteration.  Returns (policy, records); rollout divergence raises
-    PolicyIterationDiverged carrying the partial history, which is empty, with
-    no policy, when the zero-control rollout diverges.
+    a zero-control rollout of the batch, which is also iteration 0's batch.
+    Dictionaries stay fixed for the call, so each stage's StageSolver is
+    built once, before the first iteration.  Only iteration 0 rolls out and
+    evaluates the cost-to-go; each later one starts from the trajectory its
+    predecessor's sweep kept (see the module docstring).  Returns (policy,
+    records); divergence of a batch raises PolicyIterationDiverged carrying
+    the partial history, which is empty, with no policy, when the
+    zero-control rollout diverges.
     """
     X0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     if policy is None:
@@ -496,30 +540,45 @@ def run_policy_iteration(
         )
     elif policy.horizon != horizon:
         raise ValueError("policy horizon disagrees with the requested horizon")
-    solvers = [StageSolver(policy.kernel, st.dictionary, cfg, spec, sys) for st in policy.stages]
-
-    records: list = []
-    for k in range(cfg.max_outer_iters):
+    else:
         try:
             batch = rollout(sys, policy, X0, horizon=horizon)
         except DivergenceError as exc:
             raise PolicyIterationDiverged(
-                f"forward simulation diverged at iteration {k}: {exc}", records, policy, exc
+                f"forward simulation diverged at iteration 0: {exc}", [], policy, exc
             ) from exc
-        cost_k = evaluate_cost_to_go(batch, spec).total_cost
+    solvers = [StageSolver(policy.kernel, st.dictionary, cfg, spec, sys) for st in policy.stages]
+    states = batch.states
+    cost_k = evaluate_cost_to_go(batch, spec).total_cost
+
+    records: list = []
+    for k in range(cfg.max_outer_iters):
+        if k:
+            # a trial's tail guards the rows entering its stages, not the
+            # final ones, so the kept batch is checked at every stage
+            try:
+                for t in range(horizon + 1):
+                    check_guard(states[:, t], t)
+            except DivergenceError as exc:
+                raise PolicyIterationDiverged(
+                    f"forward simulation diverged at iteration {k}: {exc}", records, policy, exc
+                ) from exc
 
         t0 = time.perf_counter()
         stage_results = [None] * horizon
         try:
             tail = TailEvaluator(sys, spec, policy, horizon)
+            handed = tail.extend(states[:, horizon])
             for t in range(horizon - 1, -1, -1):
                 res = solve_implicit_update(
-                    solvers[t], policy.stages[t].coefficients, tail, batch.states[:, t]
+                    solvers[t], policy.stages[t].coefficients, tail, states[:, t], handed
                 )
+                successors, res.successors = res.successors, None
                 policy.stages[t] = StagePolicy(solvers[t].dictionary, res.c_new)
                 stage_results[t] = res
                 if t:
                     tail = TailEvaluator(sys, spec, policy, t, tail)
+                    handed = tail.extend(states[:, t], successors)
         except DivergenceError as exc:
             raise PolicyIterationDiverged(
                 f"stage improvement diverged at iteration {k}: {exc}", records, policy, exc
@@ -535,9 +594,11 @@ def run_policy_iteration(
                 wall_time=wall,
             )
         )
+        states = np.concatenate([states[:, :1], successors.states()], axis=1)
         if cfg.convergence_tol > 0:
             if records[-1].total_step_sq < cfg.convergence_tol * (1.0 + abs(cost_k)):
                 break
+        cost_k = records[-1].cost_after
     return policy, records
 
 
@@ -568,7 +629,7 @@ class ProbeRow:
     dict_size: int
     horizon: int
     seconds_per_iteration: float
-    # state and tangent rows times stages re-simulated per timed iteration
+    # rows times stages re-simulated or walked back per timed iteration
     row_stages_per_iteration: float
 
 
@@ -577,8 +638,8 @@ def complexity_probe(points: Sequence[tuple], iterations: int = 2, seed: int = 0
 
     Runs a small two-vehicle crossing instance at each grid point and reports
     the mean sweep time, skipping the first iteration (it pays one-off setup
-    costs), and the mean row-stages those sweeps re-simulated
-    (StageUpdateResult.tail_row_stages plus tangent_row_stages), a count
+    costs), and the mean row-stages those sweeps re-simulated or walked back
+    (StageUpdateResult.tail_row_stages plus backward_row_stages), a count
     that does not depend on the machine.  Timing rows are informational; no
     hard bounds are asserted here.
     """
@@ -612,7 +673,7 @@ def complexity_probe(points: Sequence[tuple], iterations: int = 2, seed: int = 0
         )
         timed = records[1:] if len(records) > 1 else records
         row_stages = [
-            sum(s.tail_row_stages + s.tangent_row_stages for s in r.stages) for r in timed
+            sum(s.tail_row_stages + s.backward_row_stages for s in r.stages) for r in timed
         ]
         rows.append(
             ProbeRow(

@@ -289,6 +289,13 @@ def test_offline_command_exports_aligned_tables(tmp_path):
     assert dist[0] == "time,pair,distance"
     assert len(dist) == 1 + 7
     assert (out / "metadata.yaml").exists() and (out / "runtime.yaml").exists()
+    trace = (out / "stage_trace.csv").read_text().strip().splitlines()
+    assert trace[0] == (
+        "iteration,stage,accepted,reason,evals,tail_calls,tail_row_stages,"
+        "backward_row_stages,value_step_sq,secant_gap"
+    )
+    assert len(trace) == 1 + 3 * 6  # one row per stage update
+    assert [tuple(map(int, l.split(",")[:2])) for l in trace[1:7]] == [(0, t) for t in range(6)]
 
 
 def test_identical_config_and_seed_reproduce_tables_byte_for_byte(tmp_path):
@@ -298,7 +305,7 @@ def test_identical_config_and_seed_reproduce_tables_byte_for_byte(tmp_path):
     pb = _write_cfg(cfg_b, tmp_path / "b.yaml")
     assert main(["offline", str(pa)]) == 0
     assert main(["offline", str(pb)]) == 0
-    for name in ("cost_history.csv", "trajectories.csv", "distances.csv"):
+    for name in ("cost_history.csv", "stage_trace.csv", "trajectories.csv", "distances.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     # metadata differs only in the configured output directory
     ma = yaml.safe_load((tmp_path / "a" / "metadata.yaml").read_text())

@@ -333,7 +333,7 @@ def test_stage_workspace_objective_matches_empirical_stage_objective(problem):
     ws = _StageWorkspace(StageSolver(kernel, d, SolverConfig(), spec, sys_), C0, tail, states)
     for C in [C0] + [rng.normal(size=(4, sys_.m)) for _ in range(4)]:
         expected = empirical_stage_objective(C, states, tail.values, sys_, spec, cross)
-        assert ws.objective_of(C) == pytest.approx(expected, rel=1e-12)
+        assert ws.objective_of(C)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def _spd(rng, n, scale):
@@ -441,27 +441,33 @@ def _per_stage_tail_values(sys_, spec, policy, start_stage, X):
 @pytest.mark.parametrize("penalty", ["intersection", "none"])
 def test_fused_tail_values_match_the_per_stage_formula(family, penalty):
     # the fused loop keeps each stage's sums of squares and applies the cost's
-    # nonlinear rest once per call; carrying tangent rows changes no value
+    # nonlinear rest once per call; keeping the trajectory changes no value
     sys_, spec, policy, sample = _tail_case(family, penalty)
     X = sample(6)
-    D = np.random.default_rng(3).normal(size=(2, sys_.n))
     for start in (0, 2, 4):
         tail = TailEvaluator(sys_, spec, policy, start)
         ref = _per_stage_tail_values(sys_, spec, policy, start, X)
         np.testing.assert_allclose(tail.values(X), ref, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(tail.values(X, D)[0], ref, rtol=1e-12, atol=0)
+        values, path = tail.values(X, keep=True)
+        np.testing.assert_array_equal(values, tail.values(X))
+        np.testing.assert_array_equal(path.values, values)
 
 
 @FAMILIES
 @pytest.mark.parametrize("penalty", ["intersection", "none"])
 @pytest.mark.parametrize("start", [0, 2, 4], ids=["full", "partial", "empty"])
 def test_tail_slopes_match_central_differences(family, penalty, start):
+    # the backward pass over a kept trajectory gives dV/dy; its slopes along
+    # B's columns and two random directions match central differences
     sys_, spec, policy, sample = _tail_case(family, penalty)
     tail = TailEvaluator(sys_, spec, policy, start)
     X = sample(5)
     D = np.vstack([sys_.B.T, np.random.default_rng(8).normal(size=(2, sys_.n))])
-    values, slopes = tail.values(X, D)
-    assert slopes.shape == (5, D.shape[0])
+    _, path = tail.values(X, keep=True)
+    gradient, walked = path.gradient()
+    assert gradient.shape == X.shape and walked == policy.horizon - start
+    assert path.gradient()[1] == 0  # kept: a second call walks nothing
+    slopes = gradient @ D.T
     h = 1e-5
     central = np.stack(
         [(tail.values(X + h * d) - tail.values(X - h * d)) / (2.0 * h) for d in D], axis=1
@@ -485,13 +491,13 @@ def _sweep_tail(sys_, spec, policy, start):
 def test_tail_built_on_rest_matches_a_fresh_tail_bit_for_bit(family, start):
     sys_, spec, policy, sample = _tail_case(family, "intersection")
     X = sample(6)
-    D = np.vstack([sys_.B.T, np.random.default_rng(2).normal(size=(1, sys_.n))])
     fresh = TailEvaluator(sys_, spec, policy, start)
     swept = _sweep_tail(sys_, spec, policy, start)
     assert swept.stage_count == fresh.stage_count == policy.horizon - start
     np.testing.assert_array_equal(swept.values(X), fresh.values(X))
-    for got, expected in zip(swept.values(X, D), fresh.values(X, D)):
-        np.testing.assert_array_equal(got, expected)
+    got, expected = swept.values(X, keep=True)[1], fresh.values(X, keep=True)[1]
+    np.testing.assert_array_equal(got.states(), expected.states())
+    np.testing.assert_array_equal(got.gradient()[0], expected.gradient()[0])
 
 
 def test_rest_for_the_wrong_start_stage_is_rejected():
@@ -520,7 +526,39 @@ def test_guard_names_the_first_crossing_when_later_stages_overflow(family):
     policy = KernelPolicy(kernel, stages)
     X = np.array([[0.0, 0.3], [1e-200, 0.1], [1e-100, -0.2], [-1e-100, 0.4]])
     tail = TailEvaluator(sys_, spec, policy, 0)
-    for directions in (None, sys_.B.T):
+    for keep in (False, True):
         with pytest.raises(DivergenceError) as exc:
-            tail.values(X, directions)
+            tail.values(X, keep=keep)
         assert (exc.value.sample_index, exc.value.stage) == (2, 3)
+
+
+@FAMILIES
+def test_extended_trajectory_matches_a_fresh_tail(family):
+    # a trajectory built stage by stage from the terminal cost, as a sweep
+    # hands them over, gives a fresh tail's values, gradient and states
+    sys_, spec, policy, sample = _tail_case(family, "intersection")
+    X = sample(6)
+    path = TailEvaluator(sys_, spec, policy, 0).values(X, keep=True)[1]
+    states = path.states()
+    tail = TailEvaluator(sys_, spec, policy, policy.horizon)
+    extended = tail.extend(states[:, -1])
+    for t in range(policy.horizon - 1, -1, -1):
+        tail = TailEvaluator(sys_, spec, policy, t, tail)
+        extended = tail.extend(states[:, t], extended)
+    assert extended.stage_count == path.stage_count == policy.horizon
+    np.testing.assert_allclose(extended.values, path.values, rtol=1e-12)
+    np.testing.assert_array_equal(extended.states(), states)
+    gradient, walked = extended.gradient()
+    assert walked == policy.horizon
+    np.testing.assert_allclose(gradient, path.gradient()[0], rtol=1e-10)
+
+
+def test_extend_takes_a_rest_of_the_stages_after_the_first():
+    sys_, spec, policy, sample = _tail_case("gaussian-rbf", "none")
+    X = sample(3)
+    terminal = TailEvaluator(sys_, spec, policy, 4).extend(X)
+    np.testing.assert_allclose(terminal.values, spec.final_cost(X), rtol=1e-12)
+    with pytest.raises(ValueError):
+        TailEvaluator(sys_, spec, policy, 3).extend(X)
+    with pytest.raises(ValueError):
+        TailEvaluator(sys_, spec, policy, 2).extend(X, terminal)

@@ -502,8 +502,9 @@ def _edge_of_guard_stage(a, y_far):
 def test_probe_at_the_edge_of_the_guard_takes_the_exact_gradient():
     from kernelpi.dynamics import STATE_GUARD
 
-    # a successor just inside the guard: the probe's tangent rows meet no
-    # guard, and dV/dy = 2 y (1 + a^2 + a^4 + a^6) for three stages and the
+    # a successor just inside the guard: without a handed-over trajectory the
+    # probe is one tail call at c_old and one backward pass over its three
+    # stages, and dV/dy = 2 y (1 + a^2 + a^4 + a^6) for three stages and the
     # terminal cost under zero control
     a = 0.5
     sys_, spec, solver, tail, states, cross = _edge_of_guard_stage(a, STATE_GUARD - 2.0)
@@ -515,21 +516,23 @@ def test_probe_at_the_edge_of_the_guard_takes_the_exact_gradient():
     J_old = empirical_stage_objective(np.zeros((1, 1)), states, tail.values, sys_, spec, cross)
     assert J0 == pytest.approx(J_old, rel=1e-12)
     assert (ws.tail_calls, ws.evals) == (1, 1)
-    assert (ws.tail_row_stages, ws.tangent_row_stages) == (2 * 3, 2 * 3)
+    assert (ws.tail_row_stages, ws.backward_row_stages) == (2 * 3, 2 * 3)
     res = solve_implicit_update(solver, np.zeros((1, 1)), tail, states)
     assert res.accepted and res.objective_new < res.objective_old
 
 
 def test_probe_with_non_finite_slopes_keeps_c_old_with_the_objective_at_c_old():
-    # the states stay on the contracting axis while B's tangent direction
-    # grows 1e200-fold per stage, so the slopes overflow and G is not finite
-    sys_ = LinearSystem(A=np.diag([0.5, 1e200]), B=[[1.0], [1.0]])
+    # the states stay on the second axis, which contracts, but A moves the
+    # second coordinate into the first, which grows 1e200-fold per stage:
+    # walking back, dV/dy grows 1e200-fold per stage, overflows, and G is
+    # not finite
+    sys_ = LinearSystem(A=[[1e200, 0.0], [1.0, 0.5]], B=[[1.0], [1.0]])
     spec = CostSpec(Q=np.eye(2), R=np.eye(1), Q_F=np.eye(2))
     kernel = KernelSpec(family="linear")
-    d = Dictionary(points=[[1.0, 0.0]])
+    d = Dictionary(points=[[0.0, 1.0]])
     policy = KernelPolicy(kernel, [StagePolicy.zero(1, d) for _ in range(4)])
     tail = TailEvaluator(sys_, spec, policy, 1)
-    states = np.array([[1.0, 0.0], [-2.0, 0.0]])
+    states = np.array([[0.0, 1.0], [0.0, -2.0]])
     c_old = np.zeros((1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         solver = StageSolver(kernel, d, SolverConfig(), spec, sys_)
@@ -547,7 +550,8 @@ def test_probe_with_diverging_unperturbed_rows_raises_their_divergence():
     from kernelpi.dynamics import STATE_GUARD, DivergenceError
 
     # an expanding tail: the successor of sample 1 leaves the guard at stage 2,
-    # and the probe, whose only guarded rows are the successors, raises there
+    # and the tail call at c_old, whose only guarded rows are the successors,
+    # raises there
     _, _, solver, tail, states, _ = _edge_of_guard_stage(2.0, STATE_GUARD - 2.0)
     with pytest.raises(DivergenceError) as probe:
         _StageWorkspace(solver, np.zeros((1, 1)), tail, states).value_gradient()
@@ -569,3 +573,102 @@ def test_next_trial_interpolates_the_inverse_of_q():
     assert _next_trial(points[1:]) == secant
     assert _next_trial([(0.0, q1)] + points[1:]) == secant
     assert np.isnan(_next_trial([(1.0, 2.0), (3.0, 2.0)]))
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_an_accepted_policy_past_the_guard_at_the_last_stage_raises(horizon):
+    # a negative terminal weight rewards running away, so the first sweep
+    # accepts a long last-stage step whose final states lie past STATE_GUARD;
+    # the last stage's tail is empty and checks nothing, so only the batch
+    # the next iteration starts from can see it
+    sys_ = LinearSystem(A=[[1.0]], B=[[1.0]])
+    spec = CostSpec(Q=[[0.0]], R=[[1e-3]], Q_F=[[-1.0]])
+    cfg = SolverConfig(
+        delta_lr=1e9,
+        max_outer_iters=3,
+        mc_samples=4,
+        dict_size=2,
+        kernel_family="linear",
+        convergence_tol=0.0,
+    )
+    x0 = np.array([[1.0], [0.5], [-0.7], [1.2]])
+    with pytest.raises(PolicyIterationDiverged) as exc:
+        run_policy_iteration(sys_, spec, horizon, x0, cfg)
+    assert len(exc.value.records) == 1
+    assert exc.value.records[0].stages[-1].accepted
+    assert (exc.value.cause.sample_index, exc.value.cause.stage) == (0, horizon)
+
+
+def _recording_sweep(monkeypatch, max_iters=3):
+    """_small_rbf_run with every stage update's arguments recorded in call order."""
+    import kernelpi.offline as offline
+
+    calls = []
+    original = offline.solve_implicit_update
+
+    def record(solver, c_old, tail, states, handed=None):
+        calls.append((solver, np.array(c_old), tail, np.array(states), handed))
+        return original(solver, c_old, tail, states, handed)
+
+    monkeypatch.setattr(offline, "solve_implicit_update", record)
+    cfg, policy, records = _small_rbf_run(max_iters)
+    return cfg, policy, records, calls
+
+
+def test_handed_over_objective_and_gradient_match_a_tail_call_at_c_old(monkeypatch):
+    _, _, records, calls = _recording_sweep(monkeypatch)
+    assert len(calls) == 3 * 8
+    for solver, c_old, tail, states, handed in calls:
+        assert handed is not None
+        J0, G = _StageWorkspace(solver, c_old, tail, states, handed).value_gradient()
+        J_ref, G_ref = _StageWorkspace(solver, c_old, tail, states).value_gradient()
+        assert abs(J0 - J_ref) <= 1e-9 * abs(J_ref)
+        assert np.abs(G - G_ref).max() <= 1e-9 * np.abs(G_ref).max()
+    # inside a sweep no tail call runs at c_old: J0 is an evaluation, not a tail call
+    for res in (s for r in records for s in r.stages):
+        assert res.tail_calls == res.evals - 1
+
+
+def test_next_batch_is_the_rollout_of_the_updated_policy(monkeypatch):
+    import kernelpi.offline as offline
+
+    rollouts = []
+    original = offline.rollout
+    monkeypatch.setattr(offline, "rollout", lambda *a, **kw: rollouts.append(1) or original(*a, **kw))
+    _, policy, records, calls = _recording_sweep(monkeypatch)
+    assert len(rollouts) == 1  # the zero-control rollout before iteration 0
+    T = 8
+    X0 = calls[T - 1][3]
+    for k in range(len(records) - 1):
+        stages = [
+            StagePolicy(policy.stages[t].dictionary, records[k].stages[t].c_new) for t in range(T)
+        ]
+        expected = original(calls[0][0].sys, KernelPolicy(policy.kernel, stages), X0).states
+        sweep = calls[(k + 1) * T : (k + 2) * T]  # stages T - 1 .. 0 of iteration k + 1
+        # stage t gets the batch at t, and stage T - 1 the terminal trajectory at T
+        got = [sweep[T - 1 - t][3] for t in range(T)] + [sweep[0][4].states()[:, 0]]
+        got = np.stack(got, axis=1)
+        for t in range(T + 1):
+            scale = np.abs(expected[:, t]).max()
+            np.testing.assert_allclose(got[:, t], expected[:, t], rtol=0, atol=1e-12 * scale)
+        assert records[k + 1].cost == records[k].cost_after
+
+
+def test_each_dictionary_compiles_its_anchors_once_per_run(monkeypatch):
+    # cross-Gram matrices, rollouts and tails all read the anchors a
+    # dictionary compiled on first use
+    import kernelpi.kernels as kernels
+
+    calls = []
+
+    class Counted(kernels._Anchors):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            calls.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kernels, "_Anchors", Counted)
+    _, policy, records = _small_rbf_run(max_iters=3)
+    assert len(records) == 3
+    assert len(calls) == policy.horizon
