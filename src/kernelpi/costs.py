@@ -7,13 +7,17 @@ themselves and take Q's factor into their own map, so the state part of a
 stage is one map and one pass over its squares.
 
 TailEvaluator re-simulates the continuation of a stage on rows
-[x | |x|^2 | 1], two products per stage to the next state and its cost map.
-A backward sweep builds each tail on the one after it, so every stage policy
-is compiled once per sweep.  A simulation can be kept as a Trajectory: what
-a reverse-mode pass over it reads, which gives the continuation's exact
-gradient dV/dy at its rows through the cost's StateCost.sums_gradient and
-the kernel's vector-Jacobian product.  TailEvaluator.extend puts one more
-stage in front of a kept trajectory.
+[x | |x|^2 | 1], kept as column blocks, two products per stage to the next
+state and its cost map.  A backward sweep builds each tail on the one after
+it, so every stage policy is compiled once per sweep; the tails of a run
+share one _TailMaps, which holds what a stage's compilation reads of its
+dictionary alone and hands a dropped simulation's blocks to the next.  A
+simulation can be kept as a Trajectory: what a reverse-mode pass over it
+reads, which gives the continuation's exact gradient dV/dy at its rows
+through the cost's StateCost.sums_gradient and the kernel's
+vector-Jacobian product.  TailEvaluator.extend puts one more stage in front
+of a kept trajectory.  A CostSpec keeps only the symmetric parts of its
+weights, the parts its costs read.
 """
 
 from __future__ import annotations
@@ -86,9 +90,15 @@ def collision_penalty(positions, spec: CollisionSpec):
     return np.sum(terms, axis=-1)
 
 
+def _symmetric_part(M) -> np.ndarray:
+    """(M + M') / 2 as a 2-d float array; a symmetric M comes back unchanged, bit for bit."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    return 0.5 * (M + M.T)
+
+
 def _signed_factor(M: np.ndarray):
     """(F, w) with x'Mx = sum_j w_j (x F[:, j])^2 and each w_j = +-1; null directions drop."""
-    lam, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    lam, vecs = np.linalg.eigh(_symmetric_part(M))
     keep = lam != 0.0
     return vecs[:, keep] * np.sqrt(np.abs(lam[keep])), np.sign(lam[keep])
 
@@ -96,7 +106,7 @@ def _signed_factor(M: np.ndarray):
 class StateCost:
     """A batched cost through one affine map z = x lin + offset of its argument.
 
-    With s = (z * z) @ squares_to_sums, the cost is
+    With the sums s = squares_to_sums' (z * z) of each row, the cost is
 
         s_last + sum_p pair_weight / (s_p + softening) - shift.
 
@@ -104,7 +114,8 @@ class StateCost:
     quadratic form through its signed factor, speed tracking); every other
     column sums a pair's planar displacement into its squared distance.
     shift is the value of the first two terms at x = 0, so the cost vanishes
-    there.  Inputs are batched (..., n).
+    there.  Inputs are batched (..., n); of_sums and sums_gradient read the
+    sums as (..., sum, row), the layout of a tail's column blocks.
     """
 
     def __init__(self, lin, offset, squares_to_sums, pair_weight=0.0, softening=1.0):
@@ -115,7 +126,7 @@ class StateCost:
         self.pair_weights = np.full(squares_to_sums.shape[1] - 1, float(pair_weight))
         self.softening = softening
         self.shift = 0.0
-        self.shift = float(self.of_sums((offset * offset) @ squares_to_sums))
+        self.shift = float(self.of_sums(((offset * offset) @ squares_to_sums)[:, None])[0])
 
     @classmethod
     def quadratic(cls, M: np.ndarray, psi: Optional["StateCost"] = None) -> "StateCost":
@@ -138,30 +149,36 @@ class StateCost:
         )
 
     def of_sums(self, sums):
-        """The cost from the sums s = (z * z) @ squares_to_sums, batched over leading axes."""
-        out = sums[..., -1]
+        """The cost from the sums laid out (..., sum, row), batched over the leading axes."""
+        out = sums[..., -1, :]
         if self.pair_weights.size:
-            out = out + (1.0 / (sums[..., :-1] + self.softening)) @ self.pair_weights
+            out = out + self.pair_weights @ (1.0 / (sums[..., :-1, :] + self.softening))
         if self.shift:
             out = out - self.shift
         return out
 
-    def sums_gradient(self, sums):
-        """The cost's derivative with respect to its sums, batched over leading axes.
+    def sums_gradient(self, sums, out):
+        """The cost's derivative with respect to its sums, written into out and returned.
 
         It is 1 for the last sum and -pair_weight / (s_p + softening)^2 for
-        a pair's.  Through s = (z * z) @ squares_to_sums, the gradient with
-        respect to the map z is 2 z * (sums_gradient(s) @ squares_to_sums').
+        a pair's, in the layout of of_sums; out may be sums itself.  Through
+        the sums, the gradient with respect to the map z is
+        2 z * (squares_to_sums @ sums_gradient).
         """
-        out = np.ones_like(sums)
         if self.pair_weights.size:
-            shifted = sums[..., :-1] + self.softening
-            out[..., :-1] = -self.pair_weights / (shifted * shifted)
+            pairs = out[..., :-1, :]
+            np.add(sums[..., :-1, :], self.softening, out=pairs)
+            np.multiply(pairs, pairs, out=pairs)
+            np.divide(-self.pair_weight, pairs, out=pairs)
+        out[..., -1, :] = 1.0
         return out
 
     def __call__(self, x):
         z = np.asarray(x, dtype=float) @ self.lin + self.offset
-        return self.of_sums((z * z) @ self.squares_to_sums)
+        sums = (z * z) @ self.squares_to_sums
+        if sums.ndim == 1:
+            return self.of_sums(sums[:, None])[0]
+        return self.of_sums(np.swapaxes(sums, -1, -2))
 
 
 @dataclass
@@ -173,6 +190,10 @@ class CostSpec:
     here: state_cost is x'Qx + psi(x), final_cost x'Q_F x + psi_F(x) and
     control_cost u'Ru.  tail_cost is state_cost with control_cost's squares
     as extra map columns, which TailEvaluator fills from the controls.
+
+    A quadratic form reads only its weight's symmetric part, so Q, R and Q_F
+    keep only that part: every formula written with a weight, such as the
+    stage gradient's 2 pi R, then agrees with the costs.
     """
 
     Q: np.ndarray
@@ -182,9 +203,7 @@ class CostSpec:
     psi_F: Optional[StateCost] = None
 
     def __post_init__(self) -> None:
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        self.Q_F = np.atleast_2d(np.asarray(self.Q_F, dtype=float))
+        self.Q, self.R, self.Q_F = (_symmetric_part(M) for M in (self.Q, self.R, self.Q_F))
         self.state_cost = StateCost.quadratic(self.Q, self.psi)
         self.final_cost = StateCost.quadratic(self.Q_F, self.psi_F)
         self.control_cost = StateCost.quadratic(self.R)
@@ -238,7 +257,7 @@ def evaluate_cost_to_go(batch: TrajectoryBatch, spec: CostSpec) -> CostToGoTable
 
 
 class _TailMaps:
-    """The matrices and row layout every stage of a tail shares (see TailEvaluator).
+    """What every tail of one run shares (see TailEvaluator): matrices, row layout, parts and blocks.
 
     A row is kept as a column block [x | z | |x|^2 | s | 1 | k]: the state,
     the cost map z and its sums of squares s of the stage before (zeros in
@@ -248,21 +267,30 @@ class _TailMaps:
     control is [B' | 0 | F_R]; to_sums takes the squares of [x | z] to
     [|x|^2 | s]; from_sums is twice the cost's squares_to_sums, which takes
     the cost's derivative with respect to s to its map z
-    (StateCost.sums_gradient).
+    (StateCost.sums_gradient).  final, final_to_sums and final_from_sums do
+    the same for the terminal cost on the head of the last block.
+
+    parts(anchors) holds what a stage's compilation reads of its dictionary
+    alone, once per anchors.  blocks() hands out the column blocks of a
+    simulation, as tall as the tallest stage compiled so far (height).  The
+    last set a trajectory released (a dropped trial's, or one a backward
+    walk consumed) is handed out again when it has the shape asked for: the
+    trials of one stage update share it.
     """
 
     def __init__(self, sys: LinearSystem, spec: CostSpec):
         n = sys.n
-        cost = spec.tail_cost
+        cost, final = spec.tail_cost, spec.final_cost
         width = cost.lin.shape[1]
         count = cost.squares_to_sums.shape[1]
         self.n, self.norm, self.one = n, n + width, n + width + 1 + count
-        self.head = self.one + 1
+        self.head = self.height = self.one + 1
         factor = spec.control_cost.lin
         self.stage = np.zeros((self.head, n + width))
         self.stage[:n, :n] = sys.A.T
         self.stage[:n, n:] = cost.lin
         self.stage[self.one, n:] = cost.offset
+        self.forward_head = np.ascontiguousarray(self.stage.T)
         self.control = np.zeros((sys.m, n + width))
         self.control[:, :n] = sys.B.T
         self.control[:, n + width - factor.shape[1] :] = factor
@@ -270,6 +298,15 @@ class _TailMaps:
         self.to_sums[0, :n] = 1.0
         self.to_sums[1:, n:] = cost.squares_to_sums.T
         self.from_sums = 2.0 * cost.squares_to_sums
+        self.final = np.zeros((final.lin.shape[1], self.head))
+        self.final[:, :n] = final.lin.T
+        self.final[:, self.one] = final.offset
+        self.final_to_sums = np.ascontiguousarray(final.squares_to_sums.T)
+        self.final_from_sums = 2.0 * final.squares_to_sums
+        # the rows a stage's back matrix takes its gradient to: x and |x|^2
+        self.back_rows = list(range(n)) + [self.norm]
+        self._parts: dict = {}
+        self._released = None
 
     def lift(self, matrix: np.ndarray) -> np.ndarray:
         """An anchor matrix for rows [x | |x|^2 | 1] moved onto the rows of a block's head."""
@@ -280,6 +317,28 @@ class _TailMaps:
         lifted[self.one] = matrix[n + 1]
         return lifted
 
+    def parts(self, anchors):
+        """(kernel, back) of a stage over the anchors (see _Stage), compiled once per anchors."""
+        parts = self._parts.get(anchors)
+        if parts is None:
+            lifted = self.lift(anchors.matrix)
+            back = np.hstack([self.stage[self.back_rows], lifted[self.back_rows]])
+            back[-1] *= 2.0
+            parts = self._parts[anchors] = (np.ascontiguousarray(lifted.T), back)
+        return parts
+
+    def blocks(self, count: int, rows: int) -> np.ndarray:
+        """count column blocks of height rows for rows rows: the released set when it has that shape."""
+        W, self._released = self._released, None
+        if W is not None and W.shape == (count, self.height, rows):
+            return W
+        W = None  # freed before the new set is allocated, so the heap can reuse its memory
+        return np.empty((count, self.height, rows))
+
+    def release(self, W: np.ndarray) -> None:
+        """Take back blocks from blocks() that nothing reads any more, for the next call."""
+        self._released = W
+
 
 class _Stage:
     """One stage policy compiled for a tail.
@@ -288,7 +347,10 @@ class _Stage:
     linear kernel); forward @ block[:height] gives [next state | cost map];
     gate = forward[:, head:]' takes the gradient of that product to the
     kernel values; back takes [that gradient | the kernel products'
-    gradient] to the block's x and |x|^2 rows, the latter doubled.
+    gradient] to the block's x and |x|^2 rows, the latter doubled.  kernel
+    and back depend on the dictionary alone (_TailMaps.parts), so compiling
+    a stage takes its coefficients' product with the control matrix and one
+    fill of forward.
     """
 
     __slots__ = ("anchors", "kernel", "forward", "gate", "back", "height")
@@ -297,21 +359,19 @@ class _Stage:
         expansion = StageExpansion(kernel, stage)
         self.anchors = expansion.anchors
         step = expansion.coeffs @ maps.control
-        rows = list(range(maps.n)) + [maps.norm]
         if expansion.anchors is None:
             stacked = maps.stage.copy()
             stacked[: step.shape[0]] += step
             self.kernel = self.gate = None
-            self.back = stacked[rows]
+            self.back = stacked[maps.back_rows]
+            self.back[-1] *= 2.0
+            self.forward = np.ascontiguousarray(stacked.T)
         else:
-            lifted = maps.lift(expansion.anchors.matrix)
-            stacked = np.vstack([maps.stage, step])
-            self.kernel = np.ascontiguousarray(lifted.T)
+            self.kernel, self.back = maps.parts(expansion.anchors)
             self.gate = step
-            self.back = np.hstack([stacked[rows], lifted[rows]])
-        self.back[-1] *= 2.0
-        self.forward = np.ascontiguousarray(stacked.T)
-        self.height = stacked.shape[0]
+            self.forward = np.concatenate((maps.forward_head, step.T), axis=1)
+        self.height = self.forward.shape[1]
+        maps.height = max(maps.height, self.height)  # the blocks of later simulations fit it
 
 
 class TailEvaluator:
@@ -326,7 +386,8 @@ class TailEvaluator:
     rest, when given, is the tail from start_stage + 1 of the same system,
     cost and policy: its compiled stages and shared maps (_TailMaps) are
     reused, and only stage start_stage is compiled.  A backward sweep so
-    compiles each stage policy once.
+    compiles each stage policy once, and a run that starts every sweep from
+    one empty tail builds its maps once.
 
     A row is carried as a column block whose head holds x, |x|^2 and 1 (see
     _TailMaps), and one product with the stage's anchor matrix gives its
@@ -365,11 +426,6 @@ class TailEvaluator:
             self._maps = rest._maps
             stage = _Stage(self._maps, policy.kernel, policy.stages[start_stage])
             self._stages = [stage] + rest._stages
-        # a block is as tall as the tallest stacked matrix; every simulation
-        # of a sweep allocates room for the whole horizon, so a freed one is
-        # reused whole rather than fragmenting the heap as tails grow
-        self._block = max((s.height for s in self._stages), default=self._maps.head)
-        self._capacity = policy.horizon + 1
 
     def values(self, states, keep=False):
         """Continuation values at the rows of states, shape (N,).
@@ -385,7 +441,10 @@ class TailEvaluator:
         warnings.  The final rows meet no guard.
         """
         path = self._simulate(self._stages, np.atleast_2d(np.asarray(states, dtype=float)))
-        return (path.values, path) if keep else path.values
+        if keep:
+            return path.values, path
+        path.release()
+        return path.values
 
     def extend(self, states, rest: Optional["Trajectory"] = None) -> "Trajectory":
         """The trajectory from states through this tail's first stage, then rest.
@@ -415,21 +474,20 @@ class TailEvaluator:
         """
         maps = self._maps
         N, n = X.shape
-        k = len(stages)
-        top, norm, head = maps.stage.shape[1], maps.norm, maps.head
+        norm, head = maps.norm, maps.head
         sums = slice(norm, maps.one)
-        W = np.empty((self._capacity, self._block, N))[: k + 1]
-        squares = np.empty((top, N))
+        W = maps.blocks(len(stages) + 1, N)
+        squares = np.empty((norm, N))
         W[0, :n] = X.T
-        W[0, n:top] = 0.0
+        W[0, n:norm] = 0.0
         W[:, maps.one] = 1.0
         # a row past the guard runs on to the test after the loop, and may
         # overflow on the way without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(W[0, :top], W[0, :top], out=squares)
+            np.multiply(W[0, :norm], W[0, :norm], out=squares)
             np.matmul(maps.to_sums, squares, out=W[0, sums])
             for i, stage in enumerate(stages):
-                block, following = W[i], W[i + 1, :top]
+                block, following = W[i], W[i + 1, :norm]
                 if stage.anchors is not None:
                     stage.anchors.apply(
                         np.matmul(stage.kernel, block[:head], out=block[head : stage.height])
@@ -438,7 +496,7 @@ class TailEvaluator:
                 np.multiply(following, following, out=squares)
                 np.matmul(maps.to_sums, squares, out=W[i + 1, sums])
         if not W[:-1, norm].max(initial=0.0) <= STATE_GUARD**2:
-            for i in range(k):
+            for i in range(len(stages)):
                 check_norms(W[i, norm], self.start_stage + i, "tail simulation")
         return Trajectory(self.spec, maps, stages, W, rest)
 
@@ -459,8 +517,10 @@ class Trajectory:
     products, and the stage's back matrix takes both to the block's x and
     |x|^2 rows: lambda at x is the x part plus x times the doubled |x|^2
     part.  Each trajectory keeps its gradient once computed, so a trajectory
-    extended by one stage walks one stage back, and then drops what the walk
-    read.
+    extended by one stage walks one stage back; the walk consumes the
+    column blocks and hands them back to the run (_TailMaps.release),
+    keeping only the states.  A trajectory that will not be read again can
+    hand its blocks back at once (release).
     """
 
     def __init__(self, spec, maps, stages, W, rest):
@@ -471,18 +531,23 @@ class Trajectory:
         self.rest = rest
         self.stage_count = len(stages) + (rest.stage_count if rest is not None else 0)
         self._gradient = None
-        n = maps.n
         if rest is None:
-            final = spec.final_cost
-            z = W[-1, :n].T @ final.lin + final.offset
-            self._final_map = z, (z * z) @ final.squares_to_sums
-            total = final.of_sums(self._final_map[1])
+            z = maps.final @ W[-1, : maps.head]
+            self._final_map = z, maps.final_to_sums @ (z * z)
+            total = spec.final_cost.of_sums(self._final_map[1])
         else:
             total = rest.values
         if stages:
-            sums = W[1:, maps.norm + 1 : maps.one].swapaxes(1, 2)
-            total = spec.tail_cost.of_sums(sums).sum(axis=0) + total
+            per_stage = spec.tail_cost.of_sums(W[1:, maps.norm + 1 : maps.one])
+            total = per_stage.sum(axis=0) + total
         self.values = total
+
+    def release(self) -> None:
+        """Hand the column blocks back unread; only values may be read afterwards."""
+        if self._gradient is None:
+            self._maps.release(self._W)
+        self._W = self._final_map = None
+        self._stages = ()
 
     def states(self) -> np.ndarray:
         """(N, stage_count + 1, n): the rows entering every stage, then the final rows."""
@@ -509,45 +574,47 @@ class Trajectory:
             for path in reversed(chain):
                 walked += len(path._stages)
                 lam = path._backward(lam)
-        return self._gradient, walked
+        return self._gradient.T, walked
 
     def _backward(self, lam):
         """Walk this trajectory's own stages back from lam, the gradient at its last rows' successors.
 
-        The walk runs in place in the blocks, which it consumes: stage i's
-        gradient [lambda | z grad | kernel products' grad] is written over
-        block i + 1 once stage i + 1 has read it, and lambda at the rows
-        entering stage i over their x.
+        Gradients are columns (n, N), like the rows in the blocks.  The walk
+        runs in place in the blocks, which it consumes: stage i's gradient
+        [lambda | z grad | kernel products' grad] is written over block i + 1
+        once stage i + 1 has read it, and lambda at the rows entering stage
+        i over their x.
         """
-        maps, spec = self._maps, self._spec
-        n, top, head = maps.n, maps.stage.shape[1], maps.head
+        maps, spec, W = self._maps, self._spec, self._W
+        n, norm, head = maps.n, maps.norm, maps.head
         if lam is None:
             z, sums = self._final_map
             final = spec.final_cost
-            z_grad = 2.0 * z * (final.sums_gradient(sums) @ final.squares_to_sums.T)
-            lam = z_grad @ final.lin.T
-        states = np.ascontiguousarray(self._W[:, :n])
+            # not in place: an empty tail's values may be a view of the sums
+            z *= maps.final_from_sums @ final.sums_gradient(sums, np.empty_like(sums))
+            lam = final.lin @ z
+        states = W[:, :n].copy()  # a copy: the blocks go back to the run
         if self._stages:
-            W = self._W
-            cost_sums = W[1:, maps.norm + 1 : maps.one].swapaxes(1, 2)
-            per_sum = spec.tail_cost.sums_gradient(cost_sums).swapaxes(1, 2)
-            W[1:, n:top] *= np.matmul(maps.from_sums, per_sum)
-            W[-1, :n] = lam.T
+            cost_sums = W[1:, norm + 1 : maps.one]
+            per_sum = spec.tail_cost.sums_gradient(cost_sums, cost_sums)
+            W[1:, n:norm] *= np.matmul(maps.from_sums, per_sum)
+            W[-1, :n] = lam
             for i in range(len(self._stages) - 1, -1, -1):
                 stage, block, grad = self._stages[i], W[i], W[i + 1]
                 if stage.anchors is None:
-                    g = stage.back @ grad[:top]
+                    g = stage.back @ grad[:norm]
                 else:
-                    end = top + stage.height - head
-                    np.matmul(stage.gate, grad[:top], out=grad[top:end])
+                    end = norm + stage.height - head
+                    np.matmul(stage.gate, grad[:norm], out=grad[norm:end])
                     stage.anchors.vjp(
-                        block[head : stage.height], grad[top:end], lambda: stage.kernel @ block[:head]
+                        block[head : stage.height], grad[norm:end], lambda: stage.kernel @ block[:head]
                     )
                     g = stage.back @ grad[:end]
                 np.multiply(block[:n], g[n], out=block[:n])
                 block[:n] += g[:n]
-            lam = W[0, :n].T.copy()
+            lam = W[0, :n].copy()
         # no later walk passes a kept gradient: keep only the states
+        maps.release(W)
         self._gradient = lam
         self._W = states
         self._final_map = None

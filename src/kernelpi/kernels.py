@@ -69,7 +69,7 @@ def _as_points(arr, name: str) -> np.ndarray:
 
 
 def _sq_norms(P: np.ndarray) -> np.ndarray:
-    return np.sum(P * P, axis=1)
+    return (P * P).sum(axis=1)
 
 
 class _Anchors:
@@ -151,8 +151,9 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
 class Dictionary:
     """Ordered anchor states for one stage of a kernel policy.
 
-    The points are fixed once built: anchors(spec) compiles them for a
-    kernel on first use and hands out that compilation afterwards.
+    The points are fixed once built, so what is derived from them alone is
+    derived once per dictionary (compiled): anchors(spec) compiles them for
+    a kernel on first use and hands out that compilation afterwards.
     """
 
     points: np.ndarray
@@ -164,10 +165,14 @@ class Dictionary:
 
     def anchors(self, spec: KernelSpec) -> _Anchors:
         """The points compiled for the kernel spec, once per dictionary and spec."""
-        compiled = self._compiled.get(spec)
-        if compiled is None:
-            compiled = self._compiled[spec] = _Anchors(spec, self.points)
-        return compiled
+        return self.compiled(spec, lambda: _Anchors(spec, self.points))
+
+    def compiled(self, key, build):
+        """build(), called for the first request of key only; later requests get its result."""
+        value = self._compiled.get(key)
+        if value is None:
+            value = self._compiled[key] = build()
+        return value
 
     @property
     def size(self) -> int:

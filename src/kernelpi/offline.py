@@ -16,19 +16,25 @@ Every stage policy carries its dictionary of anchor states.  A given policy
 brings its own; otherwise they are drawn from a zero-control rollout of the
 batch before the first iteration.  They stay fixed for the run, so one
 StageSolver per stage, built once per run_policy_iteration call, holds what
-its updates share: the dictionary, the ridge-shifted Gram matrix and its
-inverse formed through the Cholesky factor, the solver settings, the cost
-and the model.  Each update computes only the cross-Gram matrix at the
-sampled states and its own counters.
+its updates share: the dictionary, the inverse of the ridge-shifted Gram
+matrix formed through the Cholesky factor (once per dictionary, so once
+for all the runs that share one), the solver settings, the cost and the
+model.  Each update computes only the cross-Gram matrix at the sampled
+states and its own counters.
 
-The inner solver picks the Gram-preconditioned descent direction and finds
-the step length by a safeguarded secant solve in one dimension.  It stops at
-the first descending step whose secant gap is at most
+The inner solver picks the Gram-preconditioned descent direction V and
+finds the step length by a safeguarded secant solve in one dimension.  It
+stops at the first descending step whose secant gap is at most
 ROOT_TOL * inner_tol * (1 + |J_old|), so the identity above holds to that
-precision for every accepted step.  Each sweep grows one tail from the
-terminal cost: once stage t is updated, the tail for stage t - 1 is the
-previous one with only stage t compiled in front, so each stage policy is
-compiled once per sweep.
+precision for every accepted step.  A trial step a is evaluated on the
+line: with P = cross V the policy values at the samples move by a P, so
+the stage part of J(c_old + a V) is a quadratic c0 + a c1 + a^2 c2 whose
+coefficients come with the direction, the successors move by a P B', and
+a trial is one axpy, one tail call at the moved successors and one sum.
+Each sweep grows one tail from the run's empty terminal tail: once stage t
+is updated, the tail for stage t - 1 is the previous one with only stage t
+compiled in front, so each stage policy is compiled once per sweep, and
+what a stage's compilation reads of its dictionary alone once per run.
 
 The direction comes from the gradient of J at the old coefficients, which
 needs the continuation values at the successor states and their slopes
@@ -55,7 +61,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .costs import CostSpec, TailEvaluator, Trajectory, evaluate_cost_to_go
-from .dynamics import DivergenceError, LinearSystem, check_guard, rollout
+from .dynamics import STATE_GUARD, DivergenceError, LinearSystem, check_guard, rollout
 from .kernels import (
     Dictionary,
     KernelPolicy,
@@ -227,9 +233,14 @@ class SingularGramError(ValueError):
 class StageSolver:
     """The part of one stage's update that is fixed for a run (see the module docstring).
 
-    K_ridge is the Gram matrix shifted by cfg.ridge times its mean diagonal;
-    K_inv is its inverse formed through the Cholesky factor, L^-T L^-1, so it
-    is symmetric positive semidefinite and every direction -K_inv W descends.
+    K_inv is the inverse of K_ridge, the Gram matrix shifted by cfg.ridge
+    times its mean diagonal, formed through the Cholesky factor as
+    L^-T L^-1, so it is symmetric positive semidefinite and every direction
+    -K_inv W descends.  It depends only on the dictionary, the kernel and
+    the ridge, and is formed once per dictionary (Dictionary.compiled): a
+    dictionary that several runs share, as the online windows' warm starts
+    do, is factorised once.  Only K_inv is kept; K_ridge is formed again
+    when read.
     """
 
     def __init__(self, kernel, dictionary, cfg, spec, sys):
@@ -238,43 +249,57 @@ class StageSolver:
         self.cfg = cfg
         self.spec = spec
         self.sys = sys
-        K = gram_matrix(kernel, dictionary)
+        self.K_inv = dictionary.compiled(
+            ("ridge-shifted Gram inverse", kernel, cfg.ridge), self._inverse
+        )
+
+    @property
+    def K_ridge(self) -> np.ndarray:
+        K = gram_matrix(self.kernel, self.dictionary)
         mean_diag = float(np.mean(np.diag(K)))
-        ridge_abs = cfg.ridge * (mean_diag if mean_diag > 0 else 1.0)
-        self.K_ridge = K + ridge_abs * np.eye(K.shape[0])
+        ridge_abs = self.cfg.ridge * (mean_diag if mean_diag > 0 else 1.0)
+        return K + ridge_abs * np.eye(K.shape[0])
+
+    def _inverse(self) -> np.ndarray:
         try:
             L = np.linalg.cholesky(self.K_ridge)
         except np.linalg.LinAlgError as exc:
             raise SingularGramError(
-                f"Gram matrix for stage {dictionary.stage} is singular even after "
-                f"the ridge shift (ridge {cfg.ridge:g})"
+                f"Gram matrix for stage {self.dictionary.stage} is singular even after "
+                f"the ridge shift (ridge {self.cfg.ridge:g})"
             ) from exc
         L_inv = np.linalg.inv(L)
-        self.K_inv = L_inv.T @ L_inv
+        return L_inv.T @ L_inv
 
 
 class _StageWorkspace:
     """Per-update quantities for improving one stage with its StageSolver.
 
-    The cross-Gram matrix at the sampled states, the state part of the stage
-    cost, x'Qx + psi(x), and the drift X A' do not depend on the candidate
-    coefficients, so they are computed once here rather than on every
-    objective evaluation.  handed, when given, is the trajectory from the
-    successor states under c_old (see the module docstring).
+    The cross-Gram matrix at the sampled states X, the old controls pi_old
+    and the successors under them, Y_old = X A' + pi_old B', do not depend
+    on the trial step, so they are computed once here.  handed, when given,
+    is the trajectory from the successor states under c_old (see the module
+    docstring).
+
+    On the line c_old + a V of a descent direction, with P = cross V, the
+    stage part of J is c0 + a c1 + a^2 c2: c0 is the mean state and control
+    cost at c_old, c1 = 2 <pi_old R, P> / N and c2 = <P R, P> / N.  The
+    successors are Y_old + a P B', so a trial is one axpy, one tail call and
+    one sum (trial).
     """
 
     def __init__(
         self, solver: StageSolver, c_old, tail: TailEvaluator, states, handed=None
     ):
-        states = np.atleast_2d(np.asarray(states, dtype=float))
+        self.states = np.atleast_2d(np.asarray(states, dtype=float))
         self.solver = solver
         self.c_old = np.asarray(c_old, dtype=float)
         self.tail = tail
         self.handed = handed
-        self.cross = cross_gram(solver.kernel, states, solver.dictionary)
+        self.cross = cross_gram(solver.kernel, self.states, solver.dictionary)
         self.pi_old = self.cross @ self.c_old
-        self.drift = states @ solver.sys.A.T
-        self.state_cost = solver.spec.state_cost(states)
+        self.pi_R = self.pi_old @ solver.spec.R
+        self.successors = self.states @ solver.sys.A.T + self.pi_old @ solver.sys.B.T
         self.evals = 0
         self.tail_calls = 0
         self.tail_row_stages = 0
@@ -285,69 +310,72 @@ class _StageWorkspace:
         self.tail_row_stages += Y.shape[0] * self.tail.stage_count
         return self.tail.values(Y, keep=True)
 
-    def _objective(self, pi, continuation) -> float:
-        control_cost = self.solver.spec.control_cost(pi)
-        return float((self.state_cost + control_cost + np.asarray(continuation)).mean())
-
-    def objective_of(self, C):
-        """(J, trajectory): the sample-average stage cost plus continuation, and its trajectory.
-
-        J equals empirical_stage_objective; the trajectory is the tail's
-        simulation from the successor states.
-        """
-        self.evals += 1
-        pi = self.cross @ np.asarray(C, dtype=float)
-        values, path = self._tail_values(self.drift + pi @ self.solver.sys.B.T)
-        return self._objective(pi, values), path
-
-    def trial(self, C):
-        """objective_of at a trial point; a diverging continuation scores +inf (no descent)."""
-        try:
-            return self.objective_of(C)
-        except DivergenceError:
-            return np.inf, None
-
     def value_gradient(self):
         """(J0, G): the objective at c_old and its gradient with respect to the sampled controls.
 
         The continuation values come from the handed-over trajectory or,
         without one, from one tail call at the successors under c_old, whose
         trajectory is kept as handed.  A reverse-mode pass over it gives
-        dV/dy, and G = (2 pi_old R + dV/dy B) / N.  A DivergenceError from a
-        successor row propagates.  A gradient that overflows leaves G
-        non-finite.
+        dV/dy, and G = (2 pi_old R + dV/dy B) / N.  J0 is c0 plus the mean
+        continuation value.  A DivergenceError from a successor row
+        propagates.  A gradient that overflows leaves G non-finite.
         """
-        B = self.solver.sys.B
+        spec, B = self.solver.spec, self.solver.sys.B
+        N = self.states.shape[0]
         self.evals += 1
         if self.handed is None:
-            _, self.handed = self._tail_values(self.drift + self.pi_old @ B.T)
+            _, self.handed = self._tail_values(self.successors)
         slopes, walked = self.handed.gradient()
-        self.backward_row_stages += slopes.shape[0] * walked
-        G = (2.0 * self.pi_old @ self.solver.spec.R + slopes @ B) / slopes.shape[0]
-        return self._objective(self.pi_old, self.handed.values), G
+        self.backward_row_stages += N * walked
+        G = (2.0 * self.pi_R + slopes @ B) / N
+        control = float(np.vdot(self.pi_R, self.pi_old))
+        self.c0 = (float(spec.state_cost(self.states).sum()) + control) / N
+        return self.c0 + float(self.handed.values.sum()) / N, G
 
     def descent_direction(self, G):
-        """Gram-preconditioned direction from the value gradient G: (V, P, ||P||^2, <G, P>)."""
+        """Gram-preconditioned direction from the value gradient G: (V, P, ||P||^2, <G, P>).
+
+        It also fixes the line the trials run on: c1, c2 and the successors'
+        step P B'.
+        """
+        N = self.states.shape[0]
         W = self.cross.T @ G
         V = -(self.solver.K_inv @ W)
         P = self.cross @ V
-        p2 = float(np.sum(P * P))
-        s0 = float(np.sum(G * P))
+        p2 = float(np.vdot(P, P))
+        s0 = float(np.vdot(G, P))
+        self.V, self.p2 = V, p2
+        self.c1 = 2.0 * float(np.vdot(self.pi_R, P)) / N
+        self.c2 = float(np.vdot(P @ self.solver.spec.R, P)) / N
+        self.step = P @ self.solver.sys.B.T
         return V, P, p2, s0
+
+    def trial(self, a):
+        """(J(c_old + a V), trajectory) on the line; a diverging continuation scores +inf (no descent)."""
+        self.evals += 1
+        Y = self.step * a
+        Y += self.successors
+        try:
+            values, path = self._tail_values(Y)
+        except DivergenceError:
+            return np.inf, None
+        stage = self.c0 + a * self.c1 + (a * a) * self.c2
+        return stage + float(values.sum()) / Y.shape[0], path
 
 
 def _result(
-    ws: _StageWorkspace, J0: float, reason: str, c_new=None, J1=None, path=None
+    ws: _StageWorkspace, J0: float, reason: str, a=None, J1=None, path=None
 ) -> StageUpdateResult:
-    """The stage's outcome; without c_new the step is rejected and c_old kept.
+    """The stage's outcome; without a step a along the line c_old is kept.
 
     path is the trajectory of the accepted trial; a rejected step keeps the
-    one at c_old.
+    one at c_old.  The policy values move by a P, so value_step_sq is
+    a^2 ||P||^2.
     """
-    accepted = c_new is not None
+    accepted = a is not None
     if accepted:
-        dpi = ws.cross @ (c_new - ws.c_old)
-        value_sq = float(np.sum(dpi * dpi))
+        c_new = ws.c_old + a * ws.V
+        value_sq = (a * a) * ws.p2
         gap = abs(J1 - J0 + value_sq / ws.solver.cfg.delta_lr)
     else:
         c_new, J1, path = ws.c_old.copy(), J0, ws.handed
@@ -405,7 +433,7 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
     (only the trial in hand keeps one), and when no trial descends the old
     coefficients are kept.
     """
-    V, P, p2, s0 = ws.descent_direction(G)
+    _, _, p2, s0 = ws.descent_direction(G)
     scale = 1.0 + abs(J0)
     delta = ws.solver.cfg.delta_lr
     tol = ROOT_TOL * ws.solver.cfg.inner_tol * scale
@@ -419,14 +447,15 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
     points = [(0.0, s0)]  # the latest points (a, q(a)), oldest first
     best = (np.inf, None, J0)
     for _ in range(MAX_TRIALS):
-        Ja, path = ws.trial(ws.c_old + a * V)
+        Ja, path = ws.trial(a)
         g = Ja - J0 + (a * a) * p2 / delta
         if Ja < J0:
             if abs(g) <= tol:
-                return _result(ws, J0, "ok", ws.c_old + a * V, Ja, path)
+                return _result(ws, J0, "ok", a, Ja, path)
             if abs(g) < best[0]:
                 best = (abs(g), a, Ja)
-        path = None  # only the trial in hand keeps its trajectory
+        if path is not None:
+            path.release()  # only the trial in hand keeps its trajectory
         q = g / a
         points = points[-2:] + [(a, q)]
         if q < 0:
@@ -448,8 +477,8 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
     if a is None:
         return _result(ws, J0, "no-descent")
     # only one trial's trajectory is kept at a time: simulate the best again
-    Ja, path = ws.trial(ws.c_old + a * V)
-    return _result(ws, J0, "inexact-secant", ws.c_old + a * V, Ja, path)
+    Ja, path = ws.trial(a)
+    return _result(ws, J0, "inexact-secant", a, Ja, path)
 
 
 def solve_implicit_update(
@@ -550,12 +579,14 @@ def run_policy_iteration(
     solvers = [StageSolver(policy.kernel, st.dictionary, cfg, spec, sys) for st in policy.stages]
     states = batch.states
     cost_k = evaluate_cost_to_go(batch, spec).total_cost
+    terminal = TailEvaluator(sys, spec, policy, horizon)
 
     records: list = []
     for k in range(cfg.max_outer_iters):
-        if k:
-            # a trial's tail guards the rows entering its stages, not the
-            # final ones, so the kept batch is checked at every stage
+        # a trial's tail guards the rows entering its stages, not the final
+        # ones, so the kept batch is checked at every stage: one test of all
+        # squared norms, and stage by stage only to name the first crossing
+        if k and not np.einsum("ntj,ntj->nt", states, states).max() <= STATE_GUARD**2:
             try:
                 for t in range(horizon + 1):
                     check_guard(states[:, t], t)
@@ -567,7 +598,7 @@ def run_policy_iteration(
         t0 = time.perf_counter()
         stage_results = [None] * horizon
         try:
-            tail = TailEvaluator(sys, spec, policy, horizon)
+            tail = terminal
             handed = tail.extend(states[:, horizon])
             for t in range(horizon - 1, -1, -1):
                 res = solve_implicit_update(

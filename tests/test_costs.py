@@ -319,21 +319,30 @@ def test_tail_evaluator_snapshot_matches_rollout_cost(family, problem):
 
 @PROBLEMS
 def test_stage_workspace_objective_matches_empirical_stage_objective(problem):
+    # a trial along the solver's line c_old + a V is c0 + a c1 + a^2 c2 plus
+    # the mean continuation value: the objective by its definition
     from kernelpi.offline import SolverConfig, StageSolver, _StageWorkspace
 
-    rng = np.random.default_rng(4)
-    sys_, spec, sample = problem(rng)
-    kernel = KernelSpec(family="gaussian-rbf", length_scale=2.0)
-    d = Dictionary(points=sample(4))
-    states = sample(9)
-    cross = cross_gram(kernel, states, d)
-    stage = StagePolicy(Dictionary(points=sample(3)), rng.normal(size=(3, sys_.m)) * 0.2)
-    tail = TailEvaluator(sys_, spec, KernelPolicy(kernel, [stage] * 3), 1)
-    C0 = rng.normal(size=(4, sys_.m)) * 0.2
-    ws = _StageWorkspace(StageSolver(kernel, d, SolverConfig(), spec, sys_), C0, tail, states)
-    for C in [C0] + [rng.normal(size=(4, sys_.m)) for _ in range(4)]:
-        expected = empirical_stage_objective(C, states, tail.values, sys_, spec, cross)
-        assert ws.objective_of(C)[0] == pytest.approx(expected, rel=1e-12)
+    for family, scale in [("linear", 1e-2), ("polynomial", 1e-4), ("gaussian-rbf", 0.2)]:
+        rng = np.random.default_rng(4)
+        sys_, spec, sample = problem(rng)
+        kernel = KernelSpec(family=family, length_scale=2.0)
+        d = Dictionary(points=sample(sys_.n))  # a full-rank Gram for the linear kernel too
+        states = sample(9)
+        cross = cross_gram(kernel, states, d)
+        stage = StagePolicy(Dictionary(points=sample(3)), rng.normal(size=(3, sys_.m)) * scale)
+        tail = TailEvaluator(sys_, spec, KernelPolicy(kernel, [stage] * 3), 1)
+        c_old = rng.normal(size=(sys_.n, sys_.m)) * scale
+        solver = StageSolver(kernel, d, SolverConfig(), spec, sys_)
+        ws = _StageWorkspace(solver, c_old, tail, states)
+        J0, G = ws.value_gradient()
+        expected = empirical_stage_objective(c_old, states, tail.values, sys_, spec, cross)
+        assert J0 == pytest.approx(expected, rel=1e-12)
+        V, _, p2, s0 = ws.descent_direction(G)
+        first = -s0 / p2  # the solver's first trial at delta = 1
+        for a in (0.0, 0.01 * first, 0.5 * first, first, 4.0 * first):
+            expected = empirical_stage_objective(c_old + a * V, states, tail.values, sys_, spec, cross)
+            assert ws.trial(a)[0] == pytest.approx(expected, rel=1e-12), (family, a)
 
 
 def _spd(rng, n, scale):
@@ -562,3 +571,52 @@ def test_extend_takes_a_rest_of_the_stages_after_the_first():
         TailEvaluator(sys_, spec, policy, 3).extend(X)
     with pytest.raises(ValueError):
         TailEvaluator(sys_, spec, policy, 2).extend(X, terminal)
+
+
+@pytest.mark.parametrize("pairs", [4, 0])
+def test_of_sums_in_the_block_layout_matches_the_row_layout_bit_for_bit(pairs):
+    # a tail reads its sums as (stage, sum, row), the layout of its blocks;
+    # the cost is the one the (stage, row, sum) formula gives, bit for bit
+    rng = np.random.default_rng(6)
+    to_sums = np.zeros((2 * pairs + 3, pairs + 1))
+    for p in range(pairs):
+        to_sums[2 * p : 2 * p + 2, p] = 1.0
+    to_sums[2 * pairs :, pairs] = rng.uniform(0.5, 2.0, size=3)
+    cost = StateCost(
+        rng.normal(size=(5, to_sums.shape[0])), rng.normal(size=to_sums.shape[0]), to_sums, 4.0, 0.1
+    )
+    assert cost.shift != 0.0
+    for shape in [(49, pairs + 1, 50), (3, pairs + 1, 1)]:
+        blocks = rng.uniform(0.0, 50.0, size=shape)  # (stage, sum, row)
+        rows = blocks.swapaxes(1, 2)  # the view the row-layout formula read
+        expected = rows[..., -1]
+        if pairs:
+            expected = expected + (1.0 / (rows[..., :-1] + cost.softening)) @ cost.pair_weights
+        expected = expected - cost.shift
+        np.testing.assert_array_equal(cost.of_sums(blocks), expected)
+
+
+@FAMILIES
+def test_a_kept_trajectory_outlives_later_trials_bit_for_bit(family):
+    # a dropped trial hands its blocks to the next tail call; a kept
+    # trajectory's blocks are never handed on while it is read
+    sys_, spec, policy, sample = _tail_case(family, "intersection")
+    tail = TailEvaluator(sys_, spec, policy, 1)
+    X = sample(6)
+    kept = tail.values(X, keep=True)[1]
+    dropped = tail.values(sample(6), keep=True)[1]
+    blocks = dropped._W
+    dropped.release()
+    later = tail.values(sample(6), keep=True)[1]
+    assert later._W is blocks
+    for _ in range(3):
+        tail.values(sample(6))
+    fresh = TailEvaluator(sys_, spec, policy, 1).values(X, keep=True)[1]
+    np.testing.assert_array_equal(kept.values, fresh.values)
+    np.testing.assert_array_equal(kept.states(), fresh.states())
+    gradient = kept.gradient()[0]
+    np.testing.assert_array_equal(gradient, fresh.gradient()[0])
+    # the walk handed its blocks on; the states and gradient stay
+    tail.values(sample(6), keep=True)
+    np.testing.assert_array_equal(kept.states(), fresh.states())
+    np.testing.assert_array_equal(kept.gradient()[0], gradient)

@@ -109,6 +109,34 @@ def test_derivative_approaches_directional_gradient():
     assert errors[-1] <= 1e-5 * max(1.0, abs(exact))
 
 
+def test_stage_gradient_with_an_asymmetric_control_weight_matches_central_differences():
+    # u'Ru reads only R's symmetric part, so the gradient with respect to the
+    # sampled controls must too: 2 pi R would be off by pi (R - R') / N
+    rng = np.random.default_rng(3)
+    sys_ = LinearSystem(A=np.eye(2) + 0.1 * rng.normal(size=(2, 2)), B=rng.normal(size=(2, 2)))
+    spec = CostSpec(Q=np.eye(2), R=[[1.0, 0.9], [-0.9, 1.0]], Q_F=np.eye(2))
+    kernel = KernelSpec(family="gaussian-rbf", length_scale=1.5)
+    d = Dictionary(points=rng.normal(size=(3, 2)))
+    states = rng.normal(size=(4, 2))
+    tail = _terminal_tail(sys_, spec, kernel)
+    c_old = rng.normal(size=(3, 2))
+    solver = StageSolver(kernel, d, SolverConfig(), spec, sys_)
+    _, G = _StageWorkspace(solver, c_old, tail, states).value_gradient()
+
+    def J(pi):
+        Y = states @ sys_.A.T + pi @ sys_.B.T
+        return float(np.mean(spec.state_cost(states) + spec.control_cost(pi) + tail.values(Y)))
+
+    pi_old = cross_gram(kernel, states, d) @ c_old
+    h = 1e-6
+    central = np.zeros_like(pi_old)
+    for i, j in np.ndindex(*pi_old.shape):
+        step = np.zeros_like(pi_old)
+        step[i, j] = h
+        central[i, j] = (J(pi_old + step) - J(pi_old - step)) / (2.0 * h)
+    np.testing.assert_allclose(G, central, rtol=0, atol=1e-7 * np.abs(central).max())
+
+
 def test_stationary_point_returns_old_coefficients():
     # zero terminal weight and zero state cost make c = 0 a stationary point
     rng = np.random.default_rng(8)
@@ -672,3 +700,19 @@ def test_each_dictionary_compiles_its_anchors_once_per_run(monkeypatch):
     _, policy, records = _small_rbf_run(max_iters=3)
     assert len(records) == 3
     assert len(calls) == policy.horizon
+
+
+def test_tail_maps_and_stage_parts_are_built_once_per_run(monkeypatch):
+    # every sweep starts from the run's one empty tail, whose maps the later
+    # tails share, and each dictionary's lifted anchors are compiled into
+    # those maps once: stages 1 .. T - 1 enter tails, stage 0 never does
+    import kernelpi.costs as costs
+
+    maps, lifts = [], []
+    init, lift = costs._TailMaps.__init__, costs._TailMaps.lift
+    monkeypatch.setattr(costs._TailMaps, "__init__", lambda self, *a: maps.append(1) or init(self, *a))
+    monkeypatch.setattr(costs._TailMaps, "lift", lambda self, m: lifts.append(1) or lift(self, m))
+    _, policy, records = _small_rbf_run(max_iters=3)
+    assert len(records) == 3
+    assert len(maps) == 1
+    assert len(lifts) == policy.horizon - 1

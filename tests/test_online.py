@@ -350,3 +350,38 @@ def test_run_online_requires_state_or_scenario():
     cfg = OnlineConfig(horizon=4, window=2, ident_steps=1, solver=linear_solver(), seed=0)
     with pytest.raises(ValueError):
         run_online(sys_, cfg, lq_spec(2, 1))
+
+
+def test_a_three_window_run_factorises_each_dictionary_once(monkeypatch):
+    # warm starts carry a stage's dictionary from window to window, and its
+    # Gram factor with it: every window builds stage solvers, but each
+    # dictionary's ridge-shifted Gram matrix is factorised once
+    import kernelpi.offline as offline
+
+    factorised, dictionaries = [], []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda K: factorised.append(1) or cholesky(K))
+
+    class Recorded(offline.StageSolver):
+        def __init__(self, kernel, dictionary, *args):
+            dictionaries.append(dictionary)
+            super().__init__(kernel, dictionary, *args)
+
+    monkeypatch.setattr(offline, "StageSolver", Recorded)
+    sys_ = double_integrator()
+    cfg = OnlineConfig(
+        window=3,
+        horizon=3,
+        ident_steps=0,
+        sigma_excitation=0.0,
+        solver=SolverConfig(
+            delta_lr=1.0, max_outer_iters=4, mc_samples=1, dict_size=1, length_scale=1.0
+        ),
+    )
+    theta0 = np.hstack([sys_.A, sys_.B])
+    log = run_online(sys_, cfg, lq_spec(2, 1), theta0=theta0, x0=np.array([1.0, -0.5]))
+    assert len(log.planning_steps) == 3
+    assert len(dictionaries) == 3 + 2 + 1  # the windows shrink at the horizon's end
+    distinct = {id(d) for d in dictionaries}
+    assert len(distinct) == 3
+    assert len(factorised) == len(distinct)
