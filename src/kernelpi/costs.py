@@ -11,13 +11,12 @@ TailEvaluator re-simulates the continuation of a stage on rows
 state and its cost map.  A backward sweep builds each tail on the one after
 it, so every stage policy is compiled once per sweep; the tails of a run
 share one _TailMaps, which holds what a stage's compilation reads of its
-dictionary alone and hands a dropped simulation's blocks to the next.  A
-simulation can be kept as a Trajectory: what a reverse-mode pass over it
-reads, which gives the continuation's exact gradient dV/dy at its rows
-through the cost's StateCost.sums_gradient and the kernel's
-vector-Jacobian product.  TailEvaluator.extend puts one more stage in front
-of a kept trajectory.  A CostSpec keeps only the symmetric parts of its
-weights, the parts its costs read.
+dictionary alone.  A simulation can be kept as a Trajectory: what a
+reverse-mode pass over it reads, which gives the continuation's exact
+gradient dV/dy at its rows through the cost's StateCost.sums_gradient and
+the kernel's vector-Jacobian product.  TailEvaluator.extend puts one more
+stage in front of a kept trajectory.  A CostSpec keeps only the symmetric
+parts of its weights, the parts its costs read.
 """
 
 from __future__ import annotations
@@ -257,7 +256,7 @@ def evaluate_cost_to_go(batch: TrajectoryBatch, spec: CostSpec) -> CostToGoTable
 
 
 class _TailMaps:
-    """What every tail of one run shares (see TailEvaluator): matrices, row layout, parts and blocks.
+    """What every tail of one run shares (see TailEvaluator): matrices, row layout and parts.
 
     A row is kept as a column block [x | z | |x|^2 | s | 1 | k]: the state,
     the cost map z and its sums of squares s of the stage before (zeros in
@@ -271,11 +270,8 @@ class _TailMaps:
     the same for the terminal cost on the head of the last block.
 
     parts(anchors) holds what a stage's compilation reads of its dictionary
-    alone, once per anchors.  blocks() hands out the column blocks of a
-    simulation, as tall as the tallest stage compiled so far (height).  The
-    last set a trajectory released (a dropped trial's, or one a backward
-    walk consumed) is handed out again when it has the shape asked for: the
-    trials of one stage update share it.
+    alone, once per anchors.  height is that of the tallest stage compiled
+    so far, and so of a simulation's column blocks.
     """
 
     def __init__(self, sys: LinearSystem, spec: CostSpec):
@@ -306,7 +302,6 @@ class _TailMaps:
         # the rows a stage's back matrix takes its gradient to: x and |x|^2
         self.back_rows = list(range(n)) + [self.norm]
         self._parts: dict = {}
-        self._released = None
 
     def lift(self, matrix: np.ndarray) -> np.ndarray:
         """An anchor matrix for rows [x | |x|^2 | 1] moved onto the rows of a block's head."""
@@ -326,18 +321,6 @@ class _TailMaps:
             back[-1] *= 2.0
             parts = self._parts[anchors] = (np.ascontiguousarray(lifted.T), back)
         return parts
-
-    def blocks(self, count: int, rows: int) -> np.ndarray:
-        """count column blocks of height rows for rows rows: the released set when it has that shape."""
-        W, self._released = self._released, None
-        if W is not None and W.shape == (count, self.height, rows):
-            return W
-        W = None  # freed before the new set is allocated, so the heap can reuse its memory
-        return np.empty((count, self.height, rows))
-
-    def release(self, W: np.ndarray) -> None:
-        """Take back blocks from blocks() that nothing reads any more, for the next call."""
-        self._released = W
 
 
 class _Stage:
@@ -441,10 +424,7 @@ class TailEvaluator:
         warnings.  The final rows meet no guard.
         """
         path = self._simulate(self._stages, np.atleast_2d(np.asarray(states, dtype=float)))
-        if keep:
-            return path.values, path
-        path.release()
-        return path.values
+        return (path.values, path) if keep else path.values
 
     def extend(self, states, rest: Optional["Trajectory"] = None) -> "Trajectory":
         """The trajectory from states through this tail's first stage, then rest.
@@ -476,13 +456,14 @@ class TailEvaluator:
         N, n = X.shape
         norm, head = maps.norm, maps.head
         sums = slice(norm, maps.one)
-        W = maps.blocks(len(stages) + 1, N)
+        W = np.empty((len(stages) + 1, maps.height, N))
         squares = np.empty((norm, N))
         W[0, :n] = X.T
         W[0, n:norm] = 0.0
         W[:, maps.one] = 1.0
         # a row past the guard runs on to the test after the loop, and may
-        # overflow on the way without a warning
+        # overflow on the way without a warning, its values included; the
+        # final rows meet no guard here
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(W[0, :norm], W[0, :norm], out=squares)
             np.matmul(maps.to_sums, squares, out=W[0, sums])
@@ -495,10 +476,11 @@ class TailEvaluator:
                 np.matmul(stage.forward, block[: stage.height], out=following)
                 np.multiply(following, following, out=squares)
                 np.matmul(maps.to_sums, squares, out=W[i + 1, sums])
+            path = Trajectory(self.spec, maps, stages, W, rest)
         if not W[:-1, norm].max(initial=0.0) <= STATE_GUARD**2:
             for i in range(len(stages)):
                 check_norms(W[i, norm], self.start_stage + i, "tail simulation")
-        return Trajectory(self.spec, maps, stages, W, rest)
+        return path
 
 
 class Trajectory:
@@ -518,9 +500,7 @@ class Trajectory:
     |x|^2 rows: lambda at x is the x part plus x times the doubled |x|^2
     part.  Each trajectory keeps its gradient once computed, so a trajectory
     extended by one stage walks one stage back; the walk consumes the
-    column blocks and hands them back to the run (_TailMaps.release),
-    keeping only the states.  A trajectory that will not be read again can
-    hand its blocks back at once (release).
+    column blocks, keeping only the states.
     """
 
     def __init__(self, spec, maps, stages, W, rest):
@@ -541,13 +521,6 @@ class Trajectory:
             per_stage = spec.tail_cost.of_sums(W[1:, maps.norm + 1 : maps.one])
             total = per_stage.sum(axis=0) + total
         self.values = total
-
-    def release(self) -> None:
-        """Hand the column blocks back unread; only values may be read afterwards."""
-        if self._gradient is None:
-            self._maps.release(self._W)
-        self._W = self._final_map = None
-        self._stages = ()
 
     def states(self) -> np.ndarray:
         """(N, stage_count + 1, n): the rows entering every stage, then the final rows."""
@@ -593,7 +566,7 @@ class Trajectory:
             # not in place: an empty tail's values may be a view of the sums
             z *= maps.final_from_sums @ final.sums_gradient(sums, np.empty_like(sums))
             lam = final.lin @ z
-        states = W[:, :n].copy()  # a copy: the blocks go back to the run
+        states = W[:, :n].copy()  # a copy, so that the blocks are freed
         if self._stages:
             cost_sums = W[1:, norm + 1 : maps.one]
             per_sum = spec.tail_cost.sums_gradient(cost_sums, cost_sums)
@@ -614,7 +587,6 @@ class Trajectory:
                 block[:n] += g[:n]
             lam = W[0, :n].copy()
         # no later walk passes a kept gradient: keep only the states
-        maps.release(W)
         self._gradient = lam
         self._W = states
         self._final_map = None

@@ -46,10 +46,11 @@ the batch rows (TailEvaluator.extend).  Its values give J_old and one
 reverse-mode pass over it gives dV/dy, so a stage update in a sweep costs
 one tail call per trial step and none at the old coefficients.  The
 trajectory stage 0 keeps runs from the initial states through stage T
-under the updated policy: it is the next iteration's batch, checked
-against the state guard at every stage, and its mean value, stage 0's new
-objective, is the next iteration's cost.  So only iteration 0 rolls the
-batch out and evaluates its cost-to-go.
+under the updated policy: it is the next iteration's batch, and its mean
+value, stage 0's new objective, is the next iteration's cost.  Iteration 0
+takes its batch and cost the same way, from one kept tail over every stage
+of the policy it starts from, so every batch comes from a kept trajectory
+and is checked against the state guard at every stage where it is made.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .costs import CostSpec, TailEvaluator, Trajectory, evaluate_cost_to_go
+from .costs import CostSpec, TailEvaluator, Trajectory
 from .dynamics import STATE_GUARD, DivergenceError, LinearSystem, check_guard, rollout
 from .kernels import (
     Dictionary,
@@ -454,8 +455,7 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
                 return _result(ws, J0, "ok", a, Ja, path)
             if abs(g) < best[0]:
                 best = (abs(g), a, Ja)
-        if path is not None:
-            path.release()  # only the trial in hand keeps its trajectory
+        path = None  # freed before the next trial: only the trial in hand keeps its blocks
         q = g / a
         points = points[-2:] + [(a, q)]
         if q < 0:
@@ -530,6 +530,25 @@ def build_dictionaries(
     return dicts
 
 
+def _guarded(states, k, records, policy):
+    """states, the batch iteration k starts from, after the state guard at every stage.
+
+    A tail guards the rows entering its stages, not the final ones, so each
+    batch is checked once, where it is made: one test of all squared norms,
+    and stage by stage only to name the first crossing, which raises
+    PolicyIterationDiverged with the history so far.
+    """
+    if not np.einsum("ntj,ntj->nt", states, states).max() <= STATE_GUARD**2:
+        try:
+            for t in range(states.shape[1]):
+                check_guard(states[:, t], t)
+        except DivergenceError as exc:
+            raise PolicyIterationDiverged(
+                f"forward simulation diverged at iteration {k}: {exc}", records, policy, exc
+            ) from exc
+    return states
+
+
 def run_policy_iteration(
     sys: LinearSystem,
     spec: CostSpec,
@@ -544,14 +563,14 @@ def run_policy_iteration(
     When a policy is given it is improved in place from its warm state, and
     every stage must carry its dictionary.  Otherwise a zero policy is built
     over dictionaries drawn with dict_rng (default_rng(0) when not given) from
-    a zero-control rollout of the batch, which is also iteration 0's batch.
-    Dictionaries stay fixed for the call, so each stage's StageSolver is
-    built once, before the first iteration.  Only iteration 0 rolls out and
-    evaluates the cost-to-go; each later one starts from the trajectory its
+    a zero-control rollout of the batch.  Dictionaries stay fixed for the
+    call, so each stage's StageSolver is built once, before the first
+    iteration.  Iteration 0 starts from the trajectory of one tail over
+    every stage of the policy, each later one from the trajectory its
     predecessor's sweep kept (see the module docstring).  Returns (policy,
-    records); divergence of a batch raises PolicyIterationDiverged carrying
-    the partial history, which is empty, with no policy, when the
-    zero-control rollout diverges.
+    records); a batch with a state past the guard, the last sweep's
+    included, raises PolicyIterationDiverged carrying the partial history,
+    which is empty, with no policy, when the zero-control rollout diverges.
     """
     X0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     if policy is None:
@@ -569,32 +588,22 @@ def run_policy_iteration(
         )
     elif policy.horizon != horizon:
         raise ValueError("policy horizon disagrees with the requested horizon")
-    else:
-        try:
-            batch = rollout(sys, policy, X0, horizon=horizon)
-        except DivergenceError as exc:
-            raise PolicyIterationDiverged(
-                f"forward simulation diverged at iteration 0: {exc}", [], policy, exc
-            ) from exc
     solvers = [StageSolver(policy.kernel, st.dictionary, cfg, spec, sys) for st in policy.stages]
-    states = batch.states
-    cost_k = evaluate_cost_to_go(batch, spec).total_cost
     terminal = TailEvaluator(sys, spec, policy, horizon)
+    tail = terminal
+    for t in range(horizon - 1, -1, -1):
+        tail = TailEvaluator(sys, spec, policy, t, tail)
 
     records: list = []
+    try:
+        kept = tail.values(X0, keep=True)[1]
+    except DivergenceError as exc:
+        raise PolicyIterationDiverged(
+            f"forward simulation diverged at iteration 0: {exc}", records, policy, exc
+        ) from exc
+    states = _guarded(kept.states(), 0, records, policy)
+    cost_k = float(kept.values.mean())
     for k in range(cfg.max_outer_iters):
-        # a trial's tail guards the rows entering its stages, not the final
-        # ones, so the kept batch is checked at every stage: one test of all
-        # squared norms, and stage by stage only to name the first crossing
-        if k and not np.einsum("ntj,ntj->nt", states, states).max() <= STATE_GUARD**2:
-            try:
-                for t in range(horizon + 1):
-                    check_guard(states[:, t], t)
-            except DivergenceError as exc:
-                raise PolicyIterationDiverged(
-                    f"forward simulation diverged at iteration {k}: {exc}", records, policy, exc
-                ) from exc
-
         t0 = time.perf_counter()
         stage_results = [None] * horizon
         try:
@@ -604,12 +613,12 @@ def run_policy_iteration(
                 res = solve_implicit_update(
                     solvers[t], policy.stages[t].coefficients, tail, states[:, t], handed
                 )
-                successors, res.successors = res.successors, None
+                kept, res.successors = res.successors, None
                 policy.stages[t] = StagePolicy(solvers[t].dictionary, res.c_new)
                 stage_results[t] = res
                 if t:
                     tail = TailEvaluator(sys, spec, policy, t, tail)
-                    handed = tail.extend(states[:, t], successors)
+                    handed = tail.extend(states[:, t], kept)
         except DivergenceError as exc:
             raise PolicyIterationDiverged(
                 f"stage improvement diverged at iteration {k}: {exc}", records, policy, exc
@@ -625,7 +634,9 @@ def run_policy_iteration(
                 wall_time=wall,
             )
         )
-        states = np.concatenate([states[:, :1], successors.states()], axis=1)
+        states = _guarded(
+            np.concatenate([states[:, :1], kept.states()], axis=1), k + 1, records, policy
+        )
         if cfg.convergence_tol > 0:
             if records[-1].total_step_sq < cfg.convergence_tol * (1.0 + abs(cost_k)):
                 break

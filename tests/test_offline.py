@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernelpi.costs import CostSpec, TailEvaluator, empirical_stage_objective
-from kernelpi.dynamics import LinearSystem, assemble_team_system, discretize_double_integrator
+from kernelpi.costs import CostSpec, TailEvaluator, empirical_stage_objective, evaluate_cost_to_go
+from kernelpi.dynamics import (
+    LinearSystem,
+    assemble_team_system,
+    discretize_double_integrator,
+    rollout,
+)
 from kernelpi.kernels import Dictionary, KernelPolicy, KernelSpec, StagePolicy, cross_gram
 from kernelpi.offline import (
     ROOT_TOL,
@@ -421,7 +426,8 @@ def test_stage_gram_factors_are_built_once_per_run(monkeypatch):
 
 def test_each_stage_policy_is_compiled_once_per_sweep(monkeypatch):
     # a sweep grows one tail from the terminal cost, so stage t's policy is
-    # compiled once, into the tail the update of stage t - 1 reads
+    # compiled once, into the tail the update of stage t - 1 reads; iteration
+    # 0's batch comes from one more tail, over every stage of the policy
     import kernelpi.costs as costs
 
     calls = []
@@ -433,7 +439,7 @@ def test_each_stage_policy_is_compiled_once_per_sweep(monkeypatch):
     cfg = SolverConfig(delta_lr=4.0, max_outer_iters=3, mc_samples=4, dict_size=2, convergence_tol=0.0)
     _, records = run_policy_iteration(sys_, spec, 5, rng.normal(size=(4, 2)), cfg)
     assert len(records) == 3
-    assert len(calls) == 3 * 4
+    assert len(calls) == 5 + 3 * 4
 
 
 def test_duplicate_anchors_with_a_ridge_build_a_stage_solver_without_warning():
@@ -603,17 +609,19 @@ def test_next_trial_interpolates_the_inverse_of_q():
     assert np.isnan(_next_trial([(1.0, 2.0), (3.0, 2.0)]))
 
 
-@pytest.mark.parametrize("horizon", [1, 3])
-def test_an_accepted_policy_past_the_guard_at_the_last_stage_raises(horizon):
+@pytest.mark.parametrize(
+    "horizon, max_iters", [(1, 3), (3, 3), (1, 1), (3, 1)], ids=["1", "3", "1-last", "3-last"]
+)
+def test_an_accepted_policy_past_the_guard_at_the_last_stage_raises(horizon, max_iters):
     # a negative terminal weight rewards running away, so the first sweep
     # accepts a long last-stage step whose final states lie past STATE_GUARD;
     # the last stage's tail is empty and checks nothing, so only the batch
-    # the next iteration starts from can see it
+    # the sweep makes can see it, the last sweep's included
     sys_ = LinearSystem(A=[[1.0]], B=[[1.0]])
     spec = CostSpec(Q=[[0.0]], R=[[1e-3]], Q_F=[[-1.0]])
     cfg = SolverConfig(
         delta_lr=1e9,
-        max_outer_iters=3,
+        max_outer_iters=max_iters,
         mc_samples=4,
         dict_size=2,
         kernel_family="linear",
@@ -657,6 +665,19 @@ def test_handed_over_objective_and_gradient_match_a_tail_call_at_c_old(monkeypat
         assert res.tail_calls == res.evals - 1
 
 
+def _assert_sweep_reads_the_rollout(sweep, policy, X0):
+    """The batch a sweep's recorded stage updates read is the rollout of policy from X0; returns it."""
+    T = policy.horizon
+    expected = rollout(sweep[0][0].sys, policy, X0)
+    # stage t gets the batch at t, and stage T - 1 the terminal trajectory at T
+    got = [sweep[T - 1 - t][3] for t in range(T)] + [sweep[0][4].states()[:, 0]]
+    got = np.stack(got, axis=1)
+    for t in range(T + 1):
+        scale = np.abs(expected.states[:, t]).max()
+        np.testing.assert_allclose(got[:, t], expected.states[:, t], rtol=0, atol=1e-12 * scale)
+    return expected
+
+
 def test_next_batch_is_the_rollout_of_the_updated_policy(monkeypatch):
     import kernelpi.offline as offline
 
@@ -671,15 +692,36 @@ def test_next_batch_is_the_rollout_of_the_updated_policy(monkeypatch):
         stages = [
             StagePolicy(policy.stages[t].dictionary, records[k].stages[t].c_new) for t in range(T)
         ]
-        expected = original(calls[0][0].sys, KernelPolicy(policy.kernel, stages), X0).states
         sweep = calls[(k + 1) * T : (k + 2) * T]  # stages T - 1 .. 0 of iteration k + 1
-        # stage t gets the batch at t, and stage T - 1 the terminal trajectory at T
-        got = [sweep[T - 1 - t][3] for t in range(T)] + [sweep[0][4].states()[:, 0]]
-        got = np.stack(got, axis=1)
-        for t in range(T + 1):
-            scale = np.abs(expected[:, t]).max()
-            np.testing.assert_allclose(got[:, t], expected[:, t], rtol=0, atol=1e-12 * scale)
+        _assert_sweep_reads_the_rollout(sweep, KernelPolicy(policy.kernel, stages), X0)
         assert records[k + 1].cost == records[k].cost_after
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["drawn", "given"])
+def test_iteration_0_starts_from_the_rollout_of_the_entering_policy(monkeypatch, given):
+    # iteration 0 takes its batch and cost from one kept tail over every
+    # stage: a given policy is never rolled out, a drawn one only at zero
+    # control to draw its dictionaries
+    import kernelpi.offline as offline
+
+    rollouts = []
+    original = offline.rollout
+    monkeypatch.setattr(offline, "rollout", lambda *a, **kw: rollouts.append(1) or original(*a, **kw))
+    cfg, policy, records, calls = _recording_sweep(monkeypatch, max_iters=2)
+    T = 8
+    solver, X0 = calls[0][0], calls[T - 1][3]
+    if given:
+        entering = [StagePolicy(st.dictionary, st.coefficients.copy()) for st in policy.stages]
+        warm = KernelPolicy(policy.kernel, list(entering))
+        rollouts.clear()
+        calls.clear()
+        _, records = run_policy_iteration(solver.sys, solver.spec, T, X0, cfg, policy=warm)
+    else:
+        entering = [StagePolicy.zero(solver.sys.m, st.dictionary) for st in policy.stages]
+    assert len(rollouts) == (0 if given else 1)
+    expected = _assert_sweep_reads_the_rollout(calls[:T], KernelPolicy(policy.kernel, entering), X0)
+    reference = evaluate_cost_to_go(expected, solver.spec).total_cost
+    assert abs(records[0].cost - reference) <= 1e-12 * abs(reference)
 
 
 def test_each_dictionary_compiles_its_anchors_once_per_run(monkeypatch):
@@ -705,7 +747,8 @@ def test_each_dictionary_compiles_its_anchors_once_per_run(monkeypatch):
 def test_tail_maps_and_stage_parts_are_built_once_per_run(monkeypatch):
     # every sweep starts from the run's one empty tail, whose maps the later
     # tails share, and each dictionary's lifted anchors are compiled into
-    # those maps once: stages 1 .. T - 1 enter tails, stage 0 never does
+    # those maps once: stages 1 .. T - 1 enter the sweeps' tails, and every
+    # stage iteration 0's tail
     import kernelpi.costs as costs
 
     maps, lifts = [], []
@@ -715,4 +758,4 @@ def test_tail_maps_and_stage_parts_are_built_once_per_run(monkeypatch):
     _, policy, records = _small_rbf_run(max_iters=3)
     assert len(records) == 3
     assert len(maps) == 1
-    assert len(lifts) == policy.horizon - 1
+    assert len(lifts) == policy.horizon

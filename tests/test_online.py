@@ -184,6 +184,7 @@ def test_window_with_diverging_prediction_is_rejected_and_keeps_warm_start():
         np.testing.assert_array_equal(stage.coefficients, np.zeros((1, 1)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_model_prediction_rejects_windows_instead_of_raising():
     # the identified model predicts 1e162 from x = 100: finite, far past the
     # state guard, and 1e160 times that overflows.  No anchor is placed
@@ -199,6 +200,23 @@ def test_overflowing_model_prediction_rejects_windows_instead_of_raising():
     assert len(log.planning_steps) == 6
     assert all(r.window_rejected for r in log.planning_steps)
     np.testing.assert_array_equal(log.states, np.full((7, 1), 100.0))
+
+
+def test_window_whose_last_sweep_runs_past_the_guard_at_its_end_is_rejected():
+    # a negative terminal weight rewards running away: the one sweep accepts
+    # a last-stage step whose final state lies past the state guard, which
+    # only the batch that sweep makes shows
+    sys_ = LinearSystem(A=[[1.0]], B=[[1.0]])
+    spec = CostSpec(Q=[[0.0]], R=[[1e-3]], Q_F=[[-1.0]])
+    solver = linear_solver(delta_lr=1e9, max_outer_iters=1)
+    cfg = OnlineConfig(horizon=3, window=3, ident_steps=0, solver=solver)
+    kernel = KernelSpec(family="linear")
+    x = np.array([1.0])
+    warm = first_warm_start(x, 0, sys_, kernel, cfg)
+    result = plan_window(x, sys_, warm, kernel, 0, cfg, spec)
+    assert result.rejected
+    assert result.stages is warm
+    rollout(sys_, KernelPolicy(kernel, warm), x[None, :])  # which stays inside the guard
 
 
 def test_full_window_shift_drops_only_executed_stage():
