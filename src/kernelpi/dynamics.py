@@ -147,21 +147,22 @@ def _policy_fn(policy: PolicyLike, m: int):
 
 def check_guard(X: np.ndarray, t: int, what: str = "trajectory") -> np.ndarray:
     """Squared row norms of the states X at stage t, after the divergence guard (check_norms)."""
-    return check_norms(np.einsum("ij,ij->i", X, X), t, what)
+    return check_norms(np.einsum("ij,ij->i", X, X)[None], t, what)[0]
 
 
 def check_norms(sq: np.ndarray, t: int, what: str = "trajectory") -> np.ndarray:
-    """The squared state norms sq at stage t, after the divergence guard.
+    """The squared state norms sq, stage-major (stages, rows) from stage t, after the divergence guard.
 
-    A row whose squared norm is not <= STATE_GUARD^2 (NaN, inf, or beyond the
-    guard) raises a DivergenceError naming the first such sample and stage t.
-    One test of the largest norm covers every row, NaN included, because the
-    maximum of an array holding NaN is NaN.
+    An entry that is not <= STATE_GUARD^2 (NaN, inf, or beyond the guard)
+    raises a DivergenceError naming the first stage holding one and, in it,
+    the first such sample.  One test of the largest norm covers every entry,
+    NaN included, because the maximum of an array holding NaN is NaN; one
+    argmin over the stage-major entries finds that first crossing.
     """
     if not sq.max(initial=0.0) <= STATE_GUARD**2:
-        i = int(np.argmin(sq <= STATE_GUARD**2))
+        s, i = divmod(int(np.argmin(sq <= STATE_GUARD**2)), sq.shape[1])
         raise DivergenceError(
-            f"{what} diverged at sample {i}, stage {t}", sample_index=i, stage=t
+            f"{what} diverged at sample {i}, stage {t + s}", sample_index=i, stage=t + s
         )
     return sq
 

@@ -49,8 +49,9 @@ trajectory stage 0 keeps runs from the initial states through stage T
 under the updated policy: it is the next iteration's batch, and its mean
 value, stage 0's new objective, is the next iteration's cost.  Iteration 0
 takes its batch and cost the same way, from one kept tail over every stage
-of the policy it starts from, so every batch comes from a kept trajectory
-and is checked against the state guard at every stage where it is made.
+of the policy it starts from, so every batch comes from a kept trajectory,
+whose tails guarded every row entering a stage: a run checks only the
+final rows.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .costs import CostSpec, TailEvaluator, Trajectory
-from .dynamics import STATE_GUARD, DivergenceError, LinearSystem, check_guard, rollout
+from .dynamics import DivergenceError, LinearSystem, check_guard, rollout
 from .kernels import (
     Dictionary,
     KernelPolicy,
@@ -530,25 +531,6 @@ def build_dictionaries(
     return dicts
 
 
-def _guarded(states, k, records, policy):
-    """states, the batch iteration k starts from, after the state guard at every stage.
-
-    A tail guards the rows entering its stages, not the final ones, so each
-    batch is checked once, where it is made: one test of all squared norms,
-    and stage by stage only to name the first crossing, which raises
-    PolicyIterationDiverged with the history so far.
-    """
-    if not np.einsum("ntj,ntj->nt", states, states).max() <= STATE_GUARD**2:
-        try:
-            for t in range(states.shape[1]):
-                check_guard(states[:, t], t)
-        except DivergenceError as exc:
-            raise PolicyIterationDiverged(
-                f"forward simulation diverged at iteration {k}: {exc}", records, policy, exc
-            ) from exc
-    return states
-
-
 def run_policy_iteration(
     sys: LinearSystem,
     spec: CostSpec,
@@ -567,46 +549,40 @@ def run_policy_iteration(
     call, so each stage's StageSolver is built once, before the first
     iteration.  Iteration 0 starts from the trajectory of one tail over
     every stage of the policy, each later one from the trajectory its
-    predecessor's sweep kept (see the module docstring).  Returns (policy,
-    records); a batch with a state past the guard, the last sweep's
-    included, raises PolicyIterationDiverged carrying the partial history,
-    which is empty, with no policy, when the zero-control rollout diverges.
+    predecessor's sweep kept (see the module docstring); each batch adds
+    only its final rows to the guard of the tails that made it.  Returns
+    (policy, records).  A DivergenceError anywhere in the run raises
+    PolicyIterationDiverged with the partial history, the policy (None when
+    the zero-control rollout diverges) and the error as cause; a
+    SingularGramError, or a ValueError for a policy of another horizon,
+    escapes as it is.
     """
     X0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
-    if policy is None:
-        if dict_rng is None:
-            dict_rng = np.random.default_rng(0)
-        try:
-            batch = rollout(sys, None, X0, horizon=horizon)
-        except DivergenceError as exc:
-            raise PolicyIterationDiverged(
-                f"zero-control rollout diverged: {exc}", [], None, exc
-            ) from exc
-        dicts = build_dictionaries(batch.states, horizon, cfg.dict_size, dict_rng)
-        policy = KernelPolicy(
-            cfg.kernel_spec(reference_points=X0), [StagePolicy.zero(sys.m, d) for d in dicts]
-        )
-    elif policy.horizon != horizon:
-        raise ValueError("policy horizon disagrees with the requested horizon")
-    solvers = [StageSolver(policy.kernel, st.dictionary, cfg, spec, sys) for st in policy.stages]
-    terminal = TailEvaluator(sys, spec, policy, horizon)
-    tail = terminal
-    for t in range(horizon - 1, -1, -1):
-        tail = TailEvaluator(sys, spec, policy, t, tail)
-
     records: list = []
     try:
+        if policy is None:
+            if dict_rng is None:
+                dict_rng = np.random.default_rng(0)
+            batch = rollout(sys, None, X0, horizon=horizon)
+            dicts = build_dictionaries(batch.states, horizon, cfg.dict_size, dict_rng)
+            policy = KernelPolicy(
+                cfg.kernel_spec(reference_points=X0), [StagePolicy.zero(sys.m, d) for d in dicts]
+            )
+        elif policy.horizon != horizon:
+            raise ValueError("policy horizon disagrees with the requested horizon")
+        solvers = [StageSolver(policy.kernel, st.dictionary, cfg, spec, sys) for st in policy.stages]
+        terminal = TailEvaluator(sys, spec, policy, horizon)
+        tail = terminal
+        for t in range(horizon - 1, -1, -1):
+            tail = TailEvaluator(sys, spec, policy, t, tail)
+
         kept = tail.values(X0, keep=True)[1]
-    except DivergenceError as exc:
-        raise PolicyIterationDiverged(
-            f"forward simulation diverged at iteration 0: {exc}", records, policy, exc
-        ) from exc
-    states = _guarded(kept.states(), 0, records, policy)
-    cost_k = float(kept.values.mean())
-    for k in range(cfg.max_outer_iters):
-        t0 = time.perf_counter()
-        stage_results = [None] * horizon
-        try:
+        states = kept.states()
+        check_guard(states[:, horizon], horizon)
+        cost_k = float(kept.values.mean())
+        for k in range(cfg.max_outer_iters):
+            t0 = time.perf_counter()
+            stage_results = [None] * horizon
             tail = terminal
             handed = tail.extend(states[:, horizon])
             for t in range(horizon - 1, -1, -1):
@@ -619,28 +595,27 @@ def run_policy_iteration(
                 if t:
                     tail = TailEvaluator(sys, spec, policy, t, tail)
                     handed = tail.extend(states[:, t], kept)
-        except DivergenceError as exc:
-            raise PolicyIterationDiverged(
-                f"stage improvement diverged at iteration {k}: {exc}", records, policy, exc
-            ) from exc
-        wall = time.perf_counter() - t0
+            wall = time.perf_counter() - t0
 
-        records.append(
-            IterationRecord(
-                iteration=k,
-                cost=cost_k,
-                cost_after=stage_results[0].objective_new,
-                stages=stage_results,
-                wall_time=wall,
+            records.append(
+                IterationRecord(
+                    iteration=k,
+                    cost=cost_k,
+                    cost_after=stage_results[0].objective_new,
+                    stages=stage_results,
+                    wall_time=wall,
+                )
             )
-        )
-        states = _guarded(
-            np.concatenate([states[:, :1], kept.states()], axis=1), k + 1, records, policy
-        )
-        if cfg.convergence_tol > 0:
-            if records[-1].total_step_sq < cfg.convergence_tol * (1.0 + abs(cost_k)):
-                break
-        cost_k = records[-1].cost_after
+            states = np.concatenate([states[:, :1], kept.states()], axis=1)
+            check_guard(states[:, horizon], horizon)
+            if cfg.convergence_tol > 0:
+                if records[-1].total_step_sq < cfg.convergence_tol * (1.0 + abs(cost_k)):
+                    break
+            cost_k = records[-1].cost_after
+    except DivergenceError as exc:
+        raise PolicyIterationDiverged(
+            f"simulation diverged at iteration {len(records)}: {exc}", records, policy, exc
+        ) from exc
     return policy, records
 
 

@@ -6,7 +6,6 @@ per-criterion lines.  The full module takes several minutes, dominated by the
 260-iteration offline run.
 """
 
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,24 +237,22 @@ def test_ac7_receding_horizon_consistency(verdict):
 
 
 def test_ac8_complexity_scaling_smoke(verdict):
-    # sample counts large enough that per-sample arithmetic, not call
-    # dispatch, dominates the iteration time
     base = (256, 8, 6)
     points = [base, (512, 8, 6), (256, 16, 6), (256, 8, 12)]
     rows = complexity_probe(points, iterations=3, seed=0)
     assert len(rows) == 4 and all(r.seconds_per_iteration > 0 for r in rows)
+    # the verdict rests on the row-stages each sweep re-simulates or walks
+    # back, which do not depend on the machine: linear in the samples, flat
+    # in the anchors, superlinear in the horizon.  At these sizes per-call
+    # dispatch, which does not grow with the rows, sets much of the time, so
+    # the time ratios are reported only.
     t0, tN, tM, tT = (r.seconds_per_iteration for r in rows)
-    n_factor = tN / t0
-    t_factor = tT / t0
-    # the row-stage ratios are deterministic: they tell whether a time ratio
-    # outside its band comes from the work or from the machine
     w0, wN, wM, wT = (r.row_stages_per_iteration for r in rows)
+    n_ratio, m_ratio, h_ratio = wN / w0, wM / w0, wT / w0
+    ok = 1.8 <= n_ratio <= 2.2 and 0.8 <= m_ratio <= 1.25 and h_ratio > 2.0
     detail = (
-        f"doubling samples: x{n_factor:.2f} (band [1.5, 3]), row-stages x{wN / w0:.2f}; "
-        f"doubling horizon: x{t_factor:.2f} (superlinear > 2), row-stages x{wT / w0:.2f}"
+        f"row-stages: doubling samples x{n_ratio:.3f} (band [1.8, 2.2]), "
+        f"anchors x{m_ratio:.3f} (band [0.8, 1.25]), horizon x{h_ratio:.3f} (> 2); "
+        f"time: x{tN / t0:.2f}, x{tM / t0:.2f}, x{tT / t0:.2f}"
     )
-    if not 1.5 <= n_factor <= 3.0:
-        warnings.warn(f"sample-count scaling outside the loose band: {detail}")
-    if not t_factor > 2.0:
-        warnings.warn(f"horizon scaling not clearly superlinear: {detail}")
-    verdict("AC8", True, detail + " (informational)")
+    assert verdict("AC8", ok, detail)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelpi.dynamics import (
     STATE_GUARD,
     DivergenceError,
     LinearSystem,
     assemble_team_system,
+    check_norms,
     discretize_double_integrator,
     rollout,
     step,
@@ -194,6 +196,39 @@ def test_rollout_divergence_reports_sample_and_stage():
         assert exc.value.sample_index == 1
         assert exc.value.stage == stage
         assert f"sample 1, stage {stage}" in str(exc.value)
+
+
+_NORMS = [0.0, 1.0, STATE_GUARD**2, STATE_GUARD**2 * (1.0 + 1e-9), np.inf, np.nan]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    table=st.integers(1, 5).flatmap(
+        lambda rows: st.lists(
+            st.lists(st.sampled_from(_NORMS), min_size=rows, max_size=rows), max_size=5
+        )
+    ),
+    start=st.integers(0, 7),
+    strided=st.booleans(),
+)
+def test_check_norms_names_the_first_crossing_of_a_stage_by_stage_loop(table, start, strided):
+    rows = len(table[0]) if table else 1
+    sq = np.array(table, dtype=float).reshape(len(table), rows)
+    if strided:  # a stage-major view of a row-major array, as a tail's blocks hold them
+        sq = np.ascontiguousarray(sq.T).T
+    expected = None
+    for s, stage in enumerate(sq):
+        outside = np.flatnonzero(~(stage <= STATE_GUARD**2))
+        if outside.size:
+            expected = (int(outside[0]), start + s)
+            break
+    if expected is None:
+        assert check_norms(sq, start) is sq
+    else:
+        with pytest.raises(DivergenceError) as exc:
+            check_norms(sq, start)
+        assert (exc.value.sample_index, exc.value.stage) == expected
+        assert f"sample {expected[0]}, stage {expected[1]}" in str(exc.value)
 
 
 def test_trajectory_batch_shape_validation():

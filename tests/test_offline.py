@@ -15,6 +15,7 @@ from kernelpi.kernels import Dictionary, KernelPolicy, KernelSpec, StagePolicy, 
 from kernelpi.offline import (
     ROOT_TOL,
     PolicyIterationDiverged,
+    SingularGramError,
     SolverConfig,
     StageSolver,
     complexity_probe,
@@ -396,6 +397,40 @@ def test_diverging_zero_control_rollout_raises_before_any_iteration():
         run_policy_iteration(sys_, spec, 30, np.array([[100.0], [200.0]]), cfg)
     assert exc.value.records == []
     assert exc.value.policy is None
+
+
+def _given_policy(kernel, points, horizon):
+    """A zero one-input policy over one dictionary of points per stage."""
+    stages = [StagePolicy.zero(1, Dictionary(points=points, stage=t)) for t in range(horizon)]
+    return KernelPolicy(kernel, stages)
+
+
+@pytest.mark.parametrize("horizon", [2, 3], ids=["final-rows", "entering-stage"])
+def test_a_warm_start_diverging_in_iteration_0_raises_with_the_first_crossing(horizon):
+    # under zero control x_t = 1e3^t x_0: row 1 (x_0 = 10) first leaves the
+    # guard at stage 2, which is the final rows at horizon 2 and a stage the
+    # tail enters at horizon 3 (row 0 crosses only at stage 3)
+    sys_ = LinearSystem(A=[[1e3]], B=[[1.0]])
+    spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
+    policy = _given_policy(KernelSpec(length_scale=1.0), [[0.0], [1.0]], horizon)
+    cfg = SolverConfig(max_outer_iters=3, mc_samples=2, dict_size=2)
+    with pytest.raises(PolicyIterationDiverged) as exc:
+        run_policy_iteration(sys_, spec, horizon, np.array([[1.0], [10.0]]), cfg, policy=policy)
+    assert exc.value.records == []
+    assert exc.value.policy is policy
+    assert (exc.value.cause.sample_index, exc.value.cause.stage) == (1, 2)
+
+
+@pytest.mark.parametrize("family", ["gaussian-rbf", "linear", "polynomial"])
+def test_a_singular_gram_escapes_unwrapped(family):
+    # a repeated anchor makes the Gram matrix singular, and ridge 0 leaves it so
+    sys_ = LinearSystem(A=[[0.5]], B=[[1.0]])
+    spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
+    kernel = KernelSpec(family=family, length_scale=1.0, degree=2, offset=1.0)
+    policy = _given_policy(kernel, [[1.0], [2.0], [1.0]], 2)
+    cfg = SolverConfig(max_outer_iters=2, mc_samples=2, dict_size=3, ridge=0.0)
+    with pytest.raises(SingularGramError):
+        run_policy_iteration(sys_, spec, 2, np.array([[0.5], [-0.5]]), cfg, policy=policy)
 
 
 def test_run_policy_iteration_warm_start_descends_from_given_policy():
