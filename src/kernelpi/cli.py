@@ -2,8 +2,16 @@
 
 Subcommands: offline, online, oracle-compare, complexity-probe.  Each takes a
 YAML config; --seed overrides the configured seed and --out the output
-directory.  Exit status is 0 on success, 2 on configuration or validation
-errors, 3 on simulation divergence.
+directory, which main creates before the mode runs.  Exit status is 0 on
+success, 2 on configuration or validation errors (an output directory that
+cannot be created included), 3 on simulation divergence.
+
+Each mode hands export_run its named tables: the run tables of a policy
+iteration (offline, oracle-compare), the scenario tables of its trajectories
+(offline, online) and its own (ident_trace.csv, oracle_summary.csv and
+gain_gaps.csv, probe.csv).  A solve that raises PolicyIterationDiverged, in
+any mode, writes the run tables of the iterations it finished and
+metadata.yaml, and exits 3.
 
 Exported tables are comma-separated with one header row, floats printed with
 17 significant digits so re-running an identical config and seed reproduces
@@ -36,7 +44,7 @@ from .offline import (
     complexity_probe,
     policy_iteration,
 )
-from .online import OnlineLog, run_online
+from .online import run_online
 from .riccati import lqr_cost, riccati_backward
 
 __all__ = ["main", "export_run", "oracle_compare", "OracleReport", "run_offline_mode", "run_online_mode"]
@@ -50,12 +58,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header, rows) -> Path:
+def _write_csv(path: Path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def _traj_header(n_vehicles: int):
@@ -95,6 +102,8 @@ def _distance_rows(states: np.ndarray, scenario: Scenario):
     return rows
 
 
+_COST_HISTORY = ["index", "cost", "delta_pi_sq"]
+
 # one row per stage update: the outer iteration, the stage, then
 # StageUpdateResult fields
 _STAGE_TRACE = [
@@ -111,75 +120,37 @@ _STAGE_TRACE = [
 ]
 
 
-def export_run(
-    log,
-    out_dir,
-    cfg: Optional[RunConfig] = None,
-    scenario: Optional[Scenario] = None,
-    batch_states: Optional[np.ndarray] = None,
-    runtime: Optional[dict] = None,
-) -> list:
-    """Write the result tables for a run into out_dir.
+def _run_tables(records) -> dict:
+    """cost_history.csv and stage_trace.csv of a policy iteration's IterationRecords."""
+    costs = [[r.iteration, r.cost, r.total_step_sq] for r in records]
+    trace = [
+        [r.iteration, t] + [getattr(s, c) for c in _STAGE_TRACE[2:]]
+        for r in records
+        for t, s in enumerate(r.stages)
+    ]
+    return {"cost_history.csv": (_COST_HISTORY, costs), "stage_trace.csv": (_STAGE_TRACE, trace)}
 
-    log is either a list of IterationRecord (offline) or an OnlineLog.  The
-    cost table has one row per iteration or planning step, and offline runs
-    add a stage trace with one row per stage update; trajectory and
-    distance tables are written when a scenario is available.  batch_states
-    carries the (N, T+1, n) trajectories to export for offline runs; online
-    runs export their own realized trajectory.
+
+def _scenario_tables(states: np.ndarray, scenario: Scenario) -> dict:
+    """trajectories.csv of every (T+1, n) trajectory in states, distances.csv of the first."""
+    rows = [row for i, x in enumerate(states) for row in _trajectory_rows(x, scenario, i)]
+    return {
+        "trajectories.csv": (_traj_header(scenario.n_vehicles), rows),
+        "distances.csv": (["time", "pair", "distance"], _distance_rows(states[0], scenario)),
+    }
+
+
+def export_run(out_dir, cfg: RunConfig, tables: dict, runtime: Optional[dict] = None) -> None:
+    """Write each named (header, rows) table, metadata.yaml and, when given, runtime.yaml.
+
+    out_dir must exist; main creates it before the mode runs.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    if isinstance(log, OnlineLog):
-        cost_rows = [
-            [r.step, r.window_cost_after, r.window_step_sq] for r in log.planning_steps
-        ]
-        written.append(
-            _write_csv(out / "cost_history.csv", ["index", "cost", "delta_pi_sq"], cost_rows)
-        )
-        ident_rows = [
-            [r.step, r.residual_norm, r.param_error] for r in log.identification_steps
-        ]
-        written.append(
-            _write_csv(
-                out / "ident_trace.csv", ["step", "residual_norm", "param_error"], ident_rows
-            )
-        )
-        traj = log.states[None, :, :]
-    else:
-        cost_rows = [[r.iteration, r.cost, r.total_step_sq] for r in log]
-        written.append(
-            _write_csv(out / "cost_history.csv", ["index", "cost", "delta_pi_sq"], cost_rows)
-        )
-        trace_rows = [
-            [r.iteration, t] + [getattr(s, c) for c in _STAGE_TRACE[2:]]
-            for r in log
-            for t, s in enumerate(r.stages)
-        ]
-        written.append(_write_csv(out / "stage_trace.csv", _STAGE_TRACE, trace_rows))
-        traj = batch_states
-
-    if scenario is not None:
-        rows = []
-        if traj is not None:
-            for i in range(traj.shape[0]):
-                rows.extend(_trajectory_rows(traj[i], scenario, i))
-        written.append(
-            _write_csv(out / "trajectories.csv", _traj_header(scenario.n_vehicles), rows)
-        )
-        drows = _distance_rows(traj[0], scenario) if traj is not None else []
-        written.append(_write_csv(out / "distances.csv", ["time", "pair", "distance"], drows))
-
-    if cfg is not None:
-        meta = yaml.safe_dump(dump_config(cfg), sort_keys=True)
-        (out / "metadata.yaml").write_text(meta)
-        written.append(out / "metadata.yaml")
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
+    (out / "metadata.yaml").write_text(yaml.safe_dump(dump_config(cfg), sort_keys=True))
     if runtime is not None:
         (out / "runtime.yaml").write_text(yaml.safe_dump(runtime, sort_keys=True))
-        written.append(out / "runtime.yaml")
-    return written
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +202,11 @@ def oracle_compare(cfg: RunConfig) -> OracleReport:
     its exact solution.  Requires the linear kernel; any other kernel is
     refused with a ConfigError.
     """
+    return _solve_oracle(cfg)[0]
+
+
+def _solve_oracle(cfg: RunConfig) -> tuple:
+    """oracle_compare's report and the IterationRecords of the solve it compared."""
     oc = cfg.oracle
     if cfg.solver.kernel_family != "linear":
         raise ConfigError("solver.kernel_family: oracle comparison requires the linear kernel")
@@ -263,7 +239,7 @@ def oracle_compare(cfg: RunConfig) -> OracleReport:
     if oc.scalar_check:
         scalar_gain = _scalar_instance_gain(cfg.seed)
         scalar_err = abs(scalar_gain + 0.5)
-    return OracleReport(
+    report = OracleReport(
         cost_policy=float(cost_policy),
         cost_riccati=float(cost_r),
         relative_gap=float(gap),
@@ -271,6 +247,7 @@ def oracle_compare(cfg: RunConfig) -> OracleReport:
         scalar_gain=scalar_gain,
         scalar_gain_error=scalar_err,
     )
+    return report, records
 
 
 def _scalar_instance_gain(seed: int) -> float:
@@ -300,20 +277,14 @@ def _scalar_instance_gain(seed: int) -> float:
 
 def _cmd_offline(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
-    try:
-        scenario, policy, records, batch = run_offline_mode(cfg)
-    except PolicyIterationDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        export_run(exc.records, out_dir, cfg=cfg)
-        return 3
-    wall = time.perf_counter() - t0
+    scenario, policy, records, batch = run_offline_mode(cfg)
     runtime = {
-        "wall_time_total": wall,
+        "wall_time_total": time.perf_counter() - t0,
         "iterations": len(records),
         "final_cost": float(records[-1].cost_after),
     }
-    export_run(records, out_dir, cfg=cfg, scenario=scenario,
-               batch_states=batch.states, runtime=runtime)
+    tables = {**_run_tables(records), **_scenario_tables(batch.states, scenario)}
+    export_run(out_dir, cfg, tables, runtime)
     print(
         f"offline: {len(records)} iterations, cost {records[0].cost:.6g} -> "
         f"{records[-1].cost_after:.6g}, results in {out_dir}"
@@ -324,9 +295,8 @@ def _cmd_offline(cfg: RunConfig, out_dir: Path) -> int:
 def _cmd_online(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     scenario, log = run_online_mode(cfg)
-    wall = time.perf_counter() - t0
     runtime = {
-        "wall_time_total": wall,
+        "wall_time_total": time.perf_counter() - t0,
         "min_distance": log.min_distance,
         "min_distance_post_ident": log.min_distance_post_ident,
         "max_state_norm": log.max_state_norm,
@@ -334,7 +304,14 @@ def _cmd_online(cfg: RunConfig, out_dir: Path) -> int:
         "diverged": log.diverged,
         "diverged_step": log.diverged_step,
     }
-    export_run(log, out_dir, cfg=cfg, scenario=scenario, runtime=runtime)
+    costs = [[r.step, r.window_cost_after, r.window_step_sq] for r in log.planning_steps]
+    ident = [[r.step, r.residual_norm, r.param_error] for r in log.identification_steps]
+    tables = {
+        "cost_history.csv": (_COST_HISTORY, costs),
+        "ident_trace.csv": (["step", "residual_norm", "param_error"], ident),
+        **_scenario_tables(log.states[None], scenario),
+    }
+    export_run(out_dir, cfg, tables, runtime)
     if log.diverged:
         phase = "identification" if log.diverged_step < cfg.online.ident_steps else "planning"
         norm = float(np.linalg.norm(log.states[-1]))
@@ -351,23 +328,17 @@ def _cmd_online(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
-    report = oracle_compare(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [
-        ["cost_policy", report.cost_policy],
-        ["cost_riccati", report.cost_riccati],
-        ["relative_gap", report.relative_gap],
-    ]
+    report, records = _solve_oracle(cfg)
+    quantities = ["cost_policy", "cost_riccati", "relative_gap"]
     if report.scalar_gain is not None:
-        rows.append(["scalar_gain", report.scalar_gain])
-        rows.append(["scalar_gain_error", report.scalar_gain_error])
-    _write_csv(out_dir / "oracle_summary.csv", ["quantity", "value"], rows)
-    _write_csv(
-        out_dir / "gain_gaps.csv",
-        ["stage", "gain_gap"],
-        [[t, g] for t, g in enumerate(report.gain_gaps)],
-    )
-    export_run([], out_dir, cfg=cfg)
+        quantities += ["scalar_gain", "scalar_gain_error"]
+    summary = [[q, getattr(report, q)] for q in quantities]
+    tables = {
+        **_run_tables(records),
+        "oracle_summary.csv": (["quantity", "value"], summary),
+        "gain_gaps.csv": (["stage", "gain_gap"], list(enumerate(report.gain_gaps))),
+    }
+    export_run(out_dir, cfg, tables)
     print(
         f"oracle-compare: policy cost {report.cost_policy:.6g} vs exact {report.cost_riccati:.6g} "
         f"(relative gap {report.relative_gap:.3%})"
@@ -387,7 +358,6 @@ def _cmd_probe(cfg: RunConfig, out_dir: Path) -> int:
         (pr.samples, pr.dict_size, 2 * pr.horizon),
     ]
     rows = complexity_probe(points, iterations=pr.iterations, seed=cfg.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
     columns = [
         "mc_samples",
         "dict_size",
@@ -395,8 +365,8 @@ def _cmd_probe(cfg: RunConfig, out_dir: Path) -> int:
         "seconds_per_iteration",
         "row_stages_per_iteration",
     ]
-    _write_csv(out_dir / "probe.csv", columns, [[getattr(r, c) for c in columns] for r in rows])
-    export_run([], out_dir, cfg=cfg)
+    probe = [[getattr(r, c) for c in columns] for r in rows]
+    export_run(out_dir, cfg, {"probe.csv": (columns, probe)})
     for r in rows:
         print(
             f"probe: N={r.mc_samples} M={r.dict_size} T={r.horizon} "
@@ -440,6 +410,10 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_dir=args.out)
         out_dir = Path(cfg.output_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output_dir: {exc}") from exc
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -449,6 +423,7 @@ def main(argv=None) -> int:
         return 2
     except (DivergenceError, PolicyIterationDiverged) as exc:
         print(f"divergence: {exc}", file=sys.stderr)
+        export_run(out_dir, cfg, _run_tables(getattr(exc, "records", [])))
         return 3
 
 

@@ -2,8 +2,8 @@
 
 The offline and online intersection runs use the shipped configuration files
 verbatim; run pytest with -s (or read the captured output) to see the
-per-criterion lines.  The full module takes several minutes, dominated by the
-260-iteration offline run.
+per-criterion lines.  The module takes about 20 s on a 2-core VM, almost all
+of it the 260-iteration offline run.
 """
 
 from pathlib import Path

@@ -10,7 +10,8 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from kernelpi.cli import export_run, main, oracle_compare
+import kernelpi.cli
+from kernelpi.cli import main, oracle_compare
 from kernelpi.config import (
     MODES,
     ConfigError,
@@ -235,13 +236,6 @@ def test_every_accepted_config_builds(mode, scenario, solver, online):
         online_config(cfg)
 
 
-def test_export_empty_log_writes_header_only(tmp_path):
-    written = export_run([], tmp_path)
-    cost = tmp_path / "cost_history.csv"
-    assert cost in written
-    assert cost.read_text() == "index,cost,delta_pi_sq\n"
-
-
 def _tiny_offline_config(tmp_path, seed=5):
     return config_from_mapping(
         {
@@ -312,6 +306,24 @@ def test_identical_config_and_seed_reproduce_tables_byte_for_byte(tmp_path):
     mb = yaml.safe_load((tmp_path / "b" / "metadata.yaml").read_text())
     ma.pop("output_dir"), mb.pop("output_dir")
     assert ma == mb
+
+
+def test_offline_run_diverging_in_the_zero_control_draw_writes_header_only_run_tables(
+    tmp_path, capsys
+):
+    # initial speeds of a few million m/s cross the state guard in the
+    # zero-control draw, before any iteration: the run tables are header-only
+    cfg = _tiny_offline_config(tmp_path / "run")
+    cfg.scenario.speed_range = (2.0e6, 3.0e6)
+    p = _write_cfg(cfg, tmp_path / "cfg.yaml")
+    assert main(["offline", str(p)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("divergence: ")
+    assert "sample 0" in err[0] and "stage 0" in err[0]
+    out = Path(cfg.output_dir)
+    assert (out / "cost_history.csv").read_text() == "index,cost,delta_pi_sq\n"
+    assert (out / "stage_trace.csv").read_text().count("\n") == 1
+    assert dump_config(load_config(out / "metadata.yaml")) == dump_config(cfg)
 
 
 def test_seed_override_changes_outputs(tmp_path):
@@ -406,6 +418,60 @@ def _oracle_cfg(**kw):
     }
     data.update(kw)
     return config_from_mapping(data)
+
+
+def test_oracle_compare_command_exports_its_run_tables(tmp_path):
+    cfg = _oracle_cfg(output_dir=str(tmp_path / "run"))
+    cfg.solver.max_outer_iters = 5
+    cfg.solver.convergence_tol = 0.0
+    p = _write_cfg(cfg, tmp_path / "cfg.yaml")
+    assert main(["oracle-compare", str(p)]) == 0
+    out = Path(cfg.output_dir)
+    rows = (out / "cost_history.csv").read_text().strip().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(5))
+    costs = [float(row.split(",")[1]) for row in rows]
+    tol = cfg.solver.inner_tol
+    for before, after in zip(costs, costs[1:]):
+        assert after <= before + tol * (1.0 + abs(before))
+    trace = (out / "stage_trace.csv").read_text().strip().splitlines()[1:]
+    horizon = cfg.oracle.horizon
+    assert [tuple(map(int, row.split(",")[:2])) for row in trace] == [
+        (k, t) for k in range(5) for t in range(horizon)
+    ]
+
+
+def test_complexity_probe_command_writes_only_its_probe_table(tmp_path):
+    out = tmp_path / "run"
+    data = {
+        "mode": "complexity-probe",
+        "output_dir": str(out),
+        "probe": {"samples": 2, "dict_size": 1, "horizon": 2, "iterations": 1},
+    }
+    p = tmp_path / "cfg.yaml"
+    p.write_text(yaml.safe_dump(data))
+    assert main(["complexity-probe", str(p)]) == 0
+    assert sorted(f.name for f in out.iterdir()) == ["metadata.yaml", "probe.csv"]
+    assert len((out / "probe.csv").read_text().strip().splitlines()) == 1 + 4
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["offline_intersection", "online_intersection", "oracle_lqr", "complexity_probe"],
+)
+def test_out_naming_a_file_is_a_config_error_before_any_solve(tmp_path, capsys, monkeypatch, config):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the output directory was checked")
+
+    for name in ("policy_iteration", "run_online", "complexity_probe"):
+        monkeypatch.setattr(kernelpi.cli, name, no_solve)
+    target = tmp_path / "results"
+    target.write_text("not a directory\n")
+    cfg_path = CONFIGS / f"{config}.yaml"
+    code = main([load_config(cfg_path).mode, str(cfg_path), "--out", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: output_dir: ")
+    assert target.read_text() == "not a directory\n"
 
 
 def test_oracle_compare_small_instance():
@@ -538,9 +604,13 @@ def test_short_solves_of_valid_configs_exit_cleanly(config):
             warnings.simplefilter("ignore", NonConflictingPathsWarning)
             code = main([mode, str(path)])
         assert code in (0, 2, 3)
-        if mode == "offline" and code == 0:
-            tol = load_config(path).solver.inner_tol
+        drawn = load_config(path)
+        if code in (0, 3):
+            assert dump_config(load_config(out / "metadata.yaml")) == dump_config(drawn)
+        if mode in ("offline", "oracle-compare") and code == 0:
+            tol = drawn.solver.inner_tol
             rows = (out / "cost_history.csv").read_text().strip().splitlines()[1:]
+            assert rows
             costs = [float(row.split(",")[1]) for row in rows]
             for before, after in zip(costs, costs[1:]):
                 assert after <= before + tol * (1.0 + abs(before))
