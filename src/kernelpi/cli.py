@@ -316,7 +316,7 @@ def _cmd_online(cfg: RunConfig, out_dir: Path) -> int:
         phase = "identification" if log.diverged_step < cfg.online.ident_steps else "planning"
         norm = float(np.linalg.norm(log.states[-1]))
         print(
-            f"error: online run diverged at step {log.diverged_step} ({phase} phase): the next "
+            f"divergence: online run diverged at step {log.diverged_step} ({phase} phase): the next "
             f"plant state crossed the state guard; last state norm {norm:.6g}",
             file=sys.stderr,
         )

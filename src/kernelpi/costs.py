@@ -11,12 +11,16 @@ TailEvaluator re-simulates the continuation of a stage on rows
 state and its cost map.  A backward sweep builds each tail on the one after
 it, so every stage policy is compiled once per sweep; the tails of a run
 share one _TailMaps, which holds what a stage's compilation reads of its
-dictionary alone.  A simulation can be kept as a Trajectory: what a
-reverse-mode pass over it reads, which gives the continuation's exact
-gradient dV/dy at its rows through the cost's StateCost.sums_gradient and
-the kernel's vector-Jacobian product.  TailEvaluator.extend puts one more
-stage in front of a kept trajectory.  A CostSpec keeps only the symmetric
-parts of its weights, the parts its costs read.
+dictionary alone.  A tail given a direction runs its first stage on the
+line c + a d of its coefficients: the line is compiled once, and each step
+a costs one axpy of the stage's control part; the first block may take its
+kernel values from the caller (a cross-Gram matrix it already holds).  A
+simulation can be kept as a Trajectory: its states, its per-stage costs and
+what a reverse-mode pass over it reads, which gives the continuation's
+exact gradient dV/dy at its rows through the cost's StateCost.sums_gradient
+and the kernel's vector-Jacobian product, in one walk back over its stages.
+A CostSpec keeps only the symmetric parts of its weights, the parts its
+costs read.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import LinearSystem, TrajectoryBatch, check_norms
-from .kernels import KernelPolicy, KernelSpec, StageExpansion
+from .kernels import KernelPolicy, KernelSpec, StageExpansion, StagePolicy
 
 __all__ = [
     "CostSpec",
@@ -331,46 +335,60 @@ class _Stage:
     gate = forward[:, head:]' takes the gradient of that product to the
     kernel values; back takes [that gradient | the kernel products'
     gradient] to the block's x and |x|^2 rows, the latter doubled.  kernel
-    and back depend on the dictionary alone (_TailMaps.parts), so compiling
-    a stage takes its coefficients' product with the control matrix and one
-    fill of forward.
+    and back depend on the dictionary alone (_TailMaps.parts); the rest is
+    filled from control, the coefficients' product with the control matrix,
+    which is linear in the coefficients: moved puts the stage at c + a d
+    from d's control part with one axpy.
     """
 
-    __slots__ = ("anchors", "kernel", "forward", "gate", "back", "height")
+    __slots__ = ("anchors", "control", "kernel", "forward", "gate", "back", "height")
 
     def __init__(self, maps: _TailMaps, kernel: KernelSpec, stage):
         expansion = StageExpansion(kernel, stage)
-        self.anchors = expansion.anchors
-        step = expansion.coeffs @ maps.control
-        if expansion.anchors is None:
+        self._fill(maps, expansion.anchors, expansion.coeffs @ maps.control)
+
+    def _fill(self, maps: _TailMaps, anchors, control) -> None:
+        self.anchors, self.control = anchors, control
+        if anchors is None:
             stacked = maps.stage.copy()
-            stacked[: step.shape[0]] += step
+            stacked[: control.shape[0]] += control
             self.kernel = self.gate = None
             self.back = stacked[maps.back_rows]
             self.back[-1] *= 2.0
             self.forward = np.ascontiguousarray(stacked.T)
         else:
-            self.kernel, self.back = maps.parts(expansion.anchors)
-            self.gate = step
-            self.forward = np.concatenate((maps.forward_head, step.T), axis=1)
+            self.kernel, self.back = maps.parts(anchors)
+            self.gate = control
+            self.forward = np.concatenate((maps.forward_head, control.T), axis=1)
         self.height = self.forward.shape[1]
         maps.height = max(maps.height, self.height)  # the blocks of later simulations fit it
+
+    def moved(self, maps: _TailMaps, along, a: float) -> "_Stage":
+        """This stage at coefficients c + a d, with along the control part of d."""
+        stage = _Stage.__new__(_Stage)
+        stage._fill(maps, self.anchors, self.control + a * along)
+        return stage
 
 
 class TailEvaluator:
     """Continuation values by re-simulating stages start_stage..T under given policies.
 
     values(states) simulates each row forward under the policy tail and returns
-    the accumulated stage costs plus the terminal cost.  Used as the successor
-    evaluator when improving the policy at stage start_stage - 1.  The stage
-    policies are snapshotted at construction; later mutation of the policy
-    object is not reflected.
+    the accumulated stage costs plus the terminal cost.  The stage policies
+    are snapshotted at construction; later mutation of the policy object is
+    not reflected.
 
-    rest, when given, is the tail from start_stage + 1 of the same system,
-    cost and policy: its compiled stages and shared maps (_TailMaps) are
-    reused, and only stage start_stage is compiled.  A backward sweep so
-    compiles each stage policy once, and a run that starts every sweep from
-    one empty tail builds its maps once.
+    rest, when given, is a tail of the same system, cost and policy over the
+    stages after start_stage (one stage fewer): its compiled stages and
+    shared maps (_TailMaps) are reused, and only stage start_stage is
+    compiled.  A tail grown stage by stage so compiles each stage once, and
+    a run that starts every sweep from one empty tail builds its maps once.
+
+    direction, when given, is a coefficient matrix d over the first stage's
+    dictionary: values(states, step=a) then runs the first stage at
+    c + a d, with c its coefficients in policy.  d's part of the stage is
+    compiled here, once, so a step costs one axpy (_Stage.moved), and
+    settle(a) leaves the tail at c + a d for good.
 
     A row is carried as a column block whose head holds x, |x|^2 and 1 (see
     _TailMaps), and one product with the stage's anchor matrix gives its
@@ -393,6 +411,7 @@ class TailEvaluator:
         policy: KernelPolicy,
         start_stage: int,
         rest: Optional["TailEvaluator"] = None,
+        direction=None,
     ):
         if not 0 <= start_stage <= policy.horizon:
             raise ValueError("start_stage out of range")
@@ -404,53 +423,63 @@ class TailEvaluator:
             later = range(start_stage, policy.horizon)
             self._stages = [_Stage(self._maps, policy.kernel, policy.stages[t]) for t in later]
         else:
-            if rest.start_stage != start_stage + 1 or rest.stage_count != self.stage_count - 1:
-                raise ValueError("rest must be the tail from start_stage + 1 of the same policy")
+            if rest.stage_count != self.stage_count - 1:
+                raise ValueError("rest must cover the stages after start_stage of the same policy")
             self._maps = rest._maps
             stage = _Stage(self._maps, policy.kernel, policy.stages[start_stage])
             self._stages = [stage] + rest._stages
+        self._along = self._moved = None
+        if direction is not None:
+            first = StagePolicy(policy.stages[start_stage].dictionary, direction)
+            self._along = StageExpansion(policy.kernel, first).coeffs @ self._maps.control
 
-    def values(self, states, keep=False):
+    def values(self, states, keep=False, step=0.0, kernel_values=None):
         """Continuation values at the rows of states, shape (N,).
 
         With keep, it returns (values, trajectory): the Trajectory holds what
         a backward pass over this simulation reads, and its gradient() gives
-        the exact dV/dy at the rows.
+        the exact dV/dy at the rows.  A nonzero step runs the first stage at
+        c + step d, which needs the tail's direction d.  kernel_values, when
+        given, are the first stage's kernel values at the rows, shaped as
+        kernels.cross_gram returns them; the first block takes them instead
+        of evaluating its kernel.
 
         The divergence guard is one dynamics.check_norms call after the
-        loop, on the stored squared norms of the rows entering every stage;
-        it names the first stage with a row past the guard.  Such a row runs
+        loop, on the stored squared norms of the rows entering every stage
+        (after the first, for rows whose kernel values the caller gives: it
+        holds those rows already); it names the first stage with a row past
+        the guard.  Such a row runs
         on through the later stages without warnings.  The final rows meet
         no guard: a caller that keeps them checks them.
         """
-        path = self._simulate(self._stages, np.atleast_2d(np.asarray(states, dtype=float)))
+        stages = self._stages
+        if step:
+            stages = [self._first_at(step)] + stages[1:]
+        X = np.atleast_2d(np.asarray(states, dtype=float))
+        path = self._simulate(stages, X, kernel_values)
         return (path.values, path) if keep else path.values
 
-    def extend(self, states, rest: Optional["Trajectory"] = None) -> "Trajectory":
-        """The trajectory from states through this tail's first stage, then rest.
+    def settle(self, step) -> "TailEvaluator":
+        """Fix the first stage at c + step d and drop the direction; returns this tail."""
+        if step:
+            self._stages = [self._first_at(step)] + self._stages[1:]
+        self._along = self._moved = None
+        return self
 
-        rest is a trajectory of the remaining stages from the successors of
-        states under that stage, so the result covers this whole tail; one
-        stage is simulated.  An empty tail takes no rest: its trajectory is
-        the terminal cost at states.
-        """
-        X = np.atleast_2d(np.asarray(states, dtype=float))
-        if rest is None:
-            if self.stage_count:
-                raise ValueError("only an empty tail extends without a rest")
-            return self._simulate([], X)
-        if rest.stage_count != self.stage_count - 1:
-            raise ValueError("rest must cover the stages after this tail's first")
-        return self._simulate(self._stages[:1], X, rest)
+    def _first_at(self, step) -> _Stage:
+        """The first stage at c + step d; the latest one is kept for the next request."""
+        if self._along is None:
+            raise ValueError("a step needs the tail's direction")
+        if self._moved is None or self._moved[0] != step:
+            self._moved = step, self._stages[0].moved(self._maps, self._along, step)
+        return self._moved[1]
 
-    def _simulate(self, stages, X, rest=None) -> "Trajectory":
+    def _simulate(self, stages, X, kernel_values=None) -> "Trajectory":
         """Run the compiled stages on the rows of X and keep what the backward pass reads.
 
         Rows are kept as columns, so that every product and every kernel's
         exp and power runs on contiguous blocks: W[i] is the block of the
         rows entering stage i, W[-1] that of the rows the stages leave.
-        Without rest the values end in the terminal cost; with it, in rest's
-        values.
         """
         maps = self._maps
         N, n = X.shape
@@ -470,25 +499,29 @@ class TailEvaluator:
             for i, stage in enumerate(stages):
                 block, following = W[i], W[i + 1, :norm]
                 if stage.anchors is not None:
-                    stage.anchors.apply(
-                        np.matmul(stage.kernel, block[:head], out=block[head : stage.height])
-                    )
+                    if i == 0 and kernel_values is not None:
+                        block[head : stage.height] = kernel_values.T
+                    else:
+                        stage.anchors.apply(
+                            np.matmul(stage.kernel, block[:head], out=block[head : stage.height])
+                        )
                 np.matmul(stage.forward, block[: stage.height], out=following)
                 np.multiply(following, following, out=squares)
                 np.matmul(maps.to_sums, squares, out=W[i + 1, sums])
-            path = Trajectory(self.spec, maps, stages, W, rest)
-        check_norms(W[:-1, norm], self.start_stage, "tail simulation")
+            path = Trajectory(self.spec, maps, stages, W)
+        given = int(kernel_values is not None)
+        check_norms(W[given:-1, norm], self.start_stage + given, "tail simulation")
         return path
 
 
 class Trajectory:
     """One simulation of a tail from its rows, kept for a backward (adjoint) pass.
 
-    values are the continuation values at the rows; states() the rows
-    entering each stage and the final rows; gradient() the exact dV/dy at
-    the rows by reverse mode.  A trajectory covers its own stages
-    (TailEvaluator._simulate) and then either the terminal cost or rest,
-    the trajectory of the later stages from its last rows' successors.
+    values are the continuation values at the rows; stage_costs, shape
+    (stage_count, N), the cost of each stage at the rows entering it, state
+    and control, so values are their column sums plus the terminal cost;
+    states() the rows entering each stage and the final rows; gradient() the
+    exact dV/dy at the rows by reverse mode.
 
     Walking back, the gradient with respect to a stage's product
     [next state | cost map] is [lambda | 2 z * (from_sums @ the cost's
@@ -496,59 +529,41 @@ class Trajectory:
     takes it to the kernel values, the anchors' vjp from there to their
     products, and the stage's back matrix takes both to the block's x and
     |x|^2 rows: lambda at x is the x part plus x times the doubled |x|^2
-    part.  Each trajectory keeps its gradient once computed, so a trajectory
-    extended by one stage walks one stage back; the walk consumes the
-    column blocks, keeping only the states.
+    part.  The walk runs once, over every stage, and consumes the column
+    blocks, keeping only the states and the gradient.
     """
 
-    def __init__(self, spec, maps, stages, W, rest):
+    def __init__(self, spec, maps, stages, W):
         self._spec = spec
         self._maps = maps
         self._stages = stages
         self._W = W
-        self.rest = rest
-        self.stage_count = len(stages) + (rest.stage_count if rest is not None else 0)
+        self.stage_count = len(stages)
         self._gradient = None
-        if rest is None:
-            z = maps.final @ W[-1, : maps.head]
-            self._final_map = z, maps.final_to_sums @ (z * z)
-            total = spec.final_cost.of_sums(self._final_map[1])
-        else:
-            total = rest.values
-        if stages:
-            per_stage = spec.tail_cost.of_sums(W[1:, maps.norm + 1 : maps.one])
-            total = per_stage.sum(axis=0) + total
-        self.values = total
+        z = maps.final @ W[-1, : maps.head]
+        self._final_map = z, maps.final_to_sums @ (z * z)
+        costs = spec.tail_cost.of_sums(W[1:, maps.norm + 1 : maps.one])
+        # of_sums may return a view of the blocks, which the walk back overwrites
+        self.stage_costs = costs if costs.flags.owndata else costs.copy()
+        self.values = costs.sum(axis=0) + spec.final_cost.of_sums(self._final_map[1])
 
     def states(self) -> np.ndarray:
         """(N, stage_count + 1, n): the rows entering every stage, then the final rows."""
-        n = self._maps.n
-        parts, path = [], self
-        while path.rest is not None:
-            parts.append(path._W[:-1, :n])
-            path = path.rest
-        parts.append(path._W[:, :n])
-        return np.concatenate(parts).transpose(2, 0, 1)
+        return self._W[:, : self._maps.n].copy().transpose(2, 0, 1)
 
     def gradient(self):
-        """(dV/dy at the rows, stages walked back to get it).
+        """(dV/dy at the rows, stages walked back to get it): 0 once the gradient is kept.
 
         A gradient that overflows is returned non-finite, without warnings.
         """
-        chain, path = [], self
-        while path is not None and path._gradient is None:
-            chain.append(path)
-            path = path.rest
-        lam = None if path is None else path._gradient
-        walked = 0
+        if self._gradient is not None:
+            return self._gradient.T, 0
         with np.errstate(over="ignore", invalid="ignore"):
-            for path in reversed(chain):
-                walked += len(path._stages)
-                lam = path._backward(lam)
-        return self._gradient.T, walked
+            self._backward()
+        return self._gradient.T, self.stage_count
 
-    def _backward(self, lam):
-        """Walk this trajectory's own stages back from lam, the gradient at its last rows' successors.
+    def _backward(self) -> None:
+        """Walk the stages back from the terminal cost's gradient at the final rows.
 
         Gradients are columns (n, N), like the rows in the blocks.  The walk
         runs in place in the blocks, which it consumes: stage i's gradient
@@ -558,12 +573,10 @@ class Trajectory:
         """
         maps, spec, W = self._maps, self._spec, self._W
         n, norm, head = maps.n, maps.norm, maps.head
-        if lam is None:
-            z, sums = self._final_map
-            final = spec.final_cost
-            # not in place: an empty tail's values may be a view of the sums
-            z *= maps.final_from_sums @ final.sums_gradient(sums, np.empty_like(sums))
-            lam = final.lin @ z
+        z, sums = self._final_map
+        final = spec.final_cost
+        z *= maps.final_from_sums @ final.sums_gradient(sums, sums)
+        lam = final.lin @ z
         states = W[:, :n].copy()  # a copy, so that the blocks are freed
         if self._stages:
             cost_sums = W[1:, norm + 1 : maps.one]
@@ -584,12 +597,10 @@ class Trajectory:
                 np.multiply(block[:n], g[n], out=block[:n])
                 block[:n] += g[:n]
             lam = W[0, :n].copy()
-        # no later walk passes a kept gradient: keep only the states
         self._gradient = lam
         self._W = states
         self._final_map = None
         self._stages = ()
-        return lam
 
 
 def empirical_stage_objective(

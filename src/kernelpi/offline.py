@@ -26,32 +26,45 @@ The inner solver picks the Gram-preconditioned descent direction V and
 finds the step length by a safeguarded secant solve in one dimension.  It
 stops at the first descending step whose secant gap is at most
 ROOT_TOL * inner_tol * (1 + |J_old|), so the identity above holds to that
-precision for every accepted step.  A trial step a is evaluated on the
-line: with P = cross V the policy values at the samples move by a P, so
-the stage part of J(c_old + a V) is a quadratic c0 + a c1 + a^2 c2 whose
-coefficients come with the direction, the successors move by a P B', and
-a trial is one axpy, one tail call at the moved successors and one sum.
-Each sweep grows one tail from the run's empty terminal tail: once stage t
-is updated, the tail for stage t - 1 is the previous one with only stage t
-compiled in front, so each stage policy is compiled once per sweep, and
-what a stage's compilation reads of its dictionary alone once per run.
+precision for every accepted step.  A trial step a is one simulation: from
+the sampled states X_t through stage t at c_old + a V, then through the
+updated later stages (a TailEvaluator from stage t on the line, whose stage
+t is compiled once per update and moved by one axpy per trial, and whose
+first kernel block is the cross-Gram matrix the update already holds).
+J(a) is the mean of its values.  Each sweep grows one tail from the run's
+empty terminal tail: once stage t is updated, the tail for stage t - 1 is
+the previous one with only stage t compiled in front, and what a stage's
+compilation reads of its dictionary alone is built once per run.
+
+The first trial is a = -s0 delta / ||P||^2, with s0 the slope of J along
+V at a = 0 and P = cross V.  A stage whose previous update in the run was
+accepted by one of its first two trials (the step its curvature predicted,
+or the secant through its first trial) keeps the curvature the accepted
+step shows, theta = 2 (J(a) - J0 - s0 a) / (a^2 ||P||^2), on its
+StageSolver.  When theta > 0 and theta delta / 2 <=
+CURVATURE_GATE, its next update tries first a = -s0 / (||P||^2 (theta / 2 +
+1 / delta)), g's root if J is quadratic along V with that curvature; if
+the stop rule does not accept it, the update runs the usual trials from
+-s0 delta / ||P||^2 as if it had not been tried.  Every other outcome
+clears theta.
 
 The direction comes from the gradient of J at the old coefficients, which
 needs the continuation values at the successor states and their slopes
-dV/dy B.  Every trial keeps its simulated trajectory (costs.Trajectory),
-and a sweep hands each stage the trajectory from its successors under the
-updated later stages: stage t + 1's chosen trajectory, the kept best trial
-or the one it was handed, extended by one forward stage of stage t + 1 at
-the batch rows (TailEvaluator.extend).  Its values give J_old and one
-reverse-mode pass over it gives dV/dy, so a stage update in a sweep costs
-one tail call per trial step and none at the old coefficients.  The
-trajectory stage 0 keeps runs from the initial states through stage T
-under the updated policy: it is the next iteration's batch, and its mean
-value, stage 0's new objective, is the next iteration's cost.  Iteration 0
-takes its batch and cost the same way, from one kept tail over every stage
-of the policy it starts from, so every batch comes from a kept trajectory,
-whose tails guarded every row entering a stage: a run checks only the
-final rows.
+dV/dy B.  A sweep hands each stage t the trajectory stage t + 1 kept, which
+runs from the batch rows X_{t+1} under the updated stages t + 1..T (the
+terminal cost at X_T for the last stage), and the batch trajectory's own
+stage-t costs c0_t.  J0 is their mean plus the mean handed value, and one
+walk back over the handed trajectory gives dV/dy.  The trial a stage
+accepts is then the trajectory it hands to stage t - 1; a stage that keeps
+c_old hands over one simulation at a = 0.  So a stage update in a sweep
+costs one tail call per trial step, or one for its hand-over, and one
+backward walk.  The trajectory stage 0 keeps runs from the initial states
+through stage T under the updated policy: it is the next iteration's batch
+with its per-stage costs, and its mean value, stage 0's new objective, is
+the next iteration's cost.  Iteration 0 takes its batch and cost the same
+way, from one kept tail over every stage of the policy it starts from, so
+every batch comes from a kept trajectory, whose tails guarded every row
+entering a stage: a run checks only the final rows.
 """
 
 from __future__ import annotations
@@ -80,6 +93,10 @@ from .seeding import substreams
 # It gives up once the bracket is narrower than BRACKET_RTOL relative, which
 # on a smooth objective resolves g far below that stop rule already.
 ROOT_TOL = 1.0e-6
+# A stage tries its curvature's step first only when theta delta / 2 is at
+# most this, so that step is at least 1 / (1 + CURVATURE_GATE) of the usual
+# first trial: at larger delta the nearer root of g it aims at descends less.
+CURVATURE_GATE = 4.0
 BRACKET_RTOL = 1.0e-12
 MAX_TRIALS = 60
 
@@ -162,11 +179,11 @@ class StageUpdateResult:
     c_new: np.ndarray
     objective_old: float
     objective_new: float
-    # objective evaluations: J0 and one per tail call at trial coefficients
+    # objective evaluations: J0 and one per trial step or hand-over
     evals: int
     # tail re-simulations: one per trial step, one more for an
-    # "inexact-secant" step, and one at c_old when no trajectory was handed
-    # over
+    # "inexact-secant" step, one at c_old when no trajectory was handed
+    # over, and one at c_old for the hand-over of a stage that keeps it
     tail_calls: int
     # rows times stages re-simulated over those tail calls
     tail_row_stages: int
@@ -176,9 +193,11 @@ class StageUpdateResult:
     secant_gap: float  # |dJ + value_step_sq / delta|
     accepted: bool
     reason: str
-    # the kept trajectory from the successor states under c_new; the sweep
-    # takes it, so that records keep no trajectory alive
-    successors: Optional[Trajectory] = field(default=None, repr=False, compare=False)
+    # the kept trajectory from the sampled states through this stage under
+    # c_new and the tail, and that tail (None when c_old is kept and nothing
+    # was handed over); the sweep takes both, so that records keep neither
+    trajectory: Optional[Trajectory] = field(default=None, repr=False, compare=False)
+    tail: Optional[TailEvaluator] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -235,14 +254,14 @@ class SingularGramError(ValueError):
 class StageSolver:
     """The part of one stage's update that is fixed for a run (see the module docstring).
 
-    K_inv is the inverse of K_ridge, the Gram matrix shifted by cfg.ridge
-    times its mean diagonal, formed through the Cholesky factor as
-    L^-T L^-1, so it is symmetric positive semidefinite and every direction
-    -K_inv W descends.  It depends only on the dictionary, the kernel and
-    the ridge, and is formed once per dictionary (Dictionary.compiled): a
-    dictionary that several runs share, as the online windows' warm starts
-    do, is factorised once.  Only K_inv is kept; K_ridge is formed again
-    when read.
+    K_inv is the inverse of the Gram matrix shifted by cfg.ridge times its
+    mean diagonal, formed through the Cholesky factor as L^-T L^-1, so it
+    is symmetric positive semidefinite and every direction -K_inv W
+    descends.  It depends only on the dictionary, the kernel and the ridge,
+    and is formed once per dictionary (Dictionary.compiled): a dictionary
+    that several runs share, as the online windows' warm starts do, is
+    factorised once.  curvature is theta, measured by the stage's last
+    update, or 0 when that update measured none (see the module docstring).
     """
 
     def __init__(self, kernel, dictionary, cfg, spec, sys):
@@ -251,20 +270,17 @@ class StageSolver:
         self.cfg = cfg
         self.spec = spec
         self.sys = sys
+        self.curvature = 0.0
         self.K_inv = dictionary.compiled(
             ("ridge-shifted Gram inverse", kernel, cfg.ridge), self._inverse
         )
 
-    @property
-    def K_ridge(self) -> np.ndarray:
+    def _inverse(self) -> np.ndarray:
         K = gram_matrix(self.kernel, self.dictionary)
         mean_diag = float(np.mean(np.diag(K)))
-        ridge_abs = self.cfg.ridge * (mean_diag if mean_diag > 0 else 1.0)
-        return K + ridge_abs * np.eye(K.shape[0])
-
-    def _inverse(self) -> np.ndarray:
+        K += self.cfg.ridge * (mean_diag if mean_diag > 0 else 1.0) * np.eye(K.shape[0])
         try:
-            L = np.linalg.cholesky(self.K_ridge)
+            L = np.linalg.cholesky(K)
         except np.linalg.LinAlgError as exc:
             raise SingularGramError(
                 f"Gram matrix for stage {self.dictionary.stage} is singular even after "
@@ -277,40 +293,51 @@ class StageSolver:
 class _StageWorkspace:
     """Per-update quantities for improving one stage with its StageSolver.
 
-    The cross-Gram matrix at the sampled states X, the old controls pi_old
-    and the successors under them, Y_old = X A' + pi_old B', do not depend
-    on the trial step, so they are computed once here.  handed, when given,
-    is the trajectory from the successor states under c_old (see the module
-    docstring).
+    The cross-Gram matrix at the sampled states X and the old controls
+    pi_old do not depend on the trial step, so they are computed once here.
+    handed, when given, is the trajectory from the successor states under
+    c_old, and stage_costs the stage's cost at X under c_old, per row (see
+    the module docstring); a workspace given handed hands over a trajectory
+    in turn (hand_over).
 
-    On the line c_old + a V of a descent direction, with P = cross V, the
-    stage part of J is c0 + a c1 + a^2 c2: c0 is the mean state and control
-    cost at c_old, c1 = 2 <pi_old R, P> / N and c2 = <P R, P> / N.  The
-    successors are Y_old + a P B', so a trial is one axpy, one tail call and
-    one sum (trial).
+    On the line c_old + a V of a descent direction a trial is one call of
+    the line's TailEvaluator (trials), from X through this stage and the
+    tail, and one sum (trial).  The line numbers this stage one before the
+    tail's first (0 for a tail from stage 0), which only labels divergences.
     """
 
     def __init__(
-        self, solver: StageSolver, c_old, tail: TailEvaluator, states, handed=None
+        self, solver: StageSolver, c_old, tail: TailEvaluator, states, handed=None, stage_costs=None
     ):
         self.states = np.atleast_2d(np.asarray(states, dtype=float))
         self.solver = solver
         self.c_old = np.asarray(c_old, dtype=float)
         self.tail = tail
         self.handed = handed
+        self.hands_over = handed is not None
+        self.stage_costs = stage_costs
         self.cross = cross_gram(solver.kernel, self.states, solver.dictionary)
         self.pi_old = self.cross @ self.c_old
         self.pi_R = self.pi_old @ solver.spec.R
-        self.successors = self.states @ solver.sys.A.T + self.pi_old @ solver.sys.B.T
+        self.trials = None
         self.evals = 0
         self.tail_calls = 0
         self.tail_row_stages = 0
         self.backward_row_stages = 0
 
-    def _tail_values(self, Y):
+    def _tail_values(self, evaluator: TailEvaluator, rows, **line):
         self.tail_calls += 1
-        self.tail_row_stages += Y.shape[0] * self.tail.stage_count
-        return self.tail.values(Y, keep=True)
+        self.tail_row_stages += rows.shape[0] * evaluator.stage_count
+        return evaluator.values(rows, keep=True, **line)
+
+    def _line(self, direction=None) -> TailEvaluator:
+        """The tail with this stage in front, at c_old, on the line along direction when given."""
+        tail, solver = self.tail, self.solver
+        t = max(tail.start_stage - 1, 0)
+        # with a rest, a TailEvaluator reads only the policy's stage t
+        stage = StagePolicy(solver.dictionary, self.c_old)
+        policy = KernelPolicy(solver.kernel, [stage] * (t + 1 + tail.stage_count))
+        return TailEvaluator(solver.sys, solver.spec, policy, t, tail, direction)
 
     def value_gradient(self):
         """(J0, G): the objective at c_old and its gradient with respect to the sampled controls.
@@ -318,51 +345,59 @@ class _StageWorkspace:
         The continuation values come from the handed-over trajectory or,
         without one, from one tail call at the successors under c_old, whose
         trajectory is kept as handed.  A reverse-mode pass over it gives
-        dV/dy, and G = (2 pi_old R + dV/dy B) / N.  J0 is c0 plus the mean
-        continuation value.  A DivergenceError from a successor row
+        dV/dy, and G = (2 pi_old R + dV/dy B) / N.  J0 is the mean stage
+        cost c0 plus the mean continuation value; without stage_costs, c0
+        comes from the cost spec.  A DivergenceError from a successor row
         propagates.  A gradient that overflows leaves G non-finite.
         """
         spec, B = self.solver.spec, self.solver.sys.B
         N = self.states.shape[0]
         self.evals += 1
         if self.handed is None:
-            _, self.handed = self._tail_values(self.successors)
+            successors = self.states @ self.solver.sys.A.T + self.pi_old @ B.T
+            _, self.handed = self._tail_values(self.tail, successors)
         slopes, walked = self.handed.gradient()
         self.backward_row_stages += N * walked
         G = (2.0 * self.pi_R + slopes @ B) / N
-        control = float(np.vdot(self.pi_R, self.pi_old))
-        self.c0 = (float(spec.state_cost(self.states).sum()) + control) / N
-        return self.c0 + float(self.handed.values.sum()) / N, G
+        if self.stage_costs is None:
+            control = float(np.vdot(self.pi_R, self.pi_old))
+            c0 = (float(spec.state_cost(self.states).sum()) + control) / N
+        else:
+            c0 = float(self.stage_costs.sum()) / N
+        return c0 + float(self.handed.values.sum()) / N, G
 
     def descent_direction(self, G):
         """Gram-preconditioned direction from the value gradient G: (V, P, ||P||^2, <G, P>).
 
-        It also fixes the line the trials run on: c1, c2 and the successors'
-        step P B'.
+        It also compiles the line the trials run on (trials).
         """
-        N = self.states.shape[0]
         W = self.cross.T @ G
         V = -(self.solver.K_inv @ W)
         P = self.cross @ V
         p2 = float(np.vdot(P, P))
         s0 = float(np.vdot(G, P))
-        self.V, self.p2 = V, p2
-        self.c1 = 2.0 * float(np.vdot(self.pi_R, P)) / N
-        self.c2 = float(np.vdot(P @ self.solver.spec.R, P)) / N
-        self.step = P @ self.solver.sys.B.T
+        self.V, self.p2, self.s0 = V, p2, s0
+        self.trials = self._line(V)
         return V, P, p2, s0
 
     def trial(self, a):
         """(J(c_old + a V), trajectory) on the line; a diverging continuation scores +inf (no descent)."""
         self.evals += 1
-        Y = self.step * a
-        Y += self.successors
         try:
-            values, path = self._tail_values(Y)
+            values, path = self._tail_values(self.trials, self.states, step=a, kernel_values=self.cross)
         except DivergenceError:
             return np.inf, None
-        stage = self.c0 + a * self.c1 + (a * a) * self.c2
-        return stage + float(values.sum()) / Y.shape[0], path
+        return float(values.sum()) / values.shape[0], path
+
+    def hand_over(self) -> Trajectory:
+        """The trajectory from the states through this stage at c_old and the tail: one tail call.
+
+        A DivergenceError propagates: the old coefficients' trajectory diverges.
+        """
+        self.evals += 1
+        if self.trials is None:
+            self.trials = self._line()
+        return self._tail_values(self.trials, self.states, kernel_values=self.cross)[1]
 
 
 def _result(
@@ -370,9 +405,10 @@ def _result(
 ) -> StageUpdateResult:
     """The stage's outcome; without a step a along the line c_old is kept.
 
-    path is the trajectory of the accepted trial; a rejected step keeps the
-    one at c_old.  The policy values move by a P, so value_step_sq is
-    a^2 ||P||^2.
+    path is the trajectory of the accepted trial; a rejected step hands over
+    the one at c_old when the workspace hands over.  With a trajectory goes
+    the line's tail, settled at a.  The policy values move by a P, so
+    value_step_sq is a^2 ||P||^2.
     """
     accepted = a is not None
     if accepted:
@@ -380,8 +416,10 @@ def _result(
         value_sq = (a * a) * ws.p2
         gap = abs(J1 - J0 + value_sq / ws.solver.cfg.delta_lr)
     else:
-        c_new, J1, path = ws.c_old.copy(), J0, ws.handed
+        c_new, J1, a = ws.c_old.copy(), J0, 0.0
+        path = ws.hand_over() if ws.hands_over else None
         value_sq = gap = 0.0
+    tail = None if path is None else ws.trials.settle(a)
     return StageUpdateResult(
         c_new=c_new,
         objective_old=J0,
@@ -394,7 +432,8 @@ def _result(
         secant_gap=gap,
         accepted=accepted,
         reason=reason,
-        successors=path,
+        trajectory=path,
+        tail=tail,
     )
 
 
@@ -417,7 +456,21 @@ def _next_trial(points) -> float:
     return a2 - q2 * (a2 - a1) / (q2 - q1) if q2 != q1 else np.nan
 
 
-def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateResult:
+def _accept(ws: _StageWorkspace, J0: float, a: float, Ja: float, path) -> StageUpdateResult:
+    """An "ok" result at a.
+
+    An update accepted by one of its first two trials, the curvature's step
+    or the secant through its first trial, found J quadratic along V as far
+    as it looked: it stores the curvature at a on the stage's solver.
+    """
+    if ws.evals <= 3:  # J0 and at most two trials
+        ws.solver.curvature = 2.0 * (Ja - J0 - ws.s0 * a) / ((a * a) * ws.p2)
+    return _result(ws, J0, "ok", a, Ja, path)
+
+
+def _solve_secant(
+    ws: _StageWorkspace, J0: float, G: np.ndarray, curvature: float = 0.0
+) -> StageUpdateResult:
     """Root of g(a) = J(c_old + a V) - J0 + a^2 ||P||^2 / delta along the descent direction.
 
     The solve works on q(a) = g(a) / a.  Its value at 0 is the known slope
@@ -434,6 +487,10 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
     is accepted as "inexact-secant", simulated once more for its trajectory
     (only the trial in hand keeps one), and when no trial descends the old
     coefficients are kept.
+
+    curvature is the stage's theta from its last update; with theta > 0 and
+    theta delta / 2 <= CURVATURE_GATE the step it predicts is tried before
+    all of these, and dropped unless the stop rule accepts it.
     """
     _, _, p2, s0 = ws.descent_direction(G)
     scale = 1.0 + abs(J0)
@@ -444,6 +501,12 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
     # -s0 a = s0^2 delta / p2, so a stage below tol there has nothing to gain
     if not (np.isfinite(p2) and p2 > 1e-300 and s0 < -1e-14 * scale and s0 * s0 * delta > tol * p2):
         return _result(ws, J0, "stationary")
+    if curvature > 0.0 and 0.5 * curvature * delta <= CURVATURE_GATE:
+        a = -s0 / (p2 * (0.5 * curvature + 1.0 / delta))
+        Ja, path = ws.trial(a)
+        if Ja < J0 and abs(Ja - J0 + (a * a) * p2 / delta) <= tol:
+            return _accept(ws, J0, a, Ja, path)
+        path = None
     a = -s0 * delta / p2
     lo, hi = 0.0, np.inf
     points = [(0.0, s0)]  # the latest points (a, q(a)), oldest first
@@ -453,7 +516,7 @@ def _solve_secant(ws: _StageWorkspace, J0: float, G: np.ndarray) -> StageUpdateR
         g = Ja - J0 + (a * a) * p2 / delta
         if Ja < J0:
             if abs(g) <= tol:
-                return _result(ws, J0, "ok", a, Ja, path)
+                return _accept(ws, J0, a, Ja, path)
             if abs(g) < best[0]:
                 best = (abs(g), a, Ja)
         path = None  # freed before the next trial: only the trial in hand keeps its blocks
@@ -488,6 +551,7 @@ def solve_implicit_update(
     tail: TailEvaluator,
     states_at_t,
     handed: Optional[Trajectory] = None,
+    stage_costs: Optional[np.ndarray] = None,
 ) -> StageUpdateResult:
     """Improve a stage's coefficients against the already-updated tail.
 
@@ -496,7 +560,9 @@ def solve_implicit_update(
     tail re-simulates the continuation from the successor states (a
     TailEvaluator over the updated later stages).  handed, when given, is
     that tail's trajectory from the successor states under c_old; without
-    it one tail call at c_old simulates it.
+    it one tail call at c_old simulates it.  stage_costs, when given, are
+    the stage's costs at states_at_t under c_old, per row; without them the
+    cost spec gives them.
 
     The objective at c_old, J0, and its gradient come from that trajectory
     and one reverse-mode pass over it (_StageWorkspace.value_gradient).  A
@@ -504,13 +570,17 @@ def solve_implicit_update(
     objective diverges; a non-finite gradient keeps c_old as
     "gradient-diverged".  A trial step whose continuation diverges counts
     as no descent and the step shrinks.  The result carries the trajectory
-    from the successor states under c_new (successors).
+    from states_at_t through this stage under c_new and the tail
+    (trajectory): the accepted trial's or, when c_old is kept and handed was
+    given, one simulation at c_old.  The solver's curvature is read and
+    replaced (see the module docstring).
     """
-    ws = _StageWorkspace(solver, c_old, tail, states_at_t, handed)
+    ws = _StageWorkspace(solver, c_old, tail, states_at_t, handed, stage_costs)
     J0, G = ws.value_gradient()
+    curvature, solver.curvature = solver.curvature, 0.0
     if not np.isfinite(G).all():
         return _result(ws, J0, "gradient-diverged")
-    return _solve_secant(ws, J0, G)
+    return _solve_secant(ws, J0, G, curvature)
 
 
 def build_dictionaries(
@@ -576,25 +646,22 @@ def run_policy_iteration(
         for t in range(horizon - 1, -1, -1):
             tail = TailEvaluator(sys, spec, policy, t, tail)
 
-        kept = tail.values(X0, keep=True)[1]
-        states = kept.states()
+        handed = tail.values(X0, keep=True)[1]
+        states, costs = handed.states(), handed.stage_costs
         check_guard(states[:, horizon], horizon)
-        cost_k = float(kept.values.mean())
+        cost_k = float(handed.values.mean())
         for k in range(cfg.max_outer_iters):
             t0 = time.perf_counter()
             stage_results = [None] * horizon
             tail = terminal
-            handed = tail.extend(states[:, horizon])
+            handed = tail.values(states[:, horizon], keep=True)[1]
             for t in range(horizon - 1, -1, -1):
                 res = solve_implicit_update(
-                    solvers[t], policy.stages[t].coefficients, tail, states[:, t], handed
+                    solvers[t], policy.stages[t].coefficients, tail, states[:, t], handed, costs[t]
                 )
-                kept, res.successors = res.successors, None
+                handed, tail, res.trajectory, res.tail = res.trajectory, res.tail, None, None
                 policy.stages[t] = StagePolicy(solvers[t].dictionary, res.c_new)
                 stage_results[t] = res
-                if t:
-                    tail = TailEvaluator(sys, spec, policy, t, tail)
-                    handed = tail.extend(states[:, t], kept)
             wall = time.perf_counter() - t0
 
             records.append(
@@ -606,7 +673,7 @@ def run_policy_iteration(
                     wall_time=wall,
                 )
             )
-            states = np.concatenate([states[:, :1], kept.states()], axis=1)
+            states, costs = handed.states(), handed.stage_costs
             check_guard(states[:, horizon], horizon)
             if cfg.convergence_tol > 0:
                 if records[-1].total_step_sq < cfg.convergence_tol * (1.0 + abs(cost_k)):

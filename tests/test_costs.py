@@ -541,36 +541,62 @@ def test_guard_names_the_first_crossing_when_later_stages_overflow(family):
         assert (exc.value.sample_index, exc.value.stage) == (2, 3)
 
 
+def _moved(policy, t, a, direction):
+    """policy with stage t's coefficients moved by a times direction."""
+    stages = list(policy.stages)
+    stages[t] = StagePolicy(stages[t].dictionary, stages[t].coefficients + a * direction)
+    return KernelPolicy(policy.kernel, stages)
+
+
 @FAMILIES
-def test_extended_trajectory_matches_a_fresh_tail(family):
-    # a trajectory built stage by stage from the terminal cost, as a sweep
-    # hands them over, gives a fresh tail's values, gradient and states
+@pytest.mark.parametrize("start", [0, 3], ids=["full", "last-stage"])
+def test_a_tail_on_a_line_matches_a_fresh_tail_at_the_moved_coefficients(family, start):
+    # a step along the direction moves the first stage by one axpy of its
+    # control part; the simulation, its stage costs and its walk back are
+    # those of a tail compiled at c + a d, and a settled line is that tail
     sys_, spec, policy, sample = _tail_case(family, "intersection")
     X = sample(6)
-    path = TailEvaluator(sys_, spec, policy, 0).values(X, keep=True)[1]
+    first = policy.stages[start]
+    direction = np.random.default_rng(2).normal(size=first.coefficients.shape) * 0.1
+    rest = TailEvaluator(sys_, spec, policy, start + 1)
+    cross = cross_gram(policy.kernel, X, first.dictionary)
+    for a in (0.0, 0.4, -1.5):
+        line = TailEvaluator(sys_, spec, policy, start, rest, direction)
+        assert line.stage_count == policy.horizon - start
+        fresh = TailEvaluator(sys_, spec, _moved(policy, start, a, direction), start)
+        values, path = line.values(X, keep=True, step=a, kernel_values=cross)
+        expected = fresh.values(X, keep=True)[1]
+        np.testing.assert_allclose(values, expected.values, rtol=1e-12)
+        np.testing.assert_allclose(path.states(), expected.states(), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(path.stage_costs, expected.stage_costs, rtol=1e-12)
+        gradient, walked = path.gradient()
+        assert walked == policy.horizon - start
+        np.testing.assert_allclose(gradient, expected.gradient()[0], rtol=1e-10)
+        settled = line.settle(a)
+        np.testing.assert_allclose(settled.values(X), fresh.values(X), rtol=1e-12)
+        with pytest.raises(ValueError):
+            settled.values(X, step=1.0)
+
+
+@pytest.mark.parametrize("penalty", ["intersection", "none"])
+def test_a_trajectory_keeps_each_stages_cost_through_its_walk_back(penalty):
+    # without a penalty of_sums hands back a view of the blocks, which the
+    # walk back overwrites: the kept stage costs must not be that view
+    sys_, spec, policy, sample = _tail_case("gaussian-rbf", penalty)
+    X = sample(5)
+    path = TailEvaluator(sys_, spec, policy, 1).values(X, keep=True)[1]
     states = path.states()
-    tail = TailEvaluator(sys_, spec, policy, policy.horizon)
-    extended = tail.extend(states[:, -1])
-    for t in range(policy.horizon - 1, -1, -1):
-        tail = TailEvaluator(sys_, spec, policy, t, tail)
-        extended = tail.extend(states[:, t], extended)
-    assert extended.stage_count == path.stage_count == policy.horizon
-    np.testing.assert_allclose(extended.values, path.values, rtol=1e-12)
-    np.testing.assert_array_equal(extended.states(), states)
-    gradient, walked = extended.gradient()
-    assert walked == policy.horizon
-    np.testing.assert_allclose(gradient, path.gradient()[0], rtol=1e-10)
-
-
-def test_extend_takes_a_rest_of_the_stages_after_the_first():
-    sys_, spec, policy, sample = _tail_case("gaussian-rbf", "none")
-    X = sample(3)
-    terminal = TailEvaluator(sys_, spec, policy, 4).extend(X)
-    np.testing.assert_allclose(terminal.values, spec.final_cost(X), rtol=1e-12)
-    with pytest.raises(ValueError):
-        TailEvaluator(sys_, spec, policy, 3).extend(X)
-    with pytest.raises(ValueError):
-        TailEvaluator(sys_, spec, policy, 2).extend(X, terminal)
+    assert path.stage_costs.shape == (3, 5)
+    for i, t in enumerate(range(1, 4)):
+        U = eval_policy_batch(policy, t, states[:, i])
+        expected = spec.state_cost(states[:, i]) + spec.control_cost(U)
+        np.testing.assert_allclose(path.stage_costs[i], expected, rtol=1e-12)
+    kept = path.stage_costs.copy()
+    path.gradient()
+    np.testing.assert_array_equal(path.stage_costs, kept)
+    np.testing.assert_allclose(
+        path.values, kept.sum(axis=0) + spec.final_cost(states[:, -1]), rtol=1e-12
+    )
 
 
 @pytest.mark.parametrize("pairs", [4, 0])

@@ -85,9 +85,10 @@ def test_gram_ridge_shifts_eigenvalues():
     d = Dictionary(points=rng.normal(size=(6, 3)))
     sys_ = LinearSystem(A=np.eye(3), B=np.ones((3, 1)))
     spec = CostSpec(Q=np.eye(3), R=np.eye(1), Q_F=np.eye(3))
-    K = StageSolver(RBF, d, SolverConfig(ridge=1e-8), spec, sys_).K_ridge
-    np.testing.assert_array_equal(K, gram_matrix(RBF, d) + 1e-8 * np.eye(6))
+    K_inv = StageSolver(RBF, d, SolverConfig(ridge=1e-8), spec, sys_).K_inv
+    K = gram_matrix(RBF, d) + 1e-8 * np.eye(6)
     assert np.linalg.eigvalsh(K).min() >= 1e-8 - 1e-15
+    np.testing.assert_allclose(K_inv @ K, np.eye(6), rtol=0, atol=1e-12)
 
 
 def test_gram_empty_dictionary_rejected():

@@ -11,8 +11,16 @@ from kernelpi.dynamics import (
     discretize_double_integrator,
     rollout,
 )
-from kernelpi.kernels import Dictionary, KernelPolicy, KernelSpec, StagePolicy, cross_gram
+from kernelpi.kernels import (
+    Dictionary,
+    KernelPolicy,
+    KernelSpec,
+    StagePolicy,
+    cross_gram,
+    gram_matrix,
+)
 from kernelpi.offline import (
+    CURVATURE_GATE,
     ROOT_TOL,
     PolicyIterationDiverged,
     SingularGramError,
@@ -231,8 +239,8 @@ def test_quadratic_stage_root_is_closed_form_within_four_tail_calls(seed):
     assert res.tail_calls <= 4
 
 
-def _penalty_stage(seed):
-    """A stage of a two-vehicle crossing: RBF kernel, collision penalty, 3-stage tail."""
+def _penalty_instance(seed):
+    """A two-vehicle crossing: RBF kernel, collision penalty, a 4-stage policy and its batch."""
     from kernelpi.dynamics import rollout
     from kernelpi.intersection import ScenarioConfig, build_intersection, sample_initial_states
 
@@ -248,12 +256,17 @@ def _penalty_stage(seed):
     for t in range(4):
         d = Dictionary(points=states[:6, t], stage=t)
         stages.append(StagePolicy(d, 0.5 * rng.normal(size=(6, learner.m))))
-    policy = KernelPolicy(kernel, stages)
+    return learner, cost, KernelPolicy(kernel, stages), X0, rng
+
+
+def _penalty_stage(seed):
+    """Stage 0 of _penalty_instance: its batch states, solver and 3-stage tail."""
+    learner, cost, policy, X0, rng = _penalty_instance(seed)
     states = rollout(learner, policy, X0).states
-    d = stages[0].dictionary
+    first = policy.stages[0]
     tail = TailEvaluator(learner, cost, policy, 1)
-    solver_for = lambda cfg: StageSolver(kernel, d, cfg, cost, learner)
-    return learner, cost, states[:, 0], solver_for, tail, stages[0].coefficients, rng
+    solver_for = lambda cfg: StageSolver(policy.kernel, first.dictionary, cfg, cost, learner)
+    return learner, cost, states[:, 0], solver_for, tail, first.coefficients, rng
 
 
 @settings(deadline=None, max_examples=60)
@@ -459,10 +472,12 @@ def test_stage_gram_factors_are_built_once_per_run(monkeypatch):
     assert len(calls) == 4
 
 
-def test_each_stage_policy_is_compiled_once_per_sweep(monkeypatch):
-    # a sweep grows one tail from the terminal cost, so stage t's policy is
-    # compiled once, into the tail the update of stage t - 1 reads; iteration
-    # 0's batch comes from one more tail, over every stage of the policy
+def test_each_stage_is_compiled_at_c_old_and_along_its_direction_once_per_sweep(monkeypatch):
+    # a stage update compiles its stage twice, at c_old and along its
+    # direction, into the line its trials run on; settled at the chosen
+    # step, that line is the tail the update of stage t - 1 reads, so nothing
+    # is compiled again; iteration 0's batch comes from one more tail, over
+    # every stage of the policy
     import kernelpi.costs as costs
 
     calls = []
@@ -474,7 +489,7 @@ def test_each_stage_policy_is_compiled_once_per_sweep(monkeypatch):
     cfg = SolverConfig(delta_lr=4.0, max_outer_iters=3, mc_samples=4, dict_size=2, convergence_tol=0.0)
     _, records = run_policy_iteration(sys_, spec, 5, rng.normal(size=(4, 2)), cfg)
     assert len(records) == 3
-    assert len(calls) == 5 + 3 * 4
+    assert len(calls) == 5 + 3 * 2 * 5
 
 
 def test_duplicate_anchors_with_a_ridge_build_a_stage_solver_without_warning():
@@ -515,8 +530,10 @@ def test_stage_solver_directions_descend_and_match_a_direct_solve(seed, family, 
     G = rng.normal(size=(N, m))
     V, P, p2, s0 = ws.descent_direction(G)
     assert s0 <= 0.0
-    if np.linalg.cond(solver.K_ridge) < 1e6:
-        V_ref = -np.linalg.solve(solver.K_ridge, ws.cross.T @ G)
+    K = gram_matrix(kernel, d)
+    K_ridge = K + ridge * np.mean(np.diag(K)) * np.eye(M)
+    if np.linalg.cond(K_ridge) < 1e6:
+        V_ref = -np.linalg.solve(K_ridge, ws.cross.T @ G)
         assert np.linalg.norm(V - V_ref) <= 1e-9 * np.linalg.norm(V_ref)
 
 
@@ -677,9 +694,10 @@ def _recording_sweep(monkeypatch, max_iters=3):
     calls = []
     original = offline.solve_implicit_update
 
-    def record(solver, c_old, tail, states, handed=None):
-        calls.append((solver, np.array(c_old), tail, np.array(states), handed))
-        return original(solver, c_old, tail, states, handed)
+    def record(solver, c_old, tail, states, handed=None, stage_costs=None):
+        costs = None if stage_costs is None else np.array(stage_costs)
+        calls.append((solver, np.array(c_old), tail, np.array(states), handed, costs))
+        return original(solver, c_old, tail, states, handed, stage_costs)
 
     monkeypatch.setattr(offline, "solve_implicit_update", record)
     cfg, policy, records = _small_rbf_run(max_iters)
@@ -689,13 +707,14 @@ def _recording_sweep(monkeypatch, max_iters=3):
 def test_handed_over_objective_and_gradient_match_a_tail_call_at_c_old(monkeypatch):
     _, _, records, calls = _recording_sweep(monkeypatch)
     assert len(calls) == 3 * 8
-    for solver, c_old, tail, states, handed in calls:
+    for solver, c_old, tail, states, handed, _ in calls:
         assert handed is not None
         J0, G = _StageWorkspace(solver, c_old, tail, states, handed).value_gradient()
         J_ref, G_ref = _StageWorkspace(solver, c_old, tail, states).value_gradient()
         assert abs(J0 - J_ref) <= 1e-9 * abs(J_ref)
         assert np.abs(G - G_ref).max() <= 1e-9 * np.abs(G_ref).max()
-    # inside a sweep no tail call runs at c_old: J0 is an evaluation, not a tail call
+    # inside a sweep J0 is an evaluation, not a tail call; every tail call,
+    # a hand-over at c_old included, is an evaluation
     for res in (s for r in records for s in r.stages):
         assert res.tail_calls == res.evals - 1
 
@@ -794,3 +813,129 @@ def test_tail_maps_and_stage_parts_are_built_once_per_run(monkeypatch):
     assert len(records) == 3
     assert len(maps) == 1
     assert len(lifts) == policy.horizon
+
+
+def test_each_stage_is_handed_its_successors_trajectory_under_the_updated_stages(monkeypatch):
+    # the trajectory stage t is handed is the trial stage t + 1 kept: from the
+    # batch rows X_{t+1} under the updated stages t + 1..T, as a fresh tail of
+    # the updated policy simulates it; stage T - 1 gets the terminal cost
+    import kernelpi.offline as offline
+
+    learner, cost, policy, X0, _ = _penalty_instance(3)
+    calls = []
+    original = offline.solve_implicit_update
+
+    def record(solver, c_old, tail, states, handed=None, stage_costs=None):
+        calls.append((np.array(states), handed))
+        return original(solver, c_old, tail, states, handed, stage_costs)
+
+    monkeypatch.setattr(offline, "solve_implicit_update", record)
+    cfg = SolverConfig(delta_lr=10.0, max_outer_iters=1, convergence_tol=0.0)
+    policy, records = run_policy_iteration(learner, cost, 4, X0, cfg, policy=policy)
+    assert sum(r.accepted for r in records[0].stages) >= 2
+    T = policy.horizon
+    batch = [calls[T - 1 - t][0] for t in range(T)] + [calls[0][1].states()[:, 0]]
+    for t in range(T):
+        handed = calls[T - 1 - t][1]
+        fresh = TailEvaluator(learner, cost, policy, t + 1).values(batch[t + 1], keep=True)[1]
+        np.testing.assert_allclose(handed.values, fresh.values, rtol=1e-12)
+        np.testing.assert_allclose(handed.gradient()[0], fresh.gradient()[0], rtol=1e-10)
+
+
+def test_each_stage_cost_handed_over_is_the_cost_specs_at_c_old(monkeypatch):
+    # c0_t comes from the batch trajectory's stage-t cost, not from the spec
+    _, policy, records, calls = _recording_sweep(monkeypatch, max_iters=2)
+    for solver, c_old, _, states, _, stage_costs in calls:
+        pi_old = cross_gram(policy.kernel, states, solver.dictionary) @ c_old
+        expected = solver.spec.state_cost(states) + solver.spec.control_cost(pi_old)
+        np.testing.assert_allclose(stage_costs, expected, rtol=1e-12)
+
+
+def test_a_second_update_of_a_quadratic_stage_takes_its_curvature_step_in_one_tail_call():
+    # with a linear kernel, one input and a terminal-cost tail, J is quadratic
+    # with one curvature along every direction: the first update measures it
+    # with the secant through its first trial, and the second update's first
+    # trial is then g's root
+    sys_, spec, states, cross, tail, rng, solver_for = _quadratic_stage(
+        seed=4, N=8, M=2, family="linear"
+    )
+    solver = solver_for(SolverConfig(delta_lr=4.0))
+    c_old = rng.normal(size=(2, 1))
+    first = solve_implicit_update(solver, c_old, tail, states)
+    assert first.reason == "ok" and first.tail_calls == 3  # J0 and two trials
+    theta = 2.0 * (spec.R + sys_.B.T @ spec.Q_F @ sys_.B).item() / states.shape[0]
+    assert solver.curvature == pytest.approx(theta, rel=1e-6)
+    assert 0.5 * theta * 4.0 <= CURVATURE_GATE
+    successors = states @ sys_.A.T + (cross @ first.c_new) @ sys_.B.T
+    handed = tail.values(successors, keep=True)[1]
+    second = solve_implicit_update(solver, first.c_new, tail, states, handed)
+    assert second.reason == "ok" and second.accepted
+    assert second.tail_calls == 1
+    assert second.objective_new < second.objective_old
+
+
+def _recording_trials(monkeypatch):
+    """Every _solve_secant call's entering curvature and workspace, in call order.
+
+    Each workspace records its trials as (a, J(a)) in steps.
+    """
+    import kernelpi.offline as offline
+
+    solves = []
+    solve, trial = offline._solve_secant, offline._StageWorkspace.trial
+
+    def record_solve(ws, J0, G, curvature=0.0):
+        ws.steps, ws.objective_old = [], J0
+        solves.append((curvature, ws))
+        return solve(ws, J0, G, curvature)
+
+    def record_trial(ws, a):
+        out = trial(ws, a)
+        ws.steps.append((a, out[0]))
+        return out
+
+    monkeypatch.setattr(offline, "_solve_secant", record_solve)
+    monkeypatch.setattr(offline._StageWorkspace, "trial", record_trial)
+    return solves
+
+
+def test_at_large_delta_every_first_trial_is_the_usual_one(monkeypatch):
+    # no update here is accepted by one of its first two trials, and the
+    # curvature each first trial shows puts theta delta / 2 far past the
+    # gate: had one been kept, its step would not have been tried
+    solves = _recording_trials(monkeypatch)
+    sys_ = LinearSystem(A=[[1.5]], B=[[1.0]])
+    spec = CostSpec(Q=[[1.0]], R=[[1e-6]], Q_F=[[1.0]])
+    cfg = SolverConfig(delta_lr=1e9, max_outer_iters=20, mc_samples=20, convergence_tol=0.0)
+    policy_iteration(
+        sys_, spec, lambda rng, N: rng.uniform(-1.0, 1.0, size=(N, 1)), cfg, horizon=12
+    )
+    assert len(solves) == 20 * 12
+    gates = []
+    for _, ws in solves:
+        if ws.steps:
+            (a, Ja), J0 = ws.steps[0], ws.objective_old
+            assert a == -ws.s0 * cfg.delta_lr / ws.p2
+            theta = 2.0 * (Ja - J0 - ws.s0 * a) / (a * a * ws.p2)
+            gates.append(0.5 * theta * cfg.delta_lr)
+    assert np.median(gates) > 1e3 * CURVATURE_GATE
+
+
+def test_a_missed_curvature_step_leaves_the_usual_trials_unchanged(monkeypatch):
+    # a curvature the stage does not have: its step misses the stop rule, is
+    # dropped, and the update then runs the trials of a solver without one
+    solves = _recording_trials(monkeypatch)
+    sys_, spec, states, solver_for, tail, c_old, _ = _penalty_stage(5)
+    cfg = SolverConfig(delta_lr=10.0)
+    with_theta = solver_for(cfg)
+    with_theta.curvature = 2.0 / cfg.delta_lr  # theta delta / 2 = 1, inside the gate
+    missed = solve_implicit_update(with_theta, c_old, tail, states)
+    usual = solve_implicit_update(solver_for(cfg), c_old, tail, states)
+    (_, ws_missed), (_, ws_usual) = solves
+    theta = 2.0 / cfg.delta_lr
+    curvature_step = -ws_missed.s0 / (ws_missed.p2 * (0.5 * theta + 1.0 / cfg.delta_lr))
+    assert ws_missed.steps[0][0] == curvature_step
+    assert ws_missed.steps[1:] == ws_usual.steps
+    assert missed.tail_calls == usual.tail_calls + 1
+    np.testing.assert_array_equal(missed.c_new, usual.c_new)
+    assert missed.reason == usual.reason
