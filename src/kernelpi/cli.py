@@ -111,6 +111,7 @@ _STAGE_TRACE = [
     "stage",
     "accepted",
     "reason",
+    "first_trial",
     "evals",
     "tail_calls",
     "tail_row_stages",
@@ -206,7 +207,10 @@ def oracle_compare(cfg: RunConfig) -> OracleReport:
 
 
 def _solve_oracle(cfg: RunConfig) -> tuple:
-    """oracle_compare's report and the IterationRecords of the solve it compared."""
+    """oracle_compare's report, the IterationRecords of the solve it compared and the scalar check's.
+
+    The scalar check's records are None when scalar_check is off.
+    """
     oc = cfg.oracle
     if cfg.solver.kernel_family != "linear":
         raise ConfigError("solver.kernel_family: oracle comparison requires the linear kernel")
@@ -235,9 +239,9 @@ def _solve_oracle(cfg: RunConfig) -> tuple:
         W = stage.coefficients.T @ stage.dictionary.points  # u = W x for the linear kernel
         gain_gaps.append(float(np.linalg.norm(W + sol.K[t])))
 
-    scalar_gain = scalar_err = None
+    scalar_gain = scalar_err = scalar_records = None
     if oc.scalar_check:
-        scalar_gain = _scalar_instance_gain(cfg.seed)
+        scalar_gain, scalar_records = _scalar_instance_gain(cfg.seed)
         scalar_err = abs(scalar_gain + 0.5)
     report = OracleReport(
         cost_policy=float(cost_policy),
@@ -247,11 +251,11 @@ def _solve_oracle(cfg: RunConfig) -> tuple:
         scalar_gain=scalar_gain,
         scalar_gain_error=scalar_err,
     )
-    return report, records
+    return report, records, scalar_records
 
 
-def _scalar_instance_gain(seed: int) -> float:
-    """Learned feedback gain on the one-step scalar instance (optimum -0.5)."""
+def _scalar_instance_gain(seed: int) -> tuple:
+    """Learned feedback gain on the one-step scalar instance (optimum -0.5) and its IterationRecords."""
     sys_ = LinearSystem(A=[[1.0]], B=[[1.0]])
     spec = CostSpec(Q=[[1.0]], R=[[1.0]], Q_F=[[1.0]])
     cfg = SolverConfig(
@@ -266,9 +270,9 @@ def _scalar_instance_gain(seed: int) -> float:
     def sampler(rng, N):
         return rng.uniform(0.5, 1.5, size=(N, 1))
 
-    policy, _, _ = policy_iteration(sys_, spec, sampler, cfg, horizon=1, seed=seed)
+    policy, records, _ = policy_iteration(sys_, spec, sampler, cfg, horizon=1, seed=seed)
     stage = policy.stages[0]
-    return float((stage.coefficients.T @ stage.dictionary.points).item())
+    return float((stage.coefficients.T @ stage.dictionary.points).item()), records
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +332,7 @@ def _cmd_online(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
-    report, records = _solve_oracle(cfg)
+    report, records, scalar_records = _solve_oracle(cfg)
     quantities = ["cost_policy", "cost_riccati", "relative_gap"]
     if report.scalar_gain is not None:
         quantities += ["scalar_gain", "scalar_gain_error"]
@@ -338,6 +342,8 @@ def _cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
         "oracle_summary.csv": (["quantity", "value"], summary),
         "gain_gaps.csv": (["stage", "gain_gap"], list(enumerate(report.gain_gaps))),
     }
+    if scalar_records is not None:
+        tables.update(("scalar_" + name, t) for name, t in _run_tables(scalar_records).items())
     export_run(out_dir, cfg, tables)
     print(
         f"oracle-compare: policy cost {report.cost_policy:.6g} vs exact {report.cost_riccati:.6g} "

@@ -533,19 +533,33 @@ class Trajectory:
     blocks, keeping only the states and the gradient.
     """
 
-    def __init__(self, spec, maps, stages, W):
+    def __init__(self, spec, maps, stages, W, final_map=None):
         self._spec = spec
         self._maps = maps
         self._stages = stages
         self._W = W
         self.stage_count = len(stages)
         self._gradient = None
-        z = maps.final @ W[-1, : maps.head]
-        self._final_map = z, maps.final_to_sums @ (z * z)
+        if final_map is None:
+            z = maps.final @ W[-1, : maps.head]
+            final_map = z, maps.final_to_sums @ (z * z)
+        self._final_map = final_map
         costs = spec.tail_cost.of_sums(W[1:, maps.norm + 1 : maps.one])
         # of_sums may return a view of the blocks, which the walk back overwrites
         self.stage_costs = costs if costs.flags.owndata else costs.copy()
         self.values = costs.sum(axis=0) + spec.final_cost.of_sums(self._final_map[1])
+
+    def terminal(self) -> "Trajectory":
+        """The trajectory over no stages from the final rows: the terminal cost's part of this one.
+
+        It is what an empty tail keeps when it simulates the final rows,
+        built from copies of the final block and terminal map, so that it
+        can be walked back while this trajectory is kept.  It needs this
+        trajectory not yet walked back.
+        """
+        z, sums = self._final_map
+        final = self._W[-1:, : self._maps.head].copy()
+        return Trajectory(self._spec, self._maps, (), final, (z.copy(), sums.copy()))
 
     def states(self) -> np.ndarray:
         """(N, stage_count + 1, n): the rows entering every stage, then the final rows."""

@@ -36,25 +36,29 @@ empty terminal tail: once stage t is updated, the tail for stage t - 1 is
 the previous one with only stage t compiled in front, and what a stage's
 compilation reads of its dictionary alone is built once per run.
 
-The first trial is a = -s0 delta / ||P||^2, with s0 the slope of J along
-V at a = 0 and P = cross V.  A stage whose previous update in the run was
-accepted by one of its first two trials (the step its curvature predicted,
-or the secant through its first trial) keeps the curvature the accepted
-step shows, theta = 2 (J(a) - J0 - s0 a) / (a^2 ||P||^2), on its
-StageSolver.  When theta > 0 and theta delta / 2 <=
-CURVATURE_GATE, its next update tries first a = -s0 / (||P||^2 (theta / 2 +
-1 / delta)), g's root if J is quadratic along V with that curvature; if
-the stop rule does not accept it, the update runs the usual trials from
--s0 delta / ||P||^2 as if it had not been tried.  Every other outcome
-clears theta.
+The usual first trial is a_u = -s0 delta / ||P||^2, with s0 the slope of
+J along V at a = 0 and P = cross V.  Every update accepted "ok" stores the
+curvature its accepted step shows, theta = 2 (J(a) - J0 - s0 a) /
+(a^2 ||P||^2), on its StageSolver, and every other outcome clears it.  In
+a sweep a stage without one borrows the theta that stage t + 1, updated
+just before it, left on its solver: theta is curvature per unit squared
+change of the policy values, and neighbouring stages show nearly the same.
+When theta > 0 and theta delta / 2 <= CURVATURE_GATE the first trial is
+a_c = -s0 / (||P||^2 (theta / 2 + 1 / delta)), g's root if J is quadratic
+along V with that curvature.  A curvature step the stop rule does not
+accept is the root solve's first point like any other trial.  It lies
+short of a_u, where g >= 0 whenever J is convex along V, so while the
+trials stay short of a_u and the bracket has no upper end, the next trial
+is the interpolated root capped at a_u instead of a doubled step.
 
 The direction comes from the gradient of J at the old coefficients, which
 needs the continuation values at the successor states and their slopes
 dV/dy B.  A sweep hands each stage t the trajectory stage t + 1 kept, which
-runs from the batch rows X_{t+1} under the updated stages t + 1..T (the
-terminal cost at X_T for the last stage), and the batch trajectory's own
-stage-t costs c0_t.  J0 is their mean plus the mean handed value, and one
-walk back over the handed trajectory gives dV/dy.  The trial a stage
+runs from the batch rows X_{t+1} under the updated stages t + 1..T (for
+the last stage, the batch trajectory's terminal part, Trajectory.terminal,
+which simulates nothing), and the batch trajectory's own stage-t costs
+c0_t.  J0 is their mean plus the mean handed value, and one walk back over
+the handed trajectory gives dV/dy.  The trial a stage
 accepts is then the trajectory it hands to stage t - 1; a stage that keeps
 c_old hands over one simulation at a = 0.  So a stage update in a sweep
 costs one tail call per trial step, or one for its hand-over, and one
@@ -193,6 +197,8 @@ class StageUpdateResult:
     secant_gap: float  # |dJ + value_step_sq / delta|
     accepted: bool
     reason: str
+    # the update's first trial step: "curvature", "usual", or "none" when it ran no trial
+    first_trial: str
     # the kept trajectory from the sampled states through this stage under
     # c_new and the tail, and that tail (None when c_old is kept and nothing
     # was handed over); the sweep takes both, so that records keep neither
@@ -261,7 +267,7 @@ class StageSolver:
     and is formed once per dictionary (Dictionary.compiled): a dictionary
     that several runs share, as the online windows' warm starts do, is
     factorised once.  curvature is theta, measured by the stage's last
-    update, or 0 when that update measured none (see the module docstring).
+    update when it was accepted "ok", or 0 (see the module docstring).
     """
 
     def __init__(self, kernel, dictionary, cfg, spec, sys):
@@ -320,6 +326,7 @@ class _StageWorkspace:
         self.pi_old = self.cross @ self.c_old
         self.pi_R = self.pi_old @ solver.spec.R
         self.trials = None
+        self.first_trial = "none"
         self.evals = 0
         self.tail_calls = 0
         self.tail_row_stages = 0
@@ -432,6 +439,7 @@ def _result(
         secant_gap=gap,
         accepted=accepted,
         reason=reason,
+        first_trial=ws.first_trial,
         trajectory=path,
         tail=tail,
     )
@@ -457,14 +465,8 @@ def _next_trial(points) -> float:
 
 
 def _accept(ws: _StageWorkspace, J0: float, a: float, Ja: float, path) -> StageUpdateResult:
-    """An "ok" result at a.
-
-    An update accepted by one of its first two trials, the curvature's step
-    or the secant through its first trial, found J quadratic along V as far
-    as it looked: it stores the curvature at a on the stage's solver.
-    """
-    if ws.evals <= 3:  # J0 and at most two trials
-        ws.solver.curvature = 2.0 * (Ja - J0 - ws.s0 * a) / ((a * a) * ws.p2)
+    """An "ok" result at a, which stores the curvature J shows at a on the stage's solver."""
+    ws.solver.curvature = 2.0 * (Ja - J0 - ws.s0 * a) / ((a * a) * ws.p2)
     return _result(ws, J0, "ok", a, Ja, path)
 
 
@@ -488,9 +490,12 @@ def _solve_secant(
     (only the trial in hand keeps one), and when no trial descends the old
     coefficients are kept.
 
-    curvature is the stage's theta from its last update; with theta > 0 and
-    theta delta / 2 <= CURVATURE_GATE the step it predicts is tried before
-    all of these, and dropped unless the stop rule accepts it.
+    The first trial is -s0 delta / ||P||^2, or with curvature theta > 0 and
+    theta delta / 2 <= CURVATURE_GATE the shorter step theta predicts.  A
+    trial short of -s0 delta / ||P||^2 with no upper end on the bracket is
+    followed by the interpolated root, capped at -s0 delta / ||P||^2; any
+    other trial with no upper end by twice itself.  first_trial records
+    which first trial ran.
     """
     _, _, p2, s0 = ws.descent_direction(G)
     scale = 1.0 + abs(J0)
@@ -501,13 +506,11 @@ def _solve_secant(
     # -s0 a = s0^2 delta / p2, so a stage below tol there has nothing to gain
     if not (np.isfinite(p2) and p2 > 1e-300 and s0 < -1e-14 * scale and s0 * s0 * delta > tol * p2):
         return _result(ws, J0, "stationary")
+    a = usual = -s0 * delta / p2
+    ws.first_trial = "usual"
     if curvature > 0.0 and 0.5 * curvature * delta <= CURVATURE_GATE:
         a = -s0 / (p2 * (0.5 * curvature + 1.0 / delta))
-        Ja, path = ws.trial(a)
-        if Ja < J0 and abs(Ja - J0 + (a * a) * p2 / delta) <= tol:
-            return _accept(ws, J0, a, Ja, path)
-        path = None
-    a = -s0 * delta / p2
+        ws.first_trial = "curvature"
     lo, hi = 0.0, np.inf
     points = [(0.0, s0)]  # the latest points (a, q(a)), oldest first
     best = (np.inf, None, J0)
@@ -528,6 +531,11 @@ def _solve_secant(
             hi = a
         if np.isinf(hi):
             a_next = 2.0 * a
+            if a < usual:
+                # short of the usual first trial: aim at g's root, no further than that trial
+                a_next = _next_trial(points)
+                if not a < a_next < usual:
+                    a_next = usual
         elif lo == 0.0 and -s0 * hi <= tol:
             break  # the bracket holds no step that moves J by more than tol
         elif hi - lo <= BRACKET_RTOL * hi:
@@ -572,8 +580,9 @@ def solve_implicit_update(
     as no descent and the step shrinks.  The result carries the trajectory
     from states_at_t through this stage under c_new and the tail
     (trajectory): the accepted trial's or, when c_old is kept and handed was
-    given, one simulation at c_old.  The solver's curvature is read and
-    replaced (see the module docstring).
+    given, one simulation at c_old.  The solver's curvature is read, and
+    replaced by the accepted step's when the update is "ok" or else cleared
+    (see the module docstring).
     """
     ws = _StageWorkspace(solver, c_old, tail, states_at_t, handed, stage_costs)
     J0, G = ws.value_gradient()
@@ -619,8 +628,10 @@ def run_policy_iteration(
     call, so each stage's StageSolver is built once, before the first
     iteration.  Iteration 0 starts from the trajectory of one tail over
     every stage of the policy, each later one from the trajectory its
-    predecessor's sweep kept (see the module docstring); each batch adds
-    only its final rows to the guard of the tails that made it.  Returns
+    predecessor's sweep kept (see the module docstring), and within a sweep
+    a stage without a curvature borrows the one the stage after it left on
+    its solver; each batch adds only its final rows to the guard of the
+    tails that made it.  Returns
     (policy, records).  A DivergenceError anywhere in the run raises
     PolicyIterationDiverged with the partial history, the policy (None when
     the zero-control rollout diverges) and the error as cause; a
@@ -653,9 +664,10 @@ def run_policy_iteration(
         for k in range(cfg.max_outer_iters):
             t0 = time.perf_counter()
             stage_results = [None] * horizon
-            tail = terminal
-            handed = tail.values(states[:, horizon], keep=True)[1]
+            tail, handed = terminal, handed.terminal()
             for t in range(horizon - 1, -1, -1):
+                if t < horizon - 1 and solvers[t].curvature == 0.0:
+                    solvers[t].curvature = solvers[t + 1].curvature
                 res = solve_implicit_update(
                     solvers[t], policy.stages[t].coefficients, tail, states[:, t], handed, costs[t]
                 )

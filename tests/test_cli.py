@@ -285,7 +285,7 @@ def test_offline_command_exports_aligned_tables(tmp_path):
     assert (out / "metadata.yaml").exists() and (out / "runtime.yaml").exists()
     trace = (out / "stage_trace.csv").read_text().strip().splitlines()
     assert trace[0] == (
-        "iteration,stage,accepted,reason,evals,tail_calls,tail_row_stages,"
+        "iteration,stage,accepted,reason,first_trial,evals,tail_calls,tail_row_stages,"
         "backward_row_stages,value_step_sq,secant_gap"
     )
     assert len(trace) == 1 + 3 * 6  # one row per stage update
@@ -438,6 +438,27 @@ def test_oracle_compare_command_exports_its_run_tables(tmp_path):
     assert [tuple(map(int, row.split(",")[:2])) for row in trace] == [
         (k, t) for k in range(5) for t in range(horizon)
     ]
+
+
+@pytest.mark.parametrize("scalar_check", [False, True])
+def test_oracle_compare_exports_the_scalar_solves_run_tables_with_scalar_check(tmp_path, scalar_check):
+    cfg = _oracle_cfg(output_dir=str(tmp_path / "run"), oracle={"scalar_check": scalar_check})
+    cfg.solver.max_outer_iters = 2
+    p = _write_cfg(cfg, tmp_path / "cfg.yaml")
+    assert main(["oracle-compare", str(p)]) == 0
+    out = Path(cfg.output_dir)
+    names = ["scalar_cost_history.csv", "scalar_stage_trace.csv"]
+    assert [(out / name).exists() for name in names] == [scalar_check] * 2
+    if scalar_check:
+        costs = (out / names[0]).read_text().strip().splitlines()
+        trace = (out / names[1]).read_text().strip().splitlines()
+        assert costs[0] == (out / "cost_history.csv").read_text().splitlines()[0]
+        assert trace[0] == (out / "stage_trace.csv").read_text().splitlines()[0]
+        # the scalar instance has one stage: one update per iteration
+        assert len(costs) == len(trace) > 2
+        assert [tuple(map(int, row.split(",")[:2])) for row in trace[1:]] == [
+            (k, 0) for k in range(len(trace) - 1)
+        ]
 
 
 def test_complexity_probe_command_writes_only_its_probe_table(tmp_path):

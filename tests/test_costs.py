@@ -641,3 +641,23 @@ def test_a_kept_trajectory_outlives_later_trials_bit_for_bit(family):
     tail.values(sample(6), keep=True)
     np.testing.assert_array_equal(kept.states(), fresh.states())
     np.testing.assert_array_equal(kept.gradient()[0], gradient)
+
+
+@FAMILIES
+@PENALTIES
+def test_a_trajectorys_terminal_part_is_an_empty_tails_simulation_bit_for_bit(family, penalty):
+    # a sweep hands its last stage the batch trajectory's terminal part in
+    # place of simulating the final rows through an empty tail
+    sys_, spec, policy, sample = _tail_case(family, penalty)
+    X = sample(6)
+    path = TailEvaluator(sys_, spec, policy, 0).values(X, keep=True)[1]
+    part = path.terminal()
+    fresh = TailEvaluator(sys_, spec, policy, 4).values(path.states()[:, -1], keep=True)[1]
+    assert part.stage_count == 0
+    np.testing.assert_array_equal(part.values, fresh.values)
+    np.testing.assert_array_equal(part.states(), fresh.states())
+    np.testing.assert_array_equal(part.gradient()[0], fresh.gradient()[0])
+    # walking the part back leaves the trajectory it came from as it was
+    whole = TailEvaluator(sys_, spec, policy, 0).values(X, keep=True)[1]
+    np.testing.assert_array_equal(path.values, whole.values)
+    np.testing.assert_array_equal(path.gradient()[0], whole.gradient()[0])

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -877,7 +878,8 @@ def test_a_second_update_of_a_quadratic_stage_takes_its_curvature_step_in_one_ta
 def _recording_trials(monkeypatch):
     """Every _solve_secant call's entering curvature and workspace, in call order.
 
-    Each workspace records its trials as (a, J(a)) in steps.
+    Each workspace records its trials as (a, J(a)) in steps, and the
+    curvature the solve left on its solver as curvature_left.
     """
     import kernelpi.offline as offline
 
@@ -887,7 +889,9 @@ def _recording_trials(monkeypatch):
     def record_solve(ws, J0, G, curvature=0.0):
         ws.steps, ws.objective_old = [], J0
         solves.append((curvature, ws))
-        return solve(ws, J0, G, curvature)
+        res = solve(ws, J0, G, curvature)
+        ws.curvature_left = ws.solver.curvature
+        return res
 
     def record_trial(ws, a):
         out = trial(ws, a)
@@ -921,21 +925,86 @@ def test_at_large_delta_every_first_trial_is_the_usual_one(monkeypatch):
     assert np.median(gates) > 1e3 * CURVATURE_GATE
 
 
-def test_a_missed_curvature_step_leaves_the_usual_trials_unchanged(monkeypatch):
-    # a curvature the stage does not have: its step misses the stop rule, is
-    # dropped, and the update then runs the trials of a solver without one
+@pytest.mark.parametrize("gate", [1.0, 1e-3])
+def test_a_missed_curvature_step_is_the_root_solves_first_point(monkeypatch, gate):
+    # a curvature the stage does not have: its step a_c misses the stop rule
+    # and bounds the bracket, and the next trial is the secant through
+    # (0, s0) and (a_c, q(a_c)), capped at the usual first trial when a_c is
+    # short of the root
     solves = _recording_trials(monkeypatch)
-    sys_, spec, states, solver_for, tail, c_old, _ = _penalty_stage(5)
+    _, _, states, solver_for, tail, c_old, _ = _penalty_stage(5)
     cfg = SolverConfig(delta_lr=10.0)
-    with_theta = solver_for(cfg)
-    with_theta.curvature = 2.0 / cfg.delta_lr  # theta delta / 2 = 1, inside the gate
-    missed = solve_implicit_update(with_theta, c_old, tail, states)
-    usual = solve_implicit_update(solver_for(cfg), c_old, tail, states)
-    (_, ws_missed), (_, ws_usual) = solves
-    theta = 2.0 / cfg.delta_lr
-    curvature_step = -ws_missed.s0 / (ws_missed.p2 * (0.5 * theta + 1.0 / cfg.delta_lr))
-    assert ws_missed.steps[0][0] == curvature_step
-    assert ws_missed.steps[1:] == ws_usual.steps
-    assert missed.tail_calls == usual.tail_calls + 1
-    np.testing.assert_array_equal(missed.c_new, usual.c_new)
-    assert missed.reason == usual.reason
+    solver = solver_for(cfg)
+    theta = solver.curvature = 2.0 * gate / cfg.delta_lr
+    res = solve_implicit_update(solver, c_old, tail, states)
+    ((_, ws),) = solves
+    J0, s0, p2, delta = ws.objective_old, ws.s0, ws.p2, cfg.delta_lr
+    usual = -s0 * delta / p2
+    (a_c, J_c), (a_next, _) = ws.steps[:2]
+    assert a_c == -s0 / (p2 * (0.5 * theta + 1.0 / delta))
+    assert res.first_trial == "curvature"
+    q_c = (J_c - J0 + a_c * a_c * p2 / delta) / a_c
+    secant = a_c - q_c * a_c / (q_c - s0)
+    if q_c < 0:
+        assert a_c < secant
+        assert a_next == pytest.approx(min(secant, usual), rel=1e-12)
+    else:
+        assert 0.0 < a_next < a_c
+        assert all(a < a_c for a, _ in ws.steps[1:])
+        assert a_next == pytest.approx(secant, rel=1e-12)
+    assert res.reason == "ok" and res.objective_new < res.objective_old
+    assert res.c_new.tolist() == (c_old + ws.steps[-1][0] * ws.V).tolist()
+
+
+def test_an_ok_update_after_three_trials_stores_its_curvature(monkeypatch):
+    # the curvature an "ok" update shows is kept however many trials it took
+    solves = _recording_trials(monkeypatch)
+    _, _, states, solver_for, tail, c_old, _ = _penalty_stage(5)
+    solver = solver_for(SolverConfig(delta_lr=10.0))
+    res = solve_implicit_update(solver, c_old, tail, states)
+    ((_, ws),) = solves
+    assert res.reason == "ok" and res.first_trial == "usual" and len(ws.steps) == 3
+    a, Ja = ws.steps[-1]
+    assert solver.curvature == 2.0 * (Ja - ws.objective_old - ws.s0 * a) / ((a * a) * ws.p2)
+    assert solver.curvature > 0.0
+
+
+def test_a_stage_without_curvature_starts_its_sweep_update_from_the_previous_stages(monkeypatch):
+    # a stage whose own theta is 0 borrows the one stage t + 1 left in this
+    # sweep; the last stage, updated first, has only its own
+    solves = _recording_trials(monkeypatch)
+    _, policy, _ = _small_rbf_run(max_iters=3)
+    T = policy.horizon
+    assert len(solves) == 3 * T
+    left = [0.0] * T
+    borrowed = 0
+    for k in range(3):
+        for i, t in enumerate(range(T - 1, -1, -1)):
+            curvature, ws = solves[k * T + i]
+            own = left[t]
+            expected = own if own != 0.0 or t == T - 1 else left[t + 1]
+            assert curvature == expected
+            borrowed += expected != own
+            left[t] = ws.curvature_left
+    assert borrowed > 0
+
+
+def test_two_offline_sweeps_of_twenty_stages_take_at_most_120_tail_calls():
+    # the shipped offline instance cut to 20 stages: with curvature steps
+    # borrowed across stages and kept as the root solve's first point, two
+    # sweeps take under three tail calls per stage update
+    import dataclasses
+
+    from kernelpi.cli import run_offline_mode
+    from kernelpi.config import load_config
+
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "offline_intersection.yaml")
+    cfg = dataclasses.replace(
+        cfg,
+        scenario=dataclasses.replace(cfg.scenario, horizon=20),
+        solver=dataclasses.replace(cfg.solver, max_outer_iters=2),
+    )
+    records = run_offline_mode(cfg)[2]
+    updates = [s for r in records for s in r.stages]
+    assert len(updates) == 40
+    assert sum(s.tail_calls for s in updates) <= 120
