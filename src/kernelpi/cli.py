@@ -7,7 +7,8 @@ success, 2 on configuration or validation errors (an output directory that
 cannot be created included), 3 on simulation divergence.
 
 Each mode hands export_run its named tables: the run tables of a policy
-iteration (offline, oracle-compare), the scenario tables of its trajectories
+iteration (offline, oracle-compare, which with scalar_check adds the scalar
+instance's, prefixed scalar_), the scenario tables of its trajectories
 (offline, online) and its own (ident_trace.csv, oracle_summary.csv and
 gain_gaps.csv, probe.csv).  A solve that raises PolicyIterationDiverged, in
 any mode, writes the run tables of the iterations it finished and
