@@ -7,7 +7,6 @@ from .costs import (
     StateCost,
     TailEvaluator,
     collision_penalty,
-    empirical_stage_objective,
     evaluate_cost_to_go,
     stage_cost,
     terminal_cost,
@@ -53,7 +52,7 @@ from .online import (
     run_online,
     shift_warm_start,
 )
-from .riccati import RiccatiSolution, lqr_cost, riccati_backward, simulate_gain_cost
+from .riccati import RiccatiSolution, lqr_cost, riccati_backward
 from .rls import PeResult, RlsState, estimate, pe_check, rls_init, rls_update
 from .intersection import (
     Scenario,

@@ -36,7 +36,7 @@ import yaml
 
 from .config import ConfigError, RunConfig, dump_config, load_config, online_config
 from .costs import CostSpec
-from .dynamics import DivergenceError, LinearSystem, assemble_team_system, discretize_double_integrator, rollout
+from .dynamics import DivergenceError, LinearSystem, assemble_team_system, discretize_double_integrator
 from .intersection import Scenario, build_intersection, pairwise_distances, sample_initial_states
 from .offline import (
     PolicyIterationDiverged,
@@ -160,16 +160,19 @@ def export_run(out_dir, cfg: RunConfig, tables: dict, runtime: Optional[dict] = 
 
 
 def run_offline_mode(cfg: RunConfig):
-    """Full-horizon policy iteration on the configured intersection."""
+    """Full-horizon policy iteration on the configured intersection.
+
+    Returns (scenario, policy, records, batch), with batch the solve's
+    trajectories of the returned policy (policy_iteration).
+    """
     scenario, learner, _plant, cost = build_intersection(cfg.scenario)
 
     def sampler(rng, N):
         return sample_initial_states(scenario, rng, N)
 
-    policy, records, x0 = policy_iteration(
+    policy, records, batch = policy_iteration(
         learner, cost, sampler, cfg.solver, horizon=cfg.scenario.horizon, seed=cfg.seed
     )
-    batch = rollout(learner, policy, x0)
     return scenario, policy, records, batch
 
 
@@ -228,12 +231,12 @@ def _solve_oracle(cfg: RunConfig) -> tuple:
         X[:, 1::2] = rng.uniform(*oc.speed_range, size=(N, oc.n_vehicles))
         return X
 
-    policy, records, x0 = policy_iteration(
+    policy, records, batch = policy_iteration(
         sys_, spec, sampler, cfg.solver, horizon=oc.horizon, seed=cfg.seed
     )
     cost_policy = records[-1].cost_after
     sol = riccati_backward(sys_, Q, R, Q_F, oc.horizon)
-    cost_r = lqr_cost(sol, x0)
+    cost_r = lqr_cost(sol, batch.states[:, 0])
     gap = (cost_policy - cost_r) / cost_r if cost_r > 0 else 0.0
     gain_gaps = []
     for t, stage in enumerate(policy.stages):

@@ -202,6 +202,12 @@ def _validate(cfg: RunConfig) -> None:
             online_config(cfg)
         except ValueError as exc:
             raise ConfigError(f"online: {exc}") from exc
+        # run_online plans on its prior model, A = 0 and B = 0, when it
+        # identifies nothing, and a config file cannot give it a theta0
+        if cfg.online.ident_steps == 0:
+            raise ConfigError(
+                "online.ident_steps: must be >= 1: a config file gives no prior model to plan on"
+            )
 
 
 def dump_config(cfg: RunConfig) -> dict:

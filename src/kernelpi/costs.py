@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .dynamics import LinearSystem, TrajectoryBatch, check_norms
+from .dynamics import LinearSystem, check_norms
 from .kernels import KernelPolicy, KernelSpec, StageExpansion, StagePolicy
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "evaluate_cost_to_go",
     "TailEvaluator",
     "Trajectory",
-    "empirical_stage_objective",
 ]
 
 
@@ -245,17 +244,18 @@ class CostToGoTable:
         return float(self.values[:, 0].mean())
 
 
-def evaluate_cost_to_go(batch: TrajectoryBatch, spec: CostSpec) -> CostToGoTable:
+def evaluate_cost_to_go(states, controls, spec: CostSpec) -> CostToGoTable:
     """Backward recursion V_t = stage cost + V_{t+1} along each trajectory.
 
-    The terminal column equals the terminal cost at the sampled final states,
-    and the mean of the first column is the empirical horizon cost.
+    states has shape (N, T+1, n) and controls (N, T, m).  The terminal
+    column equals the terminal cost at the sampled final states, and the
+    mean of the first column is the empirical horizon cost.
     """
-    N, T = batch.sample_count, batch.horizon
+    N, T = controls.shape[:2]
     V = np.empty((N, T + 1))
-    V[:, T] = terminal_cost(batch.states[:, T], spec)
+    V[:, T] = terminal_cost(states[:, T], spec)
     for t in range(T - 1, -1, -1):
-        V[:, t] = stage_cost(batch.states[:, t], batch.controls[:, t], spec) + V[:, t + 1]
+        V[:, t] = stage_cost(states[:, t], controls[:, t], spec) + V[:, t + 1]
     return CostToGoTable(V)
 
 
@@ -616,26 +616,3 @@ class Trajectory:
         self._final_map = None
         self._stages = ()
 
-
-def empirical_stage_objective(
-    candidate_coeffs: np.ndarray,
-    states_at_t,
-    successor_value: Callable[[np.ndarray], np.ndarray],
-    sys: LinearSystem,
-    spec: CostSpec,
-    cross: np.ndarray,
-) -> float:
-    """Sample-average one-stage cost of candidate coefficients plus continuation.
-
-    Controls at the sampled states are the cross-Gram matrix (sampled states
-    by dictionary points, as cross_gram returns it) times the candidate
-    coefficients; successor_value returns continuation values at the induced
-    successor states.  This is the plain reference form of the objective the
-    stage solver evaluates.
-    """
-    X = np.atleast_2d(np.asarray(states_at_t, dtype=float))
-    C = np.asarray(candidate_coeffs, dtype=float)
-    pi = cross @ C
-    Y = X @ sys.A.T + pi @ sys.B.T
-    vals = stage_cost(X, pi, spec) + np.asarray(successor_value(Y), dtype=float)
-    return float(vals.mean())

@@ -1,13 +1,11 @@
-"""Stacked discrete-time team dynamics and batched trajectory rollouts."""
+"""Stacked discrete-time team dynamics and batched zero-control rollouts."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
-
-from .kernels import KernelPolicy, eval_policy_batch
 
 __all__ = [
     "LinearSystem",
@@ -110,39 +108,18 @@ def step(sys: LinearSystem, x, u) -> np.ndarray:
 
 @dataclass
 class TrajectoryBatch:
-    """Monte Carlo ensemble of state and control trajectories."""
+    """States of a Monte Carlo batch of trajectories, shape (N, T+1, n).
 
-    states: np.ndarray  # (N, T+1, n)
-    controls: np.ndarray  # (N, T, m)
+    rollout returns one under zero control, and run_policy_iteration the
+    last one its sweeps kept, that of the policy it returns.
+    """
+
+    states: np.ndarray
 
     def __post_init__(self) -> None:
         self.states = np.asarray(self.states, dtype=float)
-        self.controls = np.asarray(self.controls, dtype=float)
-        if self.states.ndim != 3 or self.controls.ndim != 3:
-            raise ValueError("states and controls must be 3-d arrays")
-        if self.states.shape[0] != self.controls.shape[0]:
-            raise ValueError("sample counts disagree")
-        if self.states.shape[1] != self.controls.shape[1] + 1:
-            raise ValueError("states must cover one more step than controls")
-
-    @property
-    def sample_count(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.controls.shape[1]
-
-
-PolicyLike = Union[KernelPolicy, Callable[[int, np.ndarray], np.ndarray], None]
-
-
-def _policy_fn(policy: PolicyLike, m: int):
-    if policy is None:
-        return lambda t, X: np.zeros((X.shape[0], m))
-    if isinstance(policy, KernelPolicy):
-        return lambda t, X: eval_policy_batch(policy, t, X)
-    return policy
+        if self.states.ndim != 3:
+            raise ValueError("states must be a 3-d array")
 
 
 def check_guard(X: np.ndarray, t: int, what: str = "trajectory") -> np.ndarray:
@@ -167,40 +144,21 @@ def check_norms(sq: np.ndarray, t: int, what: str = "trajectory") -> np.ndarray:
     return sq
 
 
-def rollout(
-    sys: LinearSystem,
-    policy: PolicyLike,
-    x0_batch,
-    horizon: Optional[int] = None,
-) -> TrajectoryBatch:
-    """Simulate all samples forward under the policy, storing states and controls.
+def rollout(sys: LinearSystem, x0_batch, horizon: int) -> TrajectoryBatch:
+    """Simulate all samples forward under zero control for horizon steps.
 
-    policy may be a KernelPolicy, a callable (t, states (N, n)) -> (N, m), or
-    None for zero control.  A non-finite or guard-exceeding state aborts with a
-    DivergenceError naming the first offending sample and stage.
+    A non-finite or guard-exceeding state aborts with a DivergenceError
+    naming the first offending sample and stage.
     """
     X0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     if X0.shape[1] != sys.n:
         raise ValueError(f"initial states have dimension {X0.shape[1]}, expected {sys.n}")
-    if isinstance(policy, KernelPolicy):
-        T = policy.horizon if horizon is None else horizon
-        if T > policy.horizon:
-            raise ValueError("horizon exceeds policy length")
-    else:
-        if horizon is None:
-            raise ValueError("horizon is required for callable or zero policies")
-        T = horizon
-    N = X0.shape[0]
-    fn = _policy_fn(policy, sys.m)
-    states = np.empty((N, T + 1, sys.n))
-    controls = np.empty((N, T, sys.m))
+    states = np.empty((X0.shape[0], horizon + 1, sys.n))
     states[:, 0] = X0
     X = X0
-    for t in range(T):
+    for t in range(horizon):
         check_guard(X, t)
-        U = np.asarray(fn(t, X), dtype=float)
-        controls[:, t] = U
-        X = X @ sys.A.T + U @ sys.B.T
+        X = X @ sys.A.T
         states[:, t + 1] = X
-    check_guard(X, T)
-    return TrajectoryBatch(states, controls)
+    check_guard(X, horizon)
+    return TrajectoryBatch(states)

@@ -280,12 +280,9 @@ def pairwise_distances(trajectory, scenario: Scenario):
     """Euclidean distances of reconstructed positions for all vehicle pairs.
 
     trajectory is any array of stacked states with the state on the last axis
-    (a single state, a (T, n) trajectory, or a (N, T, n) batch); a
-    TrajectoryBatch may be passed directly.  Returns (pairs, values) where
-    values has the pair axis last.
+    (a single state, a (T, n) trajectory, or a (N, T, n) batch).  Returns
+    (pairs, values) where values has the pair axis last.
     """
-    if hasattr(trajectory, "states"):
-        trajectory = trajectory.states
     pos = positions_from_states(trajectory, scenario)
     V = scenario.n_vehicles
     iu, ju = np.triu_indices(V, k=1)

@@ -8,8 +8,9 @@ policy output is linear in the coefficients for a fixed evaluation point.
 A dictionary compiles its anchors for a kernel once (_Anchors, cached on the
 Dictionary): one (n + 2)-row matrix per family, applied to rows
 [x | |x|^2 | 1], then the family's nonlinearity.  The same compiled anchors
-serve the Gram and cross-Gram matrices, rollouts and the tail simulation,
-whose backward pass reads their vector-Jacobian product (_Anchors.vjp).
+serve the Gram and cross-Gram matrices, policy evaluation and the tail
+simulation, whose backward pass reads their vector-Jacobian product
+(_Anchors.vjp).
 """
 
 from __future__ import annotations

@@ -68,7 +68,8 @@ with its per-stage costs, and its mean value, stage 0's new objective, is
 the next iteration's cost.  Iteration 0 takes its batch and cost the same
 way, from one kept tail over every stage of the policy it starts from, so
 every batch comes from a kept trajectory, whose tails guarded every row
-entering a stage: a run checks only the final rows.
+entering a stage: a run checks only the final rows.  The last batch, that
+of the returned policy, is returned with it.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .costs import CostSpec, TailEvaluator, Trajectory
-from .dynamics import DivergenceError, LinearSystem, check_guard, rollout
+from .dynamics import DivergenceError, LinearSystem, TrajectoryBatch, check_guard, rollout
 from .kernels import (
     Dictionary,
     KernelPolicy,
@@ -631,8 +632,11 @@ def run_policy_iteration(
     predecessor's sweep kept (see the module docstring), and within a sweep
     a stage without a curvature borrows the one the stage after it left on
     its solver; each batch adds only its final rows to the guard of the
-    tails that made it.  Returns
-    (policy, records).  A DivergenceError anywhere in the run raises
+    tails that made it.  Returns (policy, records, batch): batch is the
+    TrajectoryBatch of the returned policy from the rows of x0_batch, the
+    states of the last kept trajectory over every stage, whether the run
+    stopped at max_outer_iters or at convergence_tol; its initial states
+    are x0_batch bit for bit.  A DivergenceError anywhere in the run raises
     PolicyIterationDiverged with the partial history, the policy (None when
     the zero-control rollout diverges) and the error as cause; a
     SingularGramError, or a ValueError for a policy of another horizon,
@@ -644,8 +648,8 @@ def run_policy_iteration(
         if policy is None:
             if dict_rng is None:
                 dict_rng = np.random.default_rng(0)
-            batch = rollout(sys, None, X0, horizon=horizon)
-            dicts = build_dictionaries(batch.states, horizon, cfg.dict_size, dict_rng)
+            drift = rollout(sys, X0, horizon)
+            dicts = build_dictionaries(drift.states, horizon, cfg.dict_size, dict_rng)
             policy = KernelPolicy(
                 cfg.kernel_spec(reference_points=X0), [StagePolicy.zero(sys.m, d) for d in dicts]
             )
@@ -695,7 +699,7 @@ def run_policy_iteration(
         raise PolicyIterationDiverged(
             f"simulation diverged at iteration {len(records)}: {exc}", records, policy, exc
         ) from exc
-    return policy, records
+    return policy, records, TrajectoryBatch(states)
 
 
 def policy_iteration(
@@ -711,12 +715,12 @@ def policy_iteration(
     p0_sampler(rng, N) must return an (N, n) batch.  The batch is drawn once
     per run from a dedicated substream of seed and reused across iterations
     for reproducibility; the dictionaries come from a second substream.
-    Returns (policy, records, X0) with X0 that batch.
+    Returns run_policy_iteration's (policy, records, batch); the drawn
+    initial states are batch.states[:, 0].
     """
     rngs = substreams(seed, ("initial-states", "dictionary"))
     X0 = p0_sampler(rngs["initial-states"], cfg.mc_samples)
-    policy, records = run_policy_iteration(sys, spec, horizon, X0, cfg, dict_rng=rngs["dictionary"])
-    return policy, records, X0
+    return run_policy_iteration(sys, spec, horizon, X0, cfg, dict_rng=rngs["dictionary"])
 
 
 @dataclass

@@ -121,7 +121,7 @@ def plan_window(
     averaging.  warm_start holds one StagePolicy per window stage, each with
     its dictionary; the first window's comes from shift_warm_start([], s - 1,
     x_s, ...).  The returned candidate never costs more than the warm start;
-    if the predicted rollout diverges the warm start itself is returned.
+    if the predicted simulation diverges the warm start itself is returned.
     """
     x_s = np.asarray(x_s, dtype=float).ravel()
     end = min(cfg.horizon, s + cfg.window)
@@ -132,7 +132,7 @@ def plan_window(
         raise ValueError(f"warm start covers {len(warm_start)} stages, window needs {h}")
     stages = [StagePolicy(st.dictionary, st.coefficients.copy()) for st in warm_start]
     try:
-        policy, records = run_policy_iteration(
+        policy, records, _ = run_policy_iteration(
             model, spec, h, x_s[None, :], cfg.solver, policy=KernelPolicy(kernel, stages)
         )
     except PolicyIterationDiverged:
@@ -168,7 +168,7 @@ def shift_warm_start(
     single-point dictionary at the state the shifted candidate predicts
     there.  A prediction past the state guard (dynamics.check_guard) is not
     followed: later anchors stay at the last state inside it, and the
-    window's own rollout then crosses the guard and rejects the window.
+    window's own simulation then crosses the guard and rejects the window.
     With no stages and s one before the first planning step, every stage is
     new: this builds the first window's warm start.
     """
@@ -341,7 +341,7 @@ def _resolve_online_kernel(cfg: OnlineConfig, model: LinearSystem, x: np.ndarray
         return cfg.solver.kernel_spec()
     steps_left = max(cfg.horizon - cfg.ident_steps, 1)
     try:
-        ref = rollout(model, None, x[None, :], horizon=steps_left).states[0]
+        ref = rollout(model, x[None, :], steps_left).states[0]
     except DivergenceError:
         ref = x[None, :]
     return cfg.solver.kernel_spec(reference_points=ref)

@@ -9,10 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, evaluate_cost_to_go
-from .dynamics import LinearSystem, rollout
+from .dynamics import LinearSystem
 
-__all__ = ["RiccatiSolution", "riccati_backward", "lqr_cost", "simulate_gain_cost"]
+__all__ = ["RiccatiSolution", "riccati_backward", "lqr_cost"]
 
 
 @dataclass
@@ -54,14 +53,3 @@ def lqr_cost(sol: RiccatiSolution, x0_batch) -> float:
     X0 = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     return float(np.einsum("ni,ij,nj->n", X0, sol.P[0], X0).mean())
 
-
-def simulate_gain_cost(sys: LinearSystem, sol: RiccatiSolution, Q, R, Q_F, x0_batch) -> float:
-    """Simulated quadratic cost of the gain policy on the same batch (cross-check)."""
-    gains = sol.K
-
-    def policy(t, X):
-        return -X @ gains[t].T
-
-    batch = rollout(sys, policy, x0_batch, horizon=sol.horizon)
-    spec = CostSpec(Q=Q, R=R, Q_F=Q_F)
-    return evaluate_cost_to_go(batch, spec).total_cost

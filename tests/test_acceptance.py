@@ -13,13 +13,14 @@ import pytest
 
 from kernelpi.cli import oracle_compare, run_offline_mode, run_online_mode
 from kernelpi.config import load_config
-from kernelpi.costs import CostSpec, empirical_stage_objective, terminal_cost
-from kernelpi.dynamics import LinearSystem, STATE_GUARD, rollout
+from kernelpi.costs import CostSpec, terminal_cost
+from kernelpi.dynamics import LinearSystem, STATE_GUARD
 from kernelpi.intersection import ScenarioConfig, build_intersection, sample_initial_states
 from kernelpi.kernels import Dictionary, KernelSpec, cross_gram
 from kernelpi.offline import SolverConfig, complexity_probe, discrete_frechet_derivative, run_policy_iteration
 from kernelpi.online import OnlineConfig, run_online
 from kernelpi.rls import rls_init, rls_update
+from reference import empirical_stage_objective, policy_rollout
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -225,9 +226,9 @@ def test_ac7_receding_horizon_consistency(verdict):
     )
     x0 = np.array([1.0, 0.5])
     log = run_online(sys_, cfg, spec, theta0=np.hstack([sys_.A, sys_.B]), x0=x0)
-    policy, _ = run_policy_iteration(sys_, spec, 5, x0[None, :], solver)
-    batch = rollout(sys_, policy, x0[None, :])
-    diff = float(np.abs(log.controls - batch.controls[0]).max())
+    policy, _, _ = run_policy_iteration(sys_, spec, 5, x0[None, :], solver)
+    _, controls = policy_rollout(sys_, policy, x0[None, :])
+    diff = float(np.abs(log.controls - controls[0]).max())
     ok = verdict(
         "AC7",
         diff <= 1e-6,

@@ -88,6 +88,19 @@ def test_online_invariants_checked():
     assert "ident_steps" in str(exc.value)
 
 
+def test_an_online_config_that_identifies_nothing_is_refused(tmp_path, capsys):
+    # a config file cannot give the loop a prior model, so with no
+    # identification step it would plan on A = 0 and B = 0
+    data = yaml.safe_load((CONFIGS / "online_intersection.yaml").read_text())
+    data["online"]["ident_steps"] = 0
+    data["output_dir"] = str(tmp_path / "run")
+    p = tmp_path / "cfg.yaml"
+    p.write_text(yaml.safe_dump(data))
+    assert main(["online", str(p)]) == 2
+    assert "online.ident_steps" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 _SMALL_RUNS = {
     "offline": {
         "scenario": {"horizon": 4},

@@ -8,12 +8,11 @@ from kernelpi.costs import (
     StateCost,
     TailEvaluator,
     collision_penalty,
-    empirical_stage_objective,
     evaluate_cost_to_go,
     stage_cost,
     terminal_cost,
 )
-from kernelpi.dynamics import STATE_GUARD, DivergenceError, LinearSystem, TrajectoryBatch, rollout
+from kernelpi.dynamics import STATE_GUARD, DivergenceError, LinearSystem
 from kernelpi.kernels import (
     Dictionary,
     KernelPolicy,
@@ -22,6 +21,7 @@ from kernelpi.kernels import (
     cross_gram,
     eval_policy_batch,
 )
+from reference import empirical_stage_objective, policy_rollout
 
 PAIR_SPEC = CollisionSpec(safety_distance=1.0, softening=0.1)
 
@@ -142,17 +142,15 @@ def _quad_spec(n, m):
 
 
 def test_cost_to_go_zero_trajectories():
-    batch = TrajectoryBatch(states=np.zeros((3, 5, 2)), controls=np.zeros((3, 4, 1)))
-    table = evaluate_cost_to_go(batch, _quad_spec(2, 1))
+    table = evaluate_cost_to_go(np.zeros((3, 5, 2)), np.zeros((3, 4, 1)), _quad_spec(2, 1))
     np.testing.assert_array_equal(table.values, np.zeros((3, 5)))
 
 
 def test_cost_to_go_single_step_base_case():
     states = np.array([[[1.0, 0.0], [0.5, 0.5]]])
     controls = np.array([[[2.0]]])
-    batch = TrajectoryBatch(states=states, controls=controls)
     spec = _quad_spec(2, 1)
-    table = evaluate_cost_to_go(batch, spec)
+    table = evaluate_cost_to_go(states, controls, spec)
     expected_v1 = terminal_cost(states[0, 1], spec)
     expected_v0 = stage_cost(states[0, 0], controls[0, 0], spec) + expected_v1
     assert table.values[0, 1] == pytest.approx(expected_v1)
@@ -163,15 +161,15 @@ def test_cost_to_go_matches_forward_sum():
     rng = np.random.default_rng(7)
     sys_ = LinearSystem(A=[[1.0, 0.1], [0.0, 0.95]], B=[[0.0], [0.1]])
     policy = lambda t, X: 0.3 * rng.standard_normal((X.shape[0], 1)) * 0 + 0.1 * X[:, :1]
-    batch = rollout(sys_, policy, rng.normal(size=(4, 2)), horizon=3)
+    states, controls = policy_rollout(sys_, policy, rng.normal(size=(4, 2)), 3)
     # a proximity bump around the point (-1, 0.5), in stage and terminal cost
     bump = StateCost(np.eye(2), np.array([1.0, -0.5]), np.array([[1.0, 0.0], [1.0, 0.0]]), 0.5, 0.2)
     spec = CostSpec(Q=np.eye(2), R=[[0.5]], Q_F=2 * np.eye(2), psi=bump, psi_F=bump)
-    table = evaluate_cost_to_go(batch, spec)
+    table = evaluate_cost_to_go(states, controls, spec)
     forward = np.zeros(4)
     for t in range(3):
-        forward += stage_cost(batch.states[:, t], batch.controls[:, t], spec)
-    forward += terminal_cost(batch.states[:, 3], spec)
+        forward += stage_cost(states[:, t], controls[:, t], spec)
+    forward += terminal_cost(states[:, 3], spec)
     np.testing.assert_allclose(table.values[:, 0], forward, rtol=1e-8)
     assert table.total_cost == pytest.approx(forward.mean(), rel=1e-12)
 
@@ -186,8 +184,8 @@ def test_cost_to_go_nonnegative_with_nonnegative_penalties():
         psi=bowl_penalty(),
         psi_F=bowl_penalty(),
     )
-    batch = rollout(sys_, lambda t, X: rng.normal(size=(X.shape[0], 2)), rng.normal(size=(5, 4)), horizon=4)
-    table = evaluate_cost_to_go(batch, spec)
+    policy = lambda t, X: rng.normal(size=(X.shape[0], 2))
+    table = evaluate_cost_to_go(*policy_rollout(sys_, policy, rng.normal(size=(5, 4)), 4), spec)
     assert (table.values >= 0).all()
 
 
@@ -312,8 +310,7 @@ def test_tail_evaluator_snapshot_matches_rollout_cost(family, problem):
     x0 = sample(5)
     tail = TailEvaluator(sys_, spec, policy, 0)
     vals = tail.values(x0)
-    batch = rollout(sys_, policy, x0)
-    table = evaluate_cost_to_go(batch, spec)
+    table = evaluate_cost_to_go(*policy_rollout(sys_, policy, x0), spec)
     np.testing.assert_allclose(vals, table.values[:, 0], rtol=1e-10)
 
 

@@ -13,6 +13,7 @@ from kernelpi.dynamics import (
     step,
 )
 from kernelpi.kernels import Dictionary, KernelPolicy, KernelSpec, StagePolicy
+from reference import policy_rollout
 
 
 def test_discretization_matrices():
@@ -112,22 +113,22 @@ def _drift_system():
 
 def test_rollout_zero_everything():
     sys_ = _drift_system()
-    batch = rollout(sys_, None, np.zeros((3, 2)), horizon=4)
+    batch = rollout(sys_, np.zeros((3, 2)), 4)
     assert batch.states.shape == (3, 5, 2)
     np.testing.assert_array_equal(batch.states, np.zeros((3, 5, 2)))
-    np.testing.assert_array_equal(batch.controls, np.zeros((3, 4, 1)))
 
 
 def test_rollout_matches_matrix_power_under_zero_policy():
     sys_ = _drift_system()
     x0 = np.array([[1.0, 2.0], [0.5, -1.0]])
-    batch = rollout(sys_, None, x0, horizon=5)
+    batch = rollout(sys_, x0, 5)
     for t in range(6):
         expected = x0 @ np.linalg.matrix_power(sys_.A, t).T
         np.testing.assert_allclose(batch.states[:, t], expected, atol=1e-12)
 
 
 def test_rollout_composes_step():
+    # the tests' policy rollout (reference.policy_rollout) under a kernel policy
     sys_ = _drift_system()
     kernel = KernelSpec(family="gaussian-rbf", length_scale=2.0)
     stages = [
@@ -136,24 +137,25 @@ def test_rollout_composes_step():
     ]
     policy = KernelPolicy(kernel, stages)
     x0 = np.array([[0.2, 1.1]])
-    batch = rollout(sys_, policy, x0)
+    states, controls = policy_rollout(sys_, policy, x0)
     x = x0[0]
     for t in range(2):
-        u = batch.controls[0, t]
-        np.testing.assert_allclose(batch.states[0, t + 1], step(sys_, x, u), rtol=1e-12)
-        x = batch.states[0, t + 1]
+        u = controls[0, t]
+        np.testing.assert_allclose(states[0, t + 1], step(sys_, x, u), rtol=1e-12)
+        x = states[0, t + 1]
 
 
 def test_rollout_step_consistency():
+    # the tests' policy rollout under a callable policy
     sys_ = _drift_system()
     rng = np.random.default_rng(4)
     policy = lambda t, X: 0.1 * np.sin(X[:, :1] + t)
-    batch = rollout(sys_, policy, rng.normal(size=(4, 2)), horizon=6)
+    states, controls = policy_rollout(sys_, policy, rng.normal(size=(4, 2)), 6)
     for i in range(4):
         for t in range(6):
             np.testing.assert_allclose(
-                batch.states[i, t + 1],
-                step(sys_, batch.states[i, t], batch.controls[i, t]),
+                states[i, t + 1],
+                step(sys_, states[i, t], controls[i, t]),
                 rtol=0,
                 atol=1e-9,
             )
@@ -164,9 +166,9 @@ def test_rollout_superposition_under_zero_policy():
     rng = np.random.default_rng(5)
     xa = rng.normal(size=(3, 2))
     xb = rng.normal(size=(3, 2))
-    ba = rollout(sys_, None, xa, horizon=7).states
-    bb = rollout(sys_, None, xb, horizon=7).states
-    bab = rollout(sys_, None, xa + xb, horizon=7).states
+    ba = rollout(sys_, xa, 7).states
+    bb = rollout(sys_, xb, 7).states
+    bab = rollout(sys_, xa + xb, 7).states
     np.testing.assert_allclose(bab, ba + bb, atol=1e-9)
 
 
@@ -192,7 +194,7 @@ def test_rollout_divergence_reports_sample_and_stage():
     ]
     for bad, stage in cases:
         with pytest.raises(DivergenceError) as exc:
-            rollout(sys_, None, np.array([[1.0], [bad], [-2.0]]), horizon=30)
+            rollout(sys_, np.array([[1.0], [bad], [-2.0]]), 30)
         assert exc.value.sample_index == 1
         assert exc.value.stage == stage
         assert f"sample 1, stage {stage}" in str(exc.value)
@@ -234,7 +236,7 @@ def test_check_norms_names_the_first_crossing_of_a_stage_by_stage_loop(table, st
 def test_trajectory_batch_shape_validation():
     from kernelpi.dynamics import TrajectoryBatch
 
-    with pytest.raises(ValueError):
-        TrajectoryBatch(states=np.zeros((2, 4, 3)), controls=np.zeros((2, 4, 1)))
-    with pytest.raises(ValueError):
-        TrajectoryBatch(states=np.zeros((2, 4, 3)), controls=np.zeros((3, 3, 1)))
+    assert TrajectoryBatch(states=np.zeros((2, 4, 3))).states.shape == (2, 4, 3)
+    for bad in (np.zeros((4, 3)), np.zeros((1, 2, 4, 3))):
+        with pytest.raises(ValueError):
+            TrajectoryBatch(states=bad)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernelpi.costs import CostSpec, TailEvaluator, empirical_stage_objective, evaluate_cost_to_go
+from kernelpi.costs import CostSpec, TailEvaluator, evaluate_cost_to_go
 from kernelpi.dynamics import (
     LinearSystem,
     assemble_team_system,
@@ -35,6 +35,7 @@ from kernelpi.offline import (
     _StageWorkspace,
 )
 from kernelpi.riccati import lqr_cost, riccati_backward
+from reference import empirical_stage_objective, policy_rollout
 
 
 def test_derivative_zero_difference_gives_zero():
@@ -242,7 +243,6 @@ def test_quadratic_stage_root_is_closed_form_within_four_tail_calls(seed):
 
 def _penalty_instance(seed):
     """A two-vehicle crossing: RBF kernel, collision penalty, a 4-stage policy and its batch."""
-    from kernelpi.dynamics import rollout
     from kernelpi.intersection import ScenarioConfig, build_intersection, sample_initial_states
 
     rng = np.random.default_rng(seed)
@@ -252,7 +252,7 @@ def _penalty_instance(seed):
     scenario, learner, _, cost = build_intersection(scen)
     X0 = sample_initial_states(scenario, rng, 10)
     kernel = KernelSpec(family="gaussian-rbf", length_scale=float(rng.uniform(2.0, 8.0)))
-    states = rollout(learner, None, X0, horizon=4).states
+    states = rollout(learner, X0, 4).states
     stages = []
     for t in range(4):
         d = Dictionary(points=states[:6, t], stage=t)
@@ -263,7 +263,7 @@ def _penalty_instance(seed):
 def _penalty_stage(seed):
     """Stage 0 of _penalty_instance: its batch states, solver and 3-stage tail."""
     learner, cost, policy, X0, rng = _penalty_instance(seed)
-    states = rollout(learner, policy, X0).states
+    states = policy_rollout(learner, policy, X0)[0]
     first = policy.stages[0]
     tail = TailEvaluator(learner, cost, policy, 1)
     solver_for = lambda cfg: StageSolver(policy.kernel, first.dictionary, cfg, cost, learner)
@@ -334,8 +334,8 @@ def test_policy_iteration_matches_quadratic_oracle_cost():
         return X
 
     T = 5
-    policy, records, x0 = policy_iteration(sys_, spec, sampler, cfg, horizon=T, seed=2)
-    oracle = lqr_cost(riccati_backward(sys_, Q, R, QF, T), x0)
+    policy, records, batch = policy_iteration(sys_, spec, sampler, cfg, horizon=T, seed=2)
+    oracle = lqr_cost(riccati_backward(sys_, Q, R, QF, T), batch.states[:, 0])
     assert records[-1].cost_after <= oracle * 1.02
     assert records[-1].cost_after >= oracle * (1 - 1e-9)
 
@@ -451,9 +451,9 @@ def test_run_policy_iteration_warm_start_descends_from_given_policy():
     sys_, spec, states, _, tail, rng, _ = _quadratic_stage(seed=17, N=4, M=2)
     cfg = SolverConfig(delta_lr=4.0, max_outer_iters=3, mc_samples=4, dict_size=2)
     x0 = rng.normal(size=(4, 2))
-    policy, records = run_policy_iteration(sys_, spec, 3, x0, cfg, dict_rng=np.random.default_rng(5))
+    policy, records, _ = run_policy_iteration(sys_, spec, 3, x0, cfg, dict_rng=np.random.default_rng(5))
     warm_cost = records[-1].cost_after
-    policy2, records2 = run_policy_iteration(sys_, spec, 3, x0, cfg, policy=policy)
+    policy2, records2, _ = run_policy_iteration(sys_, spec, 3, x0, cfg, policy=policy)
     assert records2[0].cost == pytest.approx(warm_cost, rel=1e-9)
     assert records2[-1].cost_after <= warm_cost + 1e-12
 
@@ -468,7 +468,7 @@ def test_stage_gram_factors_are_built_once_per_run(monkeypatch):
     )
     sys_, spec, _, _, _, rng, _ = _quadratic_stage(seed=17, N=4, M=2)
     cfg = SolverConfig(delta_lr=4.0, max_outer_iters=3, mc_samples=4, dict_size=2, convergence_tol=0.0)
-    _, records = run_policy_iteration(sys_, spec, 4, rng.normal(size=(4, 2)), cfg)
+    _, records, _ = run_policy_iteration(sys_, spec, 4, rng.normal(size=(4, 2)), cfg)
     assert len(records) == 3
     assert len(calls) == 4
 
@@ -488,7 +488,7 @@ def test_each_stage_is_compiled_at_c_old_and_along_its_direction_once_per_sweep(
     )
     sys_, spec, _, _, _, rng, _ = _quadratic_stage(seed=17, N=4, M=2)
     cfg = SolverConfig(delta_lr=4.0, max_outer_iters=3, mc_samples=4, dict_size=2, convergence_tol=0.0)
-    _, records = run_policy_iteration(sys_, spec, 5, rng.normal(size=(4, 2)), cfg)
+    _, records, _ = run_policy_iteration(sys_, spec, 5, rng.normal(size=(4, 2)), cfg)
     assert len(records) == 3
     assert len(calls) == 5 + 3 * 2 * 5
 
@@ -723,14 +723,18 @@ def test_handed_over_objective_and_gradient_match_a_tail_call_at_c_old(monkeypat
 def _assert_sweep_reads_the_rollout(sweep, policy, X0):
     """The batch a sweep's recorded stage updates read is the rollout of policy from X0; returns it."""
     T = policy.horizon
-    expected = rollout(sweep[0][0].sys, policy, X0)
+    expected = policy_rollout(sweep[0][0].sys, policy, X0)
     # stage t gets the batch at t, and stage T - 1 the terminal trajectory at T
     got = [sweep[T - 1 - t][3] for t in range(T)] + [sweep[0][4].states()[:, 0]]
-    got = np.stack(got, axis=1)
-    for t in range(T + 1):
-        scale = np.abs(expected.states[:, t]).max()
-        np.testing.assert_allclose(got[:, t], expected.states[:, t], rtol=0, atol=1e-12 * scale)
+    _assert_states_match(np.stack(got, axis=1), expected[0])
     return expected
+
+
+def _assert_states_match(got, expected):
+    """got matches expected, (N, T+1, n) each, within 1e-12 of each stage's largest |state|."""
+    for t in range(expected.shape[1]):
+        scale = np.abs(expected[:, t]).max()
+        np.testing.assert_allclose(got[:, t], expected[:, t], rtol=0, atol=1e-12 * scale)
 
 
 def test_next_batch_is_the_rollout_of_the_updated_policy(monkeypatch):
@@ -752,6 +756,33 @@ def test_next_batch_is_the_rollout_of_the_updated_policy(monkeypatch):
         assert records[k + 1].cost == records[k].cost_after
 
 
+@pytest.mark.parametrize("stop", ["convergence_tol", "max_outer_iters"])
+def test_the_returned_batch_is_the_rollout_of_the_returned_policy(stop):
+    # the batch a run returns is the last one its sweeps kept: that of the
+    # returned policy, from the drawn initial states bit for bit
+    from kernelpi.intersection import ScenarioConfig, build_intersection, sample_initial_states
+    from kernelpi.seeding import substreams
+
+    scen = ScenarioConfig(
+        n_cav=2, horizon=4, entry_offsets=(12.0, 14.0), position_jitter=1.0, speed_range=(4.0, 6.0)
+    )
+    scenario, learner, _, cost = build_intersection(scen)
+    converge = stop == "convergence_tol"
+    cfg = SolverConfig(
+        delta_lr=8.0,
+        max_outer_iters=400 if converge else 3,
+        mc_samples=8,
+        dict_size=4,
+        convergence_tol=1e-9 if converge else 0.0,
+    )
+    sampler = lambda rng, N: sample_initial_states(scenario, rng, N)
+    policy, records, batch = policy_iteration(learner, cost, sampler, cfg, horizon=4, seed=3)
+    assert len(records) < 400 if converge else len(records) == 3
+    X0 = sampler(substreams(3, ("initial-states", "dictionary"))["initial-states"], 8)
+    assert batch.states[:, 0].tobytes() == X0.tobytes()
+    _assert_states_match(batch.states, policy_rollout(learner, policy, X0)[0])
+
+
 @pytest.mark.parametrize("given", [False, True], ids=["drawn", "given"])
 def test_iteration_0_starts_from_the_rollout_of_the_entering_policy(monkeypatch, given):
     # iteration 0 takes its batch and cost from one kept tail over every
@@ -770,17 +801,17 @@ def test_iteration_0_starts_from_the_rollout_of_the_entering_policy(monkeypatch,
         warm = KernelPolicy(policy.kernel, list(entering))
         rollouts.clear()
         calls.clear()
-        _, records = run_policy_iteration(solver.sys, solver.spec, T, X0, cfg, policy=warm)
+        _, records, _ = run_policy_iteration(solver.sys, solver.spec, T, X0, cfg, policy=warm)
     else:
         entering = [StagePolicy.zero(solver.sys.m, st.dictionary) for st in policy.stages]
     assert len(rollouts) == (0 if given else 1)
     expected = _assert_sweep_reads_the_rollout(calls[:T], KernelPolicy(policy.kernel, entering), X0)
-    reference = evaluate_cost_to_go(expected, solver.spec).total_cost
+    reference = evaluate_cost_to_go(*expected, solver.spec).total_cost
     assert abs(records[0].cost - reference) <= 1e-12 * abs(reference)
 
 
 def test_each_dictionary_compiles_its_anchors_once_per_run(monkeypatch):
-    # cross-Gram matrices, rollouts and tails all read the anchors a
+    # cross-Gram matrices and tails all read the anchors a
     # dictionary compiled on first use
     import kernelpi.kernels as kernels
 
@@ -832,7 +863,7 @@ def test_each_stage_is_handed_its_successors_trajectory_under_the_updated_stages
 
     monkeypatch.setattr(offline, "solve_implicit_update", record)
     cfg = SolverConfig(delta_lr=10.0, max_outer_iters=1, convergence_tol=0.0)
-    policy, records = run_policy_iteration(learner, cost, 4, X0, cfg, policy=policy)
+    policy, records, _ = run_policy_iteration(learner, cost, 4, X0, cfg, policy=policy)
     assert sum(r.accepted for r in records[0].stages) >= 2
     T = policy.horizon
     batch = [calls[T - 1 - t][0] for t in range(T)] + [calls[0][1].states()[:, 0]]

@@ -14,6 +14,7 @@ from kernelpi.online import (
     shift_warm_start,
 )
 from kernelpi.riccati import lqr_cost, riccati_backward
+from reference import policy_rollout
 
 
 def double_integrator():
@@ -154,7 +155,7 @@ def test_first_window_anchors_are_the_zero_control_rollout():
     warm = first_warm_start(x, 3, sys_, kernel, cfg)
     # with the single observed state as the batch, a dictionary draw can only
     # pick the zero-control rollout state at each stage
-    states = rollout(sys_, None, x[None, :], horizon=4).states
+    states = rollout(sys_, x[None, :], 4).states
     drawn = build_dictionaries(states, 4, cfg.solver.dict_size, np.random.default_rng(0))
     assert len(warm) == 4
     for t, stage in enumerate(warm):
@@ -216,7 +217,7 @@ def test_window_whose_last_sweep_runs_past_the_guard_at_its_end_is_rejected():
     result = plan_window(x, sys_, warm, kernel, 0, cfg, spec)
     assert result.rejected
     assert result.stages is warm
-    rollout(sys_, KernelPolicy(kernel, warm), x[None, :])  # which stays inside the guard
+    policy_rollout(sys_, KernelPolicy(kernel, warm), x[None, :])  # which stays inside the guard
 
 
 def test_full_window_shift_drops_only_executed_stage():
@@ -265,9 +266,9 @@ def test_run_online_window_descent_everywhere():
 def test_receding_horizon_matches_offline_solution():
     sys_, spec, cfg, log = _perfect_model_run()
     x0 = log.states[0]
-    policy, _ = run_policy_iteration(sys_, spec, 5, x0[None, :], linear_solver(max_outer_iters=300))
-    batch = rollout(sys_, policy, x0[None, :])
-    np.testing.assert_allclose(log.controls, batch.controls[0], atol=1e-6)
+    policy, _, _ = run_policy_iteration(sys_, spec, 5, x0[None, :], linear_solver(max_outer_iters=300))
+    _, controls = policy_rollout(sys_, policy, x0[None, :])
+    np.testing.assert_allclose(log.controls, controls[0], atol=1e-6)
 
 
 def test_perfect_model_closed_loop_cost_near_oracle():

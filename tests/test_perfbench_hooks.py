@@ -60,3 +60,10 @@ def test_traced_smoke_run_reaches_every_hooked_layer(smoke_records, workload):
     assert rec["failed"] == 0
     for name in HOOKED + HOOKED_BY_WORKLOAD.get(workload, ()):
         assert rec["metrics"][name] > 0, name
+
+
+def test_an_offline_solve_rolls_out_only_to_draw_its_dictionaries(smoke_records):
+    # the solve returns the batch of its policy, so the one rollout left is
+    # the zero-control draw of the dictionaries; a second simulator of the
+    # policy would show here
+    assert smoke_records["offline_intersection"]["metrics"]["dynamics.rollout.calls"] == 1

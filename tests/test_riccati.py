@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kernelpi.dynamics import LinearSystem, assemble_team_system, discretize_double_integrator, rollout
-from kernelpi.riccati import lqr_cost, riccati_backward, simulate_gain_cost
+from kernelpi.dynamics import LinearSystem, assemble_team_system, discretize_double_integrator
+from kernelpi.riccati import lqr_cost, riccati_backward
+from reference import policy_rollout, simulate_gain_cost
 
 
 def scalar_system():
@@ -67,13 +68,13 @@ def test_per_sample_value_consistency():
     T = 8
     sol = riccati_backward(sys_, Q, R, QF, T)
     gains = sol.K
-    batch = rollout(sys_, lambda t, X: -X @ gains[t].T, x0, horizon=T)
+    states, controls = policy_rollout(sys_, lambda t, X: -X @ gains[t].T, x0, T)
     for i in range(6):
         cost = 0.0
         for t in range(T):
-            x, u = batch.states[i, t], batch.controls[i, t]
+            x, u = states[i, t], controls[i, t]
             cost += x @ Q @ x + u @ R @ u
-        cost += batch.states[i, T] @ QF @ batch.states[i, T]
+        cost += states[i, T] @ QF @ states[i, T]
         assert cost == pytest.approx(float(x0[i] @ sol.P[0] @ x0[i]), rel=1e-9)
 
 
