@@ -203,10 +203,16 @@ def _validate(cfg: RunConfig) -> None:
         except ValueError as exc:
             raise ConfigError(f"online: {exc}") from exc
         # run_online plans on its prior model, A = 0 and B = 0, when it
-        # identifies nothing, and a config file cannot give it a theta0
+        # identifies nothing, and a config file cannot give it a theta0;
+        # without excitation no regressor has an input part, so B stays 0
         if cfg.online.ident_steps == 0:
             raise ConfigError(
                 "online.ident_steps: must be >= 1: a config file gives no prior model to plan on"
+            )
+        if cfg.online.sigma_excitation == 0:
+            raise ConfigError(
+                "online.sigma_excitation: must be > 0: without excitation the input matrix "
+                "stays at its prior, 0"
             )
 
 

@@ -14,8 +14,8 @@ share one _TailMaps, which holds what a stage's compilation reads of its
 dictionary alone.  A tail given a direction runs its first stage on the
 line c + a d of its coefficients: the line is compiled once, and each step
 a costs one axpy of the stage's control part; the first block may take its
-kernel values from the caller (a cross-Gram matrix it already holds).  A
-simulation can be kept as a Trajectory: its states, its per-stage costs and
+kernel values from the caller (a cross-Gram matrix it already holds).  Each
+simulation is kept as a Trajectory: its states, its per-stage costs and
 what a reverse-mode pass over it reads, which gives the continuation's
 exact gradient dV/dy at its rows through the cost's StateCost.sums_gradient
 and the kernel's vector-Jacobian product, in one walk back over its stages.
@@ -374,7 +374,8 @@ class TailEvaluator:
     """Continuation values by re-simulating stages start_stage..T under given policies.
 
     values(states) simulates each row forward under the policy tail and returns
-    the accumulated stage costs plus the terminal cost.  The stage policies
+    the accumulated stage costs plus the terminal cost, with the simulation
+    kept as a Trajectory.  The stage policies
     are snapshotted at construction; later mutation of the policy object is
     not reflected.
 
@@ -433,12 +434,12 @@ class TailEvaluator:
             first = StagePolicy(policy.stages[start_stage].dictionary, direction)
             self._along = StageExpansion(policy.kernel, first).coeffs @ self._maps.control
 
-    def values(self, states, keep=False, step=0.0, kernel_values=None):
-        """Continuation values at the rows of states, shape (N,).
+    def values(self, states, step=0.0, kernel_values=None):
+        """(values, trajectory): the continuation values at the rows of states, shape (N,).
 
-        With keep, it returns (values, trajectory): the Trajectory holds what
-        a backward pass over this simulation reads, and its gradient() gives
-        the exact dV/dy at the rows.  A nonzero step runs the first stage at
+        The Trajectory holds what a backward pass over this simulation
+        reads, and its gradient() gives the exact dV/dy at the rows; its
+        values are the returned ones.  A nonzero step runs the first stage at
         c + step d, which needs the tail's direction d.  kernel_values, when
         given, are the first stage's kernel values at the rows, shaped as
         kernels.cross_gram returns them; the first block takes them instead
@@ -457,7 +458,7 @@ class TailEvaluator:
             stages = [self._first_at(step)] + stages[1:]
         X = np.atleast_2d(np.asarray(states, dtype=float))
         path = self._simulate(stages, X, kernel_values)
-        return (path.values, path) if keep else path.values
+        return path.values, path
 
     def settle(self, step) -> "TailEvaluator":
         """Fix the first stage at c + step d and drop the direction; returns this tail."""
@@ -566,15 +567,14 @@ class Trajectory:
         return self._W[:, : self._maps.n].copy().transpose(2, 0, 1)
 
     def gradient(self):
-        """(dV/dy at the rows, stages walked back to get it): 0 once the gradient is kept.
+        """dV/dy at the rows, shape (N, n), from one walk back kept for later calls.
 
         A gradient that overflows is returned non-finite, without warnings.
         """
-        if self._gradient is not None:
-            return self._gradient.T, 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._backward()
-        return self._gradient.T, self.stage_count
+        if self._gradient is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._backward()
+        return self._gradient.T
 
     def _backward(self) -> None:
         """Walk the stages back from the terminal cost's gradient at the final rows.

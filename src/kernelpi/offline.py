@@ -37,12 +37,13 @@ the previous one with only stage t compiled in front, and what a stage's
 compilation reads of its dictionary alone is built once per run.
 
 The usual first trial is a_u = -s0 delta / ||P||^2, with s0 the slope of
-J along V at a = 0 and P = cross V.  Every update accepted "ok" stores the
+J along V at a = 0 and P = cross V.  Every update accepted "ok" returns the
 curvature its accepted step shows, theta = 2 (J(a) - J0 - s0 a) /
-(a^2 ||P||^2), on its StageSolver, and every other outcome clears it.  In
-a sweep a stage without one borrows the theta that stage t + 1, updated
-just before it, left on its solver: theta is curvature per unit squared
-change of the policy values, and neighbouring stages show nearly the same.
+(a^2 ||P||^2), and every other outcome returns 0.  A sweep keeps each
+stage's last theta and passes it to the stage's next update; a stage
+without one borrows the theta that stage t + 1, updated just before it,
+returned: theta is curvature per unit squared change of the policy values,
+and neighbouring stages show nearly the same.
 When theta > 0 and theta delta / 2 <= CURVATURE_GATE the first trial is
 a_c = -s0 / (||P||^2 (theta / 2 + 1 / delta)), g's root if J is quadratic
 along V with that curvature.  A curvature step the stop rule does not
@@ -184,11 +185,9 @@ class StageUpdateResult:
     c_new: np.ndarray
     objective_old: float
     objective_new: float
-    # objective evaluations: J0 and one per trial step or hand-over
-    evals: int
     # tail re-simulations: one per trial step, one more for an
-    # "inexact-secant" step, one at c_old when no trajectory was handed
-    # over, and one at c_old for the hand-over of a stage that keeps it
+    # "inexact-secant" step, and one at c_old for the hand-over of a stage
+    # that keeps it
     tail_calls: int
     # rows times stages re-simulated over those tail calls
     tail_row_stages: int
@@ -200,11 +199,18 @@ class StageUpdateResult:
     reason: str
     # the update's first trial step: "curvature", "usual", or "none" when it ran no trial
     first_trial: str
+    # theta of the accepted step for an "ok" update, otherwise 0
+    curvature: float
     # the kept trajectory from the sampled states through this stage under
-    # c_new and the tail, and that tail (None when c_old is kept and nothing
-    # was handed over); the sweep takes both, so that records keep neither
+    # c_new and the tail, and that tail; the sweep takes both, so that
+    # records keep neither
     trajectory: Optional[Trajectory] = field(default=None, repr=False, compare=False)
     tail: Optional[TailEvaluator] = field(default=None, repr=False, compare=False)
+
+    @property
+    def evals(self) -> int:
+        """Objective evaluations: J0 and one per tail call."""
+        return self.tail_calls + 1
 
 
 @dataclass
@@ -267,8 +273,7 @@ class StageSolver:
     descends.  It depends only on the dictionary, the kernel and the ridge,
     and is formed once per dictionary (Dictionary.compiled): a dictionary
     that several runs share, as the online windows' warm starts do, is
-    factorised once.  curvature is theta, measured by the stage's last
-    update when it was accepted "ok", or 0 (see the module docstring).
+    factorised once.
     """
 
     def __init__(self, kernel, dictionary, cfg, spec, sys):
@@ -277,7 +282,6 @@ class StageSolver:
         self.cfg = cfg
         self.spec = spec
         self.sys = sys
-        self.curvature = 0.0
         self.K_inv = dictionary.compiled(
             ("ridge-shifted Gram inverse", kernel, cfg.ridge), self._inverse
         )
@@ -302,10 +306,10 @@ class _StageWorkspace:
 
     The cross-Gram matrix at the sampled states X and the old controls
     pi_old do not depend on the trial step, so they are computed once here.
-    handed, when given, is the trajectory from the successor states under
-    c_old, and stage_costs the stage's cost at X under c_old, per row (see
-    the module docstring); a workspace given handed hands over a trajectory
-    in turn (hand_over).
+    handed is the trajectory from the successor states under c_old, and
+    stage_costs the stage's cost at X under c_old, per row (see the module
+    docstring); a workspace that keeps c_old hands over a trajectory in
+    turn (hand_over).
 
     On the line c_old + a V of a descent direction a trial is one call of
     the line's TailEvaluator (trials), from X through this stage and the
@@ -314,29 +318,27 @@ class _StageWorkspace:
     """
 
     def __init__(
-        self, solver: StageSolver, c_old, tail: TailEvaluator, states, handed=None, stage_costs=None
+        self, solver: StageSolver, c_old, tail: TailEvaluator, states, handed, stage_costs
     ):
         self.states = np.atleast_2d(np.asarray(states, dtype=float))
         self.solver = solver
         self.c_old = np.asarray(c_old, dtype=float)
         self.tail = tail
         self.handed = handed
-        self.hands_over = handed is not None
         self.stage_costs = stage_costs
         self.cross = cross_gram(solver.kernel, self.states, solver.dictionary)
         self.pi_old = self.cross @ self.c_old
         self.pi_R = self.pi_old @ solver.spec.R
         self.trials = None
         self.first_trial = "none"
-        self.evals = 0
         self.tail_calls = 0
         self.tail_row_stages = 0
-        self.backward_row_stages = 0
 
-    def _tail_values(self, evaluator: TailEvaluator, rows, **line):
+    def _tail_values(self, **line):
+        """One simulation of the line from the sampled states: (values, trajectory)."""
         self.tail_calls += 1
-        self.tail_row_stages += rows.shape[0] * evaluator.stage_count
-        return evaluator.values(rows, keep=True, **line)
+        self.tail_row_stages += self.states.shape[0] * self.trials.stage_count
+        return self.trials.values(self.states, kernel_values=self.cross, **line)
 
     def _line(self, direction=None) -> TailEvaluator:
         """The tail with this stage in front, at c_old, on the line along direction when given."""
@@ -350,28 +352,14 @@ class _StageWorkspace:
     def value_gradient(self):
         """(J0, G): the objective at c_old and its gradient with respect to the sampled controls.
 
-        The continuation values come from the handed-over trajectory or,
-        without one, from one tail call at the successors under c_old, whose
-        trajectory is kept as handed.  A reverse-mode pass over it gives
-        dV/dy, and G = (2 pi_old R + dV/dy B) / N.  J0 is the mean stage
-        cost c0 plus the mean continuation value; without stage_costs, c0
-        comes from the cost spec.  A DivergenceError from a successor row
-        propagates.  A gradient that overflows leaves G non-finite.
+        The continuation values come from the handed-over trajectory, and a
+        reverse-mode pass over it gives dV/dy, so G = (2 pi_old R + dV/dy B)
+        / N.  J0 is the mean stage cost c0 plus the mean continuation value.
+        It simulates nothing.  A gradient that overflows leaves G non-finite.
         """
-        spec, B = self.solver.spec, self.solver.sys.B
         N = self.states.shape[0]
-        self.evals += 1
-        if self.handed is None:
-            successors = self.states @ self.solver.sys.A.T + self.pi_old @ B.T
-            _, self.handed = self._tail_values(self.tail, successors)
-        slopes, walked = self.handed.gradient()
-        self.backward_row_stages += N * walked
-        G = (2.0 * self.pi_R + slopes @ B) / N
-        if self.stage_costs is None:
-            control = float(np.vdot(self.pi_R, self.pi_old))
-            c0 = (float(spec.state_cost(self.states).sum()) + control) / N
-        else:
-            c0 = float(self.stage_costs.sum()) / N
+        G = (2.0 * self.pi_R + self.handed.gradient() @ self.solver.sys.B) / N
+        c0 = float(self.stage_costs.sum()) / N
         return c0 + float(self.handed.values.sum()) / N, G
 
     def descent_direction(self, G):
@@ -390,9 +378,8 @@ class _StageWorkspace:
 
     def trial(self, a):
         """(J(c_old + a V), trajectory) on the line; a diverging continuation scores +inf (no descent)."""
-        self.evals += 1
         try:
-            values, path = self._tail_values(self.trials, self.states, step=a, kernel_values=self.cross)
+            values, path = self._tail_values(step=a)
         except DivergenceError:
             return np.inf, None
         return float(values.sum()) / values.shape[0], path
@@ -402,21 +389,20 @@ class _StageWorkspace:
 
         A DivergenceError propagates: the old coefficients' trajectory diverges.
         """
-        self.evals += 1
         if self.trials is None:
             self.trials = self._line()
-        return self._tail_values(self.trials, self.states, kernel_values=self.cross)[1]
+        return self._tail_values()[1]
 
 
 def _result(
-    ws: _StageWorkspace, J0: float, reason: str, a=None, J1=None, path=None
+    ws: _StageWorkspace, J0: float, reason: str, a=None, J1=None, path=None, curvature=0.0
 ) -> StageUpdateResult:
     """The stage's outcome; without a step a along the line c_old is kept.
 
     path is the trajectory of the accepted trial; a rejected step hands over
-    the one at c_old when the workspace hands over.  With a trajectory goes
-    the line's tail, settled at a.  The policy values move by a P, so
-    value_step_sq is a^2 ||P||^2.
+    the one at c_old.  With the trajectory goes the line's tail, settled at
+    a.  The policy values move by a P, so value_step_sq is a^2 ||P||^2.
+    The handed trajectory was walked back once, over all its stages.
     """
     accepted = a is not None
     if accepted:
@@ -425,24 +411,23 @@ def _result(
         gap = abs(J1 - J0 + value_sq / ws.solver.cfg.delta_lr)
     else:
         c_new, J1, a = ws.c_old.copy(), J0, 0.0
-        path = ws.hand_over() if ws.hands_over else None
+        path = ws.hand_over()
         value_sq = gap = 0.0
-    tail = None if path is None else ws.trials.settle(a)
     return StageUpdateResult(
         c_new=c_new,
         objective_old=J0,
         objective_new=J1,
-        evals=ws.evals,
         tail_calls=ws.tail_calls,
         tail_row_stages=ws.tail_row_stages,
-        backward_row_stages=ws.backward_row_stages,
+        backward_row_stages=ws.states.shape[0] * ws.handed.stage_count,
         value_step_sq=value_sq,
         secant_gap=gap,
         accepted=accepted,
         reason=reason,
         first_trial=ws.first_trial,
+        curvature=curvature,
         trajectory=path,
-        tail=tail,
+        tail=ws.trials.settle(a),
     )
 
 
@@ -466,9 +451,9 @@ def _next_trial(points) -> float:
 
 
 def _accept(ws: _StageWorkspace, J0: float, a: float, Ja: float, path) -> StageUpdateResult:
-    """An "ok" result at a, which stores the curvature J shows at a on the stage's solver."""
-    ws.solver.curvature = 2.0 * (Ja - J0 - ws.s0 * a) / ((a * a) * ws.p2)
-    return _result(ws, J0, "ok", a, Ja, path)
+    """An "ok" result at a, which carries the curvature J shows at a."""
+    curvature = 2.0 * (Ja - J0 - ws.s0 * a) / ((a * a) * ws.p2)
+    return _result(ws, J0, "ok", a, Ja, path, curvature)
 
 
 def _solve_secant(
@@ -559,35 +544,33 @@ def solve_implicit_update(
     c_old: np.ndarray,
     tail: TailEvaluator,
     states_at_t,
-    handed: Optional[Trajectory] = None,
-    stage_costs: Optional[np.ndarray] = None,
+    handed: Trajectory,
+    stage_costs: np.ndarray,
+    curvature: float = 0.0,
 ) -> StageUpdateResult:
     """Improve a stage's coefficients against the already-updated tail.
 
     Guarantees objective_new <= objective_old: when the inner solver cannot
     find a descending step the old coefficients are returned unchanged.
     tail re-simulates the continuation from the successor states (a
-    TailEvaluator over the updated later stages).  handed, when given, is
-    that tail's trajectory from the successor states under c_old; without
-    it one tail call at c_old simulates it.  stage_costs, when given, are
-    the stage's costs at states_at_t under c_old, per row; without them the
-    cost spec gives them.
+    TailEvaluator over the updated later stages), handed is that tail's
+    trajectory from the successor states under c_old, and stage_costs are
+    the stage's costs at states_at_t under c_old, per row: what the sweep
+    hands over (see the module docstring).  curvature is the theta the
+    first trial may use.
 
-    The objective at c_old, J0, and its gradient come from that trajectory
-    and one reverse-mode pass over it (_StageWorkspace.value_gradient).  A
-    DivergenceError there propagates, because the old coefficients'
-    objective diverges; a non-finite gradient keeps c_old as
+    The objective at c_old, J0, and its gradient come from the handed
+    trajectory and one reverse-mode pass over it
+    (_StageWorkspace.value_gradient); a non-finite gradient keeps c_old as
     "gradient-diverged".  A trial step whose continuation diverges counts
     as no descent and the step shrinks.  The result carries the trajectory
     from states_at_t through this stage under c_new and the tail
-    (trajectory): the accepted trial's or, when c_old is kept and handed was
-    given, one simulation at c_old.  The solver's curvature is read, and
-    replaced by the accepted step's when the update is "ok" or else cleared
-    (see the module docstring).
+    (trajectory): the accepted trial's or, when c_old is kept, one
+    simulation at c_old, whose DivergenceError propagates.  Its curvature
+    is the accepted step's theta when the update is "ok", and 0 otherwise.
     """
     ws = _StageWorkspace(solver, c_old, tail, states_at_t, handed, stage_costs)
     J0, G = ws.value_gradient()
-    curvature, solver.curvature = solver.curvature, 0.0
     if not np.isfinite(G).all():
         return _result(ws, J0, "gradient-diverged")
     return _solve_secant(ws, J0, G, curvature)
@@ -630,8 +613,8 @@ def run_policy_iteration(
     iteration.  Iteration 0 starts from the trajectory of one tail over
     every stage of the policy, each later one from the trajectory its
     predecessor's sweep kept (see the module docstring), and within a sweep
-    a stage without a curvature borrows the one the stage after it left on
-    its solver; each batch adds only its final rows to the guard of the
+    a stage without a curvature borrows the one the stage after it
+    returned; each batch adds only its final rows to the guard of the
     tails that made it.  Returns (policy, records, batch): batch is the
     TrajectoryBatch of the returned policy from the rows of x0_batch, the
     states of the last kept trajectory over every stage, whether the run
@@ -661,20 +644,26 @@ def run_policy_iteration(
         for t in range(horizon - 1, -1, -1):
             tail = TailEvaluator(sys, spec, policy, t, tail)
 
-        handed = tail.values(X0, keep=True)[1]
+        handed = tail.values(X0)[1]
         states, costs = handed.states(), handed.stage_costs
         check_guard(states[:, horizon], horizon)
         cost_k = float(handed.values.mean())
+        theta = [0.0] * (horizon + 1)  # each stage's last curvature; none past the last stage
         for k in range(cfg.max_outer_iters):
             t0 = time.perf_counter()
             stage_results = [None] * horizon
             tail, handed = terminal, handed.terminal()
             for t in range(horizon - 1, -1, -1):
-                if t < horizon - 1 and solvers[t].curvature == 0.0:
-                    solvers[t].curvature = solvers[t + 1].curvature
                 res = solve_implicit_update(
-                    solvers[t], policy.stages[t].coefficients, tail, states[:, t], handed, costs[t]
+                    solvers[t],
+                    policy.stages[t].coefficients,
+                    tail,
+                    states[:, t],
+                    handed,
+                    costs[t],
+                    theta[t] or theta[t + 1],
                 )
+                theta[t] = res.curvature
                 handed, tail, res.trajectory, res.tail = res.trajectory, res.tail, None, None
                 policy.stages[t] = StagePolicy(solvers[t].dictionary, res.c_new)
                 stage_results[t] = res

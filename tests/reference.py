@@ -2,14 +2,15 @@
 
 Each is the plain, step-by-step form of something the solver computes in a
 fused way: a rollout under a policy, the simulated cost of a linear gain
-policy and the sample-average objective of one stage.
+policy, the sample-average objective of one stage and what a sweep hands a
+stage update.
 """
 
 import numpy as np
 
 from kernelpi.costs import CostSpec, evaluate_cost_to_go, stage_cost
 from kernelpi.dynamics import LinearSystem, check_guard
-from kernelpi.kernels import KernelPolicy, eval_policy_batch
+from kernelpi.kernels import KernelPolicy, cross_gram, eval_policy_batch
 
 
 def policy_rollout(sys: LinearSystem, policy, x0_batch, horizon=None):
@@ -57,3 +58,16 @@ def empirical_stage_objective(candidate_coeffs, states_at_t, successor_value, sy
     Y = X @ sys.A.T + pi @ sys.B.T
     vals = stage_cost(X, pi, spec) + np.asarray(successor_value(Y), dtype=float)
     return float(vals.mean())
+
+
+def hand_over(solver, c_old, tail, states_at_t):
+    """(handed, stage_costs): what a sweep passes offline.solve_implicit_update at c_old.
+
+    handed is the trajectory of one tail call from the successors of the
+    states under c_old, and stage_costs the stage's cost at the states under
+    c_old, per row, from costs.stage_cost.
+    """
+    X = np.atleast_2d(np.asarray(states_at_t, dtype=float))
+    pi = cross_gram(solver.kernel, X, solver.dictionary) @ np.asarray(c_old, dtype=float)
+    Y = X @ solver.sys.A.T + pi @ solver.sys.B.T
+    return tail.values(Y)[1], stage_cost(X, pi, solver.spec)

@@ -101,6 +101,19 @@ def test_an_online_config_that_identifies_nothing_is_refused(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_an_online_config_that_excites_nothing_is_refused(tmp_path, capsys):
+    # with no excitation every regressor's input part is 0, so the estimate
+    # of B stays at its prior, 0, and a config file cannot give another
+    data = yaml.safe_load((CONFIGS / "online_intersection.yaml").read_text())
+    data["online"]["sigma_excitation"] = 0.0
+    data["output_dir"] = str(tmp_path / "run")
+    p = tmp_path / "cfg.yaml"
+    p.write_text(yaml.safe_dump(data))
+    assert main(["online", str(p)]) == 2
+    assert "online.sigma_excitation" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 _SMALL_RUNS = {
     "offline": {
         "scenario": {"horizon": 4},

@@ -21,7 +21,7 @@ from kernelpi.kernels import (
     cross_gram,
     eval_policy_batch,
 )
-from reference import empirical_stage_objective, policy_rollout
+from reference import empirical_stage_objective, hand_over, policy_rollout
 
 PAIR_SPEC = CollisionSpec(safety_distance=1.0, softening=0.1)
 
@@ -309,7 +309,7 @@ def test_tail_evaluator_snapshot_matches_rollout_cost(family, problem):
     policy = KernelPolicy(kernel, stages)
     x0 = sample(5)
     tail = TailEvaluator(sys_, spec, policy, 0)
-    vals = tail.values(x0)
+    vals = tail.values(x0)[0]
     table = evaluate_cost_to_go(*policy_rollout(sys_, policy, x0), spec)
     np.testing.assert_allclose(vals, table.values[:, 0], rtol=1e-10)
 
@@ -331,14 +331,15 @@ def test_stage_workspace_objective_matches_empirical_stage_objective(problem):
         tail = TailEvaluator(sys_, spec, KernelPolicy(kernel, [stage] * 3), 1)
         c_old = rng.normal(size=(sys_.n, sys_.m)) * scale
         solver = StageSolver(kernel, d, SolverConfig(), spec, sys_)
-        ws = _StageWorkspace(solver, c_old, tail, states)
+        ws = _StageWorkspace(solver, c_old, tail, states, *hand_over(solver, c_old, tail, states))
         J0, G = ws.value_gradient()
-        expected = empirical_stage_objective(c_old, states, tail.values, sys_, spec, cross)
+        continuation = lambda Y: tail.values(Y)[0]
+        expected = empirical_stage_objective(c_old, states, continuation, sys_, spec, cross)
         assert J0 == pytest.approx(expected, rel=1e-12)
         V, _, p2, s0 = ws.descent_direction(G)
         first = -s0 / p2  # the solver's first trial at delta = 1
         for a in (0.0, 0.01 * first, 0.5 * first, first, 4.0 * first):
-            expected = empirical_stage_objective(c_old + a * V, states, tail.values, sys_, spec, cross)
+            expected = empirical_stage_objective(c_old + a * V, states, continuation, sys_, spec, cross)
             assert ws.trial(a)[0] == pytest.approx(expected, rel=1e-12), (family, a)
 
 
@@ -401,7 +402,7 @@ def test_tail_evaluator_matches_a_plain_reference_loop(family, penalty):
     sys_, spec, policy, sample = _tail_case(family, penalty)
     X = sample(7)
     for start in (0, 2, 4):
-        vals = TailEvaluator(sys_, spec, policy, start).values(X)
+        vals = TailEvaluator(sys_, spec, policy, start).values(X)[0]
         ref = _reference_tail_values(sys_, spec, policy, start, X)
         np.testing.assert_allclose(vals, ref, rtol=1e-12, atol=0)
 
@@ -447,15 +448,14 @@ def _per_stage_tail_values(sys_, spec, policy, start_stage, X):
 @pytest.mark.parametrize("penalty", ["intersection", "none"])
 def test_fused_tail_values_match_the_per_stage_formula(family, penalty):
     # the fused loop keeps each stage's sums of squares and applies the cost's
-    # nonlinear rest once per call; keeping the trajectory changes no value
+    # nonlinear rest once per call; the kept trajectory holds the same values
     sys_, spec, policy, sample = _tail_case(family, penalty)
     X = sample(6)
     for start in (0, 2, 4):
         tail = TailEvaluator(sys_, spec, policy, start)
         ref = _per_stage_tail_values(sys_, spec, policy, start, X)
-        np.testing.assert_allclose(tail.values(X), ref, rtol=1e-12, atol=0)
-        values, path = tail.values(X, keep=True)
-        np.testing.assert_array_equal(values, tail.values(X))
+        values, path = tail.values(X)
+        np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(path.values, values)
 
 
@@ -469,14 +469,15 @@ def test_tail_slopes_match_central_differences(family, penalty, start):
     tail = TailEvaluator(sys_, spec, policy, start)
     X = sample(5)
     D = np.vstack([sys_.B.T, np.random.default_rng(8).normal(size=(2, sys_.n))])
-    _, path = tail.values(X, keep=True)
-    gradient, walked = path.gradient()
-    assert gradient.shape == X.shape and walked == policy.horizon - start
-    assert path.gradient()[1] == 0  # kept: a second call walks nothing
+    _, path = tail.values(X)
+    gradient = path.gradient()
+    assert gradient.shape == X.shape
+    # kept: the walk consumed the blocks, so a second call can only return it
+    np.testing.assert_array_equal(path.gradient(), gradient)
     slopes = gradient @ D.T
     h = 1e-5
     central = np.stack(
-        [(tail.values(X + h * d) - tail.values(X - h * d)) / (2.0 * h) for d in D], axis=1
+        [(tail.values(X + h * d)[0] - tail.values(X - h * d)[0]) / (2.0 * h) for d in D], axis=1
     )
     np.testing.assert_allclose(slopes, central, rtol=1e-6, atol=1e-7 * np.abs(central).max())
     if start == 4 and penalty == "none":
@@ -500,10 +501,10 @@ def test_tail_built_on_rest_matches_a_fresh_tail_bit_for_bit(family, start):
     fresh = TailEvaluator(sys_, spec, policy, start)
     swept = _sweep_tail(sys_, spec, policy, start)
     assert swept.stage_count == fresh.stage_count == policy.horizon - start
-    np.testing.assert_array_equal(swept.values(X), fresh.values(X))
-    got, expected = swept.values(X, keep=True)[1], fresh.values(X, keep=True)[1]
+    (values, got), (expected_values, expected) = swept.values(X), fresh.values(X)
+    np.testing.assert_array_equal(values, expected_values)
     np.testing.assert_array_equal(got.states(), expected.states())
-    np.testing.assert_array_equal(got.gradient()[0], expected.gradient()[0])
+    np.testing.assert_array_equal(got.gradient(), expected.gradient())
 
 
 def test_rest_for_the_wrong_start_stage_is_rejected():
@@ -532,10 +533,9 @@ def test_guard_names_the_first_crossing_when_later_stages_overflow(family):
     policy = KernelPolicy(kernel, stages)
     X = np.array([[0.0, 0.3], [1e-200, 0.1], [1e-100, -0.2], [-1e-100, 0.4]])
     tail = TailEvaluator(sys_, spec, policy, 0)
-    for keep in (False, True):
-        with pytest.raises(DivergenceError) as exc:
-            tail.values(X, keep=keep)
-        assert (exc.value.sample_index, exc.value.stage) == (2, 3)
+    with pytest.raises(DivergenceError) as exc:
+        tail.values(X)
+    assert (exc.value.sample_index, exc.value.stage) == (2, 3)
 
 
 def _moved(policy, t, a, direction):
@@ -561,16 +561,14 @@ def test_a_tail_on_a_line_matches_a_fresh_tail_at_the_moved_coefficients(family,
         line = TailEvaluator(sys_, spec, policy, start, rest, direction)
         assert line.stage_count == policy.horizon - start
         fresh = TailEvaluator(sys_, spec, _moved(policy, start, a, direction), start)
-        values, path = line.values(X, keep=True, step=a, kernel_values=cross)
-        expected = fresh.values(X, keep=True)[1]
+        values, path = line.values(X, step=a, kernel_values=cross)
+        expected = fresh.values(X)[1]
         np.testing.assert_allclose(values, expected.values, rtol=1e-12)
         np.testing.assert_allclose(path.states(), expected.states(), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(path.stage_costs, expected.stage_costs, rtol=1e-12)
-        gradient, walked = path.gradient()
-        assert walked == policy.horizon - start
-        np.testing.assert_allclose(gradient, expected.gradient()[0], rtol=1e-10)
+        np.testing.assert_allclose(path.gradient(), expected.gradient(), rtol=1e-10)
         settled = line.settle(a)
-        np.testing.assert_allclose(settled.values(X), fresh.values(X), rtol=1e-12)
+        np.testing.assert_allclose(settled.values(X)[0], fresh.values(X)[0], rtol=1e-12)
         with pytest.raises(ValueError):
             settled.values(X, step=1.0)
 
@@ -581,7 +579,7 @@ def test_a_trajectory_keeps_each_stages_cost_through_its_walk_back(penalty):
     # walk back overwrites: the kept stage costs must not be that view
     sys_, spec, policy, sample = _tail_case("gaussian-rbf", penalty)
     X = sample(5)
-    path = TailEvaluator(sys_, spec, policy, 1).values(X, keep=True)[1]
+    path = TailEvaluator(sys_, spec, policy, 1).values(X)[1]
     states = path.states()
     assert path.stage_costs.shape == (3, 5)
     for i, t in enumerate(range(1, 4)):
@@ -621,23 +619,22 @@ def test_of_sums_in_the_block_layout_matches_the_row_layout_bit_for_bit(pairs):
 
 @FAMILIES
 def test_a_kept_trajectory_outlives_later_trials_bit_for_bit(family):
-    # later tail calls, kept or dropped, leave a kept trajectory as it was
+    # later tail calls leave a kept trajectory as it was
     sys_, spec, policy, sample = _tail_case(family, "intersection")
     tail = TailEvaluator(sys_, spec, policy, 1)
     X = sample(6)
-    kept = tail.values(X, keep=True)[1]
-    tail.values(sample(6), keep=True)
-    for _ in range(3):
+    kept = tail.values(X)[1]
+    for _ in range(4):
         tail.values(sample(6))
-    fresh = TailEvaluator(sys_, spec, policy, 1).values(X, keep=True)[1]
+    fresh = TailEvaluator(sys_, spec, policy, 1).values(X)[1]
     np.testing.assert_array_equal(kept.values, fresh.values)
     np.testing.assert_array_equal(kept.states(), fresh.states())
-    gradient = kept.gradient()[0]
-    np.testing.assert_array_equal(gradient, fresh.gradient()[0])
+    gradient = kept.gradient()
+    np.testing.assert_array_equal(gradient, fresh.gradient())
     # the walk consumed its blocks; the states and gradient stay
-    tail.values(sample(6), keep=True)
+    tail.values(sample(6))
     np.testing.assert_array_equal(kept.states(), fresh.states())
-    np.testing.assert_array_equal(kept.gradient()[0], gradient)
+    np.testing.assert_array_equal(kept.gradient(), gradient)
 
 
 @FAMILIES
@@ -647,14 +644,14 @@ def test_a_trajectorys_terminal_part_is_an_empty_tails_simulation_bit_for_bit(fa
     # place of simulating the final rows through an empty tail
     sys_, spec, policy, sample = _tail_case(family, penalty)
     X = sample(6)
-    path = TailEvaluator(sys_, spec, policy, 0).values(X, keep=True)[1]
+    path = TailEvaluator(sys_, spec, policy, 0).values(X)[1]
     part = path.terminal()
-    fresh = TailEvaluator(sys_, spec, policy, 4).values(path.states()[:, -1], keep=True)[1]
+    fresh = TailEvaluator(sys_, spec, policy, 4).values(path.states()[:, -1])[1]
     assert part.stage_count == 0
     np.testing.assert_array_equal(part.values, fresh.values)
     np.testing.assert_array_equal(part.states(), fresh.states())
-    np.testing.assert_array_equal(part.gradient()[0], fresh.gradient()[0])
+    np.testing.assert_array_equal(part.gradient(), fresh.gradient())
     # walking the part back leaves the trajectory it came from as it was
-    whole = TailEvaluator(sys_, spec, policy, 0).values(X, keep=True)[1]
+    whole = TailEvaluator(sys_, spec, policy, 0).values(X)[1]
     np.testing.assert_array_equal(path.values, whole.values)
-    np.testing.assert_array_equal(path.gradient()[0], whole.gradient()[0])
+    np.testing.assert_array_equal(path.gradient(), whole.gradient())

@@ -35,7 +35,7 @@ from kernelpi.offline import (
     _StageWorkspace,
 )
 from kernelpi.riccati import lqr_cost, riccati_backward
-from reference import empirical_stage_objective, policy_rollout
+from reference import empirical_stage_objective, hand_over, policy_rollout
 
 
 def test_derivative_zero_difference_gives_zero():
@@ -75,6 +75,12 @@ def test_secant_identity_random_instances(seed):
     assert abs(lhs - (J_new - J_old)) <= 1e-12 * max(1.0, abs(J_new - J_old))
 
 
+def _update(solver, c_old, tail, states, curvature=0.0):
+    """solve_implicit_update at c_old given what a sweep hands over (reference.hand_over)."""
+    handed, stage_costs = hand_over(solver, c_old, tail, states)
+    return solve_implicit_update(solver, c_old, tail, states, handed, stage_costs, curvature)
+
+
 def _terminal_tail(sys_, spec, kernel):
     """A tail with no stages left: its values are the terminal cost."""
     return TailEvaluator(sys_, spec, KernelPolicy(kernel, []), 0)
@@ -107,7 +113,8 @@ def _objective_gradient(sys_, spec, states, cross, C):
 def test_derivative_approaches_directional_gradient():
     sys_, spec, states, cross, tail, rng, _ = _quadratic_stage(seed=5)
     C = rng.normal(size=(3, 1))
-    J0 = empirical_stage_objective(C, states, tail.values, sys_, spec, cross)
+    continuation = lambda Y: tail.values(Y)[0]
+    J0 = empirical_stage_objective(C, states, continuation, sys_, spec, cross)
     direction = rng.normal(size=C.shape)
     G = _objective_gradient(sys_, spec, states, cross, C)
     exact = float(np.sum(G * (cross @ direction)))
@@ -116,7 +123,7 @@ def test_derivative_approaches_directional_gradient():
     for eps in (1e-3, 1e-4, 1e-5, 1e-6):
         # scale the coefficient step so the stacked value step has norm eps
         a = eps / np.linalg.norm(P)
-        J1 = empirical_stage_objective(C + a * direction, states, tail.values, sys_, spec, cross)
+        J1 = empirical_stage_objective(C + a * direction, states, continuation, sys_, spec, cross)
         D = discrete_frechet_derivative(cross @ (C + a * direction), cross @ C, J1, J0)
         # <D, P> equals the one-sided difference quotient along the direction
         slope = float(np.sum(D * P))
@@ -137,11 +144,12 @@ def test_stage_gradient_with_an_asymmetric_control_weight_matches_central_differ
     tail = _terminal_tail(sys_, spec, kernel)
     c_old = rng.normal(size=(3, 2))
     solver = StageSolver(kernel, d, SolverConfig(), spec, sys_)
-    _, G = _StageWorkspace(solver, c_old, tail, states).value_gradient()
+    handed, stage_costs = hand_over(solver, c_old, tail, states)
+    _, G = _StageWorkspace(solver, c_old, tail, states, handed, stage_costs).value_gradient()
 
     def J(pi):
         Y = states @ sys_.A.T + pi @ sys_.B.T
-        return float(np.mean(spec.state_cost(states) + spec.control_cost(pi) + tail.values(Y)))
+        return float(np.mean(spec.state_cost(states) + spec.control_cost(pi) + tail.values(Y)[0]))
 
     pi_old = cross_gram(kernel, states, d) @ c_old
     h = 1e-6
@@ -164,7 +172,7 @@ def test_stationary_point_returns_old_coefficients():
     tail = _terminal_tail(sys_, spec, kernel)
     c_old = np.zeros((3, 1))
     cfg = SolverConfig(delta_lr=5.0)
-    res = solve_implicit_update(StageSolver(kernel, d, cfg, spec, sys_), c_old, tail, states)
+    res = _update(StageSolver(kernel, d, cfg, spec, sys_), c_old, tail, states)
     np.testing.assert_array_equal(res.c_new, c_old)
     assert not res.accepted
     assert res.objective_new == res.objective_old
@@ -183,9 +191,10 @@ def test_scalar_update_matches_bisection_oracle():
     delta = 4.0
     c_old = np.array([[0.2]])
     cfg = SolverConfig(delta_lr=delta)
+    continuation = lambda Y: tail.values(Y)[0]
 
     def J(c):
-        return empirical_stage_objective(np.array([[c]]), states, tail.values, sys_, spec, cross)
+        return empirical_stage_objective(np.array([[c]]), states, continuation, sys_, spec, cross)
 
     J0 = J(0.2)
     g = lambda step: J(0.2 + step) - J0 + step**2 / delta
@@ -199,7 +208,7 @@ def test_scalar_update_matches_bisection_oracle():
             hi = mid
     root = 0.5 * (lo + hi)
 
-    res = solve_implicit_update(StageSolver(kernel, d, cfg, spec, sys_), c_old, tail, states)
+    res = _update(StageSolver(kernel, d, cfg, spec, sys_), c_old, tail, states)
     assert res.accepted
     assert res.c_new[0, 0] - 0.2 == pytest.approx(root, abs=1e-6)
     assert res.objective_new < res.objective_old
@@ -209,7 +218,7 @@ def test_accepted_steps_satisfy_descent_identity():
     sys_, spec, states, _, tail, rng, solver_for = _quadratic_stage(seed=13, N=8, M=4)
     cfg = SolverConfig(delta_lr=8.0)
     c_old = rng.normal(size=(4, 1))
-    res = solve_implicit_update(solver_for(cfg), c_old, tail, states)
+    res = _update(solver_for(cfg), c_old, tail, states)
     assert res.accepted
     dJ = res.objective_new - res.objective_old
     assert dJ == pytest.approx(-res.value_step_sq / cfg.delta_lr, abs=cfg.inner_tol)
@@ -227,7 +236,7 @@ def test_quadratic_stage_root_is_closed_form_within_four_tail_calls(seed):
     )
     cfg = SolverConfig(delta_lr=float(rng.uniform(0.5, 50.0)))
     c_old = rng.normal(size=(2, 1))
-    res = solve_implicit_update(solver_for(cfg), c_old, tail, states)
+    res = _update(solver_for(cfg), c_old, tail, states)
     assert res.accepted and res.reason == "ok"
     step = res.c_new - c_old
     t_solver = float(np.linalg.norm(step))
@@ -238,7 +247,7 @@ def test_quadratic_stage_root_is_closed_form_within_four_tail_calls(seed):
     kappa = float(np.sum((P @ spec.R) * P) + np.sum((PB @ spec.Q_F) * PB)) / N
     t_star = -s / (kappa + float(np.sum(P * P)) / cfg.delta_lr)
     assert t_solver == pytest.approx(t_star, rel=1e-9)
-    assert res.tail_calls <= 4
+    assert res.tail_calls <= 3  # the hand-over's tail call is the fourth
 
 
 def _penalty_instance(seed):
@@ -279,7 +288,7 @@ def test_accepted_stage_steps_descend_within_the_stop_rule(seed, log_delta, pena
         sys_, spec, states, _, tail, rng, solver_for = _quadratic_stage(seed=seed, N=8, M=4)
         c_old = rng.normal(size=(4, 1))
     cfg = SolverConfig(delta_lr=10.0**log_delta)
-    res = solve_implicit_update(solver_for(cfg), c_old, tail, states)
+    res = _update(solver_for(cfg), c_old, tail, states)
     if res.accepted:
         assert res.objective_new < res.objective_old
         assert res.secant_gap <= ROOT_TOL * cfg.inner_tol * (1.0 + abs(res.objective_old))
@@ -525,9 +534,9 @@ def test_stage_solver_directions_descend_and_match_a_direct_solve(seed, family, 
     assert np.all(np.isfinite(K_inv))
     np.testing.assert_array_equal(K_inv, K_inv.T)
 
-    ws = _StageWorkspace(
-        solver, np.zeros((M, m)), _terminal_tail(sys_, spec, kernel), rng.normal(size=(N, n))
-    )
+    c_old, tail = np.zeros((M, m)), _terminal_tail(sys_, spec, kernel)
+    states = rng.normal(size=(N, n))
+    ws = _StageWorkspace(solver, c_old, tail, states, *hand_over(solver, c_old, tail, states))
     G = rng.normal(size=(N, m))
     V, P, p2, s0 = ws.descent_direction(G)
     assert s0 <= 0.0
@@ -589,23 +598,27 @@ def _edge_of_guard_stage(a, y_far):
 def test_probe_at_the_edge_of_the_guard_takes_the_exact_gradient():
     from kernelpi.dynamics import STATE_GUARD
 
-    # a successor just inside the guard: without a handed-over trajectory the
-    # probe is one tail call at c_old and one backward pass over its three
-    # stages, and dV/dy = 2 y (1 + a^2 + a^4 + a^6) for three stages and the
-    # terminal cost under zero control
+    # a successor just inside the guard: the hand-over is one tail call at
+    # c_old, the probe one backward pass over its three stages, and
+    # dV/dy = 2 y (1 + a^2 + a^4 + a^6) for three stages and the terminal
+    # cost under zero control
     a = 0.5
     sys_, spec, solver, tail, states, cross = _edge_of_guard_stage(a, STATE_GUARD - 2.0)
-    ws = _StageWorkspace(solver, np.zeros((1, 1)), tail, states)
+    c_old = np.zeros((1, 1))
+    handed, stage_costs = hand_over(solver, c_old, tail, states)
+    ws = _StageWorkspace(solver, c_old, tail, states, handed, stage_costs)
     J0, G = ws.value_gradient()
     y = a * states
     dV = 2.0 * y * sum(a ** (2 * k) for k in range(4))
     np.testing.assert_allclose(G, dV / 2, rtol=1e-12)
-    J_old = empirical_stage_objective(np.zeros((1, 1)), states, tail.values, sys_, spec, cross)
+    continuation = lambda Y: tail.values(Y)[0]
+    J_old = empirical_stage_objective(c_old, states, continuation, sys_, spec, cross)
     assert J0 == pytest.approx(J_old, rel=1e-12)
-    assert (ws.tail_calls, ws.evals) == (1, 1)
-    assert (ws.tail_row_stages, ws.backward_row_stages) == (2 * 3, 2 * 3)
-    res = solve_implicit_update(solver, np.zeros((1, 1)), tail, states)
+    assert (ws.tail_calls, ws.tail_row_stages) == (0, 0)  # the probe simulates nothing
+    res = solve_implicit_update(solver, c_old, tail, states, handed, stage_costs)
     assert res.accepted and res.objective_new < res.objective_old
+    assert res.backward_row_stages == 2 * 3
+    assert res.tail_row_stages == res.tail_calls * 2 * 4  # this stage and the tail's three
 
 
 def test_probe_with_non_finite_slopes_keeps_c_old_with_the_objective_at_c_old():
@@ -623,29 +636,14 @@ def test_probe_with_non_finite_slopes_keeps_c_old_with_the_objective_at_c_old():
     c_old = np.zeros((1, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         solver = StageSolver(kernel, d, SolverConfig(), spec, sys_)
-        res = solve_implicit_update(solver, c_old, tail, states)
+        res = _update(solver, c_old, tail, states)
     assert res.reason == "gradient-diverged" and not res.accepted
     np.testing.assert_array_equal(res.c_new, c_old)
     cross = cross_gram(kernel, states, d)
-    J_old = empirical_stage_objective(c_old, states, tail.values, sys_, spec, cross)
+    J_old = empirical_stage_objective(c_old, states, lambda Y: tail.values(Y)[0], sys_, spec, cross)
     assert res.objective_old == pytest.approx(J_old, rel=1e-12)
     assert res.objective_new == res.objective_old
-    assert (res.tail_calls, res.evals) == (1, 1)
-
-
-def test_probe_with_diverging_unperturbed_rows_raises_their_divergence():
-    from kernelpi.dynamics import STATE_GUARD, DivergenceError
-
-    # an expanding tail: the successor of sample 1 leaves the guard at stage 2,
-    # and the tail call at c_old, whose only guarded rows are the successors,
-    # raises there
-    _, _, solver, tail, states, _ = _edge_of_guard_stage(2.0, STATE_GUARD - 2.0)
-    with pytest.raises(DivergenceError) as probe:
-        _StageWorkspace(solver, np.zeros((1, 1)), tail, states).value_gradient()
-    assert (probe.value.sample_index, probe.value.stage) == (1, 2)
-    with pytest.raises(DivergenceError) as exc:
-        solve_implicit_update(solver, np.zeros((1, 1)), tail, states)
-    assert (exc.value.sample_index, exc.value.stage) == (1, 2)
+    assert (res.tail_calls, res.evals) == (1, 2)  # J0 and the hand-over at c_old
 
 
 def test_next_trial_interpolates_the_inverse_of_q():
@@ -695,10 +693,9 @@ def _recording_sweep(monkeypatch, max_iters=3):
     calls = []
     original = offline.solve_implicit_update
 
-    def record(solver, c_old, tail, states, handed=None, stage_costs=None):
-        costs = None if stage_costs is None else np.array(stage_costs)
-        calls.append((solver, np.array(c_old), tail, np.array(states), handed, costs))
-        return original(solver, c_old, tail, states, handed, stage_costs)
+    def record(solver, c_old, tail, states, handed, stage_costs, curvature=0.0):
+        calls.append((solver, np.array(c_old), tail, np.array(states), handed, np.array(stage_costs)))
+        return original(solver, c_old, tail, states, handed, stage_costs, curvature)
 
     monkeypatch.setattr(offline, "solve_implicit_update", record)
     cfg, policy, records = _small_rbf_run(max_iters)
@@ -706,18 +703,16 @@ def _recording_sweep(monkeypatch, max_iters=3):
 
 
 def test_handed_over_objective_and_gradient_match_a_tail_call_at_c_old(monkeypatch):
-    _, _, records, calls = _recording_sweep(monkeypatch)
+    # what the sweep hands over against one tail call at c_old's successors
+    # and the cost spec's stage costs
+    _, _, _, calls = _recording_sweep(monkeypatch)
     assert len(calls) == 3 * 8
-    for solver, c_old, tail, states, handed, _ in calls:
-        assert handed is not None
-        J0, G = _StageWorkspace(solver, c_old, tail, states, handed).value_gradient()
-        J_ref, G_ref = _StageWorkspace(solver, c_old, tail, states).value_gradient()
+    for solver, c_old, tail, states, handed, stage_costs in calls:
+        J0, G = _StageWorkspace(solver, c_old, tail, states, handed, stage_costs).value_gradient()
+        reference = hand_over(solver, c_old, tail, states)
+        J_ref, G_ref = _StageWorkspace(solver, c_old, tail, states, *reference).value_gradient()
         assert abs(J0 - J_ref) <= 1e-9 * abs(J_ref)
         assert np.abs(G - G_ref).max() <= 1e-9 * np.abs(G_ref).max()
-    # inside a sweep J0 is an evaluation, not a tail call; every tail call,
-    # a hand-over at c_old included, is an evaluation
-    for res in (s for r in records for s in r.stages):
-        assert res.tail_calls == res.evals - 1
 
 
 def _assert_sweep_reads_the_rollout(sweep, policy, X0):
@@ -857,9 +852,9 @@ def test_each_stage_is_handed_its_successors_trajectory_under_the_updated_stages
     calls = []
     original = offline.solve_implicit_update
 
-    def record(solver, c_old, tail, states, handed=None, stage_costs=None):
+    def record(solver, c_old, tail, states, handed, stage_costs, curvature=0.0):
         calls.append((np.array(states), handed))
-        return original(solver, c_old, tail, states, handed, stage_costs)
+        return original(solver, c_old, tail, states, handed, stage_costs, curvature)
 
     monkeypatch.setattr(offline, "solve_implicit_update", record)
     cfg = SolverConfig(delta_lr=10.0, max_outer_iters=1, convergence_tol=0.0)
@@ -869,9 +864,9 @@ def test_each_stage_is_handed_its_successors_trajectory_under_the_updated_stages
     batch = [calls[T - 1 - t][0] for t in range(T)] + [calls[0][1].states()[:, 0]]
     for t in range(T):
         handed = calls[T - 1 - t][1]
-        fresh = TailEvaluator(learner, cost, policy, t + 1).values(batch[t + 1], keep=True)[1]
+        fresh = TailEvaluator(learner, cost, policy, t + 1).values(batch[t + 1])[1]
         np.testing.assert_allclose(handed.values, fresh.values, rtol=1e-12)
-        np.testing.assert_allclose(handed.gradient()[0], fresh.gradient()[0], rtol=1e-10)
+        np.testing.assert_allclose(handed.gradient(), fresh.gradient(), rtol=1e-10)
 
 
 def test_each_stage_cost_handed_over_is_the_cost_specs_at_c_old(monkeypatch):
@@ -888,21 +883,19 @@ def test_a_second_update_of_a_quadratic_stage_takes_its_curvature_step_in_one_ta
     # with one curvature along every direction: the first update measures it
     # with the secant through its first trial, and the second update's first
     # trial is then g's root
-    sys_, spec, states, cross, tail, rng, solver_for = _quadratic_stage(
+    sys_, spec, states, _, tail, rng, solver_for = _quadratic_stage(
         seed=4, N=8, M=2, family="linear"
     )
     solver = solver_for(SolverConfig(delta_lr=4.0))
     c_old = rng.normal(size=(2, 1))
-    first = solve_implicit_update(solver, c_old, tail, states)
-    assert first.reason == "ok" and first.tail_calls == 3  # J0 and two trials
+    first = _update(solver, c_old, tail, states)
+    assert first.reason == "ok" and first.tail_calls == 2  # two trials
     theta = 2.0 * (spec.R + sys_.B.T @ spec.Q_F @ sys_.B).item() / states.shape[0]
-    assert solver.curvature == pytest.approx(theta, rel=1e-6)
+    assert first.curvature == pytest.approx(theta, rel=1e-6)
     assert 0.5 * theta * 4.0 <= CURVATURE_GATE
-    successors = states @ sys_.A.T + (cross @ first.c_new) @ sys_.B.T
-    handed = tail.values(successors, keep=True)[1]
-    second = solve_implicit_update(solver, first.c_new, tail, states, handed)
+    second = _update(solver, first.c_new, tail, states, first.curvature)
     assert second.reason == "ok" and second.accepted
-    assert second.tail_calls == 1
+    assert second.first_trial == "curvature" and second.tail_calls == 1
     assert second.objective_new < second.objective_old
 
 
@@ -910,7 +903,7 @@ def _recording_trials(monkeypatch):
     """Every _solve_secant call's entering curvature and workspace, in call order.
 
     Each workspace records its trials as (a, J(a)) in steps, and the
-    curvature the solve left on its solver as curvature_left.
+    curvature its result carries as curvature_left.
     """
     import kernelpi.offline as offline
 
@@ -921,7 +914,7 @@ def _recording_trials(monkeypatch):
         ws.steps, ws.objective_old = [], J0
         solves.append((curvature, ws))
         res = solve(ws, J0, G, curvature)
-        ws.curvature_left = ws.solver.curvature
+        ws.curvature_left = res.curvature
         return res
 
     def record_trial(ws, a):
@@ -966,8 +959,8 @@ def test_a_missed_curvature_step_is_the_root_solves_first_point(monkeypatch, gat
     _, _, states, solver_for, tail, c_old, _ = _penalty_stage(5)
     cfg = SolverConfig(delta_lr=10.0)
     solver = solver_for(cfg)
-    theta = solver.curvature = 2.0 * gate / cfg.delta_lr
-    res = solve_implicit_update(solver, c_old, tail, states)
+    theta = 2.0 * gate / cfg.delta_lr
+    res = _update(solver, c_old, tail, states, theta)
     ((_, ws),) = solves
     J0, s0, p2, delta = ws.objective_old, ws.s0, ws.p2, cfg.delta_lr
     usual = -s0 * delta / p2
@@ -992,17 +985,54 @@ def test_an_ok_update_after_three_trials_stores_its_curvature(monkeypatch):
     solves = _recording_trials(monkeypatch)
     _, _, states, solver_for, tail, c_old, _ = _penalty_stage(5)
     solver = solver_for(SolverConfig(delta_lr=10.0))
-    res = solve_implicit_update(solver, c_old, tail, states)
+    res = _update(solver, c_old, tail, states)
     ((_, ws),) = solves
     assert res.reason == "ok" and res.first_trial == "usual" and len(ws.steps) == 3
     a, Ja = ws.steps[-1]
-    assert solver.curvature == 2.0 * (Ja - ws.objective_old - ws.s0 * a) / ((a * a) * ws.p2)
-    assert solver.curvature > 0.0
+    assert res.curvature == 2.0 * (Ja - ws.objective_old - ws.s0 * a) / ((a * a) * ws.p2)
+    assert res.curvature > 0.0
+
+
+def test_an_update_leaves_its_solver_as_it_was_and_returns_its_curvature(monkeypatch):
+    # theta goes into an update as an argument and comes back in its result,
+    # so every update leaves its solver, fixed for the run, as it was; the
+    # result carries the accepted step's theta when it is "ok" and 0 for any
+    # other outcome, an accepted "inexact-secant" step's included
+    import kernelpi.offline as offline
+
+    solves = _recording_trials(monkeypatch)
+    update = offline.solve_implicit_update
+    reasons = []
+
+    def checked(solver, *args):
+        before, count = dict(vars(solver)), len(solves)
+        res = update(solver, *args)
+        assert vars(solver).keys() == before.keys()
+        assert all(vars(solver)[key] is value for key, value in before.items())
+        if res.reason == "ok":
+            ((_, ws),) = solves[count:]
+            a, Ja = ws.steps[-1]
+            assert Ja == res.objective_new
+            assert res.curvature == 2.0 * (Ja - res.objective_old - ws.s0 * a) / ((a * a) * ws.p2)
+        else:
+            assert res.curvature == 0.0
+        reasons.append(res.reason)
+        return res
+
+    monkeypatch.setattr(offline, "solve_implicit_update", checked)
+    sys_ = LinearSystem(A=[[1.5]], B=[[1.0]])
+    spec = CostSpec(Q=[[1.0]], R=[[1e-6]], Q_F=[[1.0]])
+    cfg = SolverConfig(delta_lr=1e9, max_outer_iters=5, mc_samples=20, convergence_tol=0.0)
+    policy_iteration(
+        sys_, spec, lambda rng, N: rng.uniform(-1.0, 1.0, size=(N, 1)), cfg, horizon=12
+    )
+    assert len(reasons) == 5 * 12
+    assert {"ok", "inexact-secant", "no-descent"} <= set(reasons)
 
 
 def test_a_stage_without_curvature_starts_its_sweep_update_from_the_previous_stages(monkeypatch):
-    # a stage whose own theta is 0 borrows the one stage t + 1 left in this
-    # sweep; the last stage, updated first, has only its own
+    # a stage whose own theta is 0 borrows the one stage t + 1 returned in
+    # this sweep; the last stage, updated first, has only its own
     solves = _recording_trials(monkeypatch)
     _, policy, _ = _small_rbf_run(max_iters=3)
     T = policy.horizon
