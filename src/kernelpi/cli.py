@@ -113,10 +113,7 @@ _STAGE_TRACE = [
     "accepted",
     "reason",
     "first_trial",
-    "evals",
     "tail_calls",
-    "tail_row_stages",
-    "backward_row_stages",
     "value_step_sq",
     "secant_gap",
 ]
@@ -124,10 +121,10 @@ _STAGE_TRACE = [
 
 def _run_tables(records) -> dict:
     """cost_history.csv and stage_trace.csv of a policy iteration's IterationRecords."""
-    costs = [[r.iteration, r.cost, r.total_step_sq] for r in records]
+    costs = [[k, r.cost, r.total_step_sq] for k, r in enumerate(records)]
     trace = [
-        [r.iteration, t] + [getattr(s, c) for c in _STAGE_TRACE[2:]]
-        for r in records
+        [k, t] + [getattr(s, c) for c in _STAGE_TRACE[2:]]
+        for k, r in enumerate(records)
         for t, s in enumerate(r.stages)
     ]
     return {"cost_history.csv": (_COST_HISTORY, costs), "stage_trace.csv": (_STAGE_TRACE, trace)}

@@ -56,6 +56,9 @@ class KernelSpec:
             raise ValueError("length_scale must be > 0 for the gaussian-rbf kernel")
         if self.family == "polynomial" and int(self.degree) < 1:
             raise ValueError("polynomial degree must be a positive integer")
+        if self.family == "polynomial" and not self.offset >= 0:
+            # (x . y + c)^d is positive semidefinite for c >= 0, and not in general otherwise
+            raise ValueError("poly_offset must be >= 0 for the polynomial kernel")
 
 
 def _as_points(arr, name: str) -> np.ndarray:

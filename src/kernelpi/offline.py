@@ -180,7 +180,15 @@ class SolverConfig:
 
 @dataclass
 class StageUpdateResult:
-    """Outcome of one stage update, with descent and step diagnostics."""
+    """Outcome of one stage update, with descent and step diagnostics.
+
+    Only what the update alone knows is stored; what follows from it is a
+    property.  An update of stage t with N sampled rows and horizon T
+    simulated tail_calls * N * (T - t) row-stages and walked back
+    N * (T - t - 1) (complexity_probe).  value_step_sq and secant_gap stay
+    stored: deriving them would take the step a, ||P||^2 and delta, three
+    facts in place of two.
+    """
 
     c_new: np.ndarray
     objective_old: float
@@ -189,13 +197,8 @@ class StageUpdateResult:
     # "inexact-secant" step, and one at c_old for the hand-over of a stage
     # that keeps it
     tail_calls: int
-    # rows times stages re-simulated over those tail calls
-    tail_row_stages: int
-    # rows times stages walked back for the gradient at c_old
-    backward_row_stages: int
     value_step_sq: float  # ||pi_new - pi_old||_F^2 over the sampled states
     secant_gap: float  # |dJ + value_step_sq / delta|
-    accepted: bool
     reason: str
     # the update's first trial step: "curvature", "usual", or "none" when it ran no trial
     first_trial: str
@@ -208,6 +211,11 @@ class StageUpdateResult:
     tail: Optional[TailEvaluator] = field(default=None, repr=False, compare=False)
 
     @property
+    def accepted(self) -> bool:
+        """An "ok" or "inexact-secant" update, whose c_new has objective_new < objective_old."""
+        return self.reason in ("ok", "inexact-secant")
+
+    @property
     def evals(self) -> int:
         """Objective evaluations: J0 and one per tail call."""
         return self.tail_calls + 1
@@ -215,13 +223,16 @@ class StageUpdateResult:
 
 @dataclass
 class IterationRecord:
-    """Per-outer-iteration history entry."""
+    """Per-outer-iteration history entry; its iteration is its index in the run's records."""
 
-    iteration: int
     cost: float  # batch cost of the policy entering this iteration
-    cost_after: float  # batch cost of the policy after the backward sweep
     stages: list  # one StageUpdateResult per stage, in stage order
     wall_time: float
+
+    @property
+    def cost_after(self) -> float:
+        """Batch cost of the policy after the backward sweep: stage 0's new objective."""
+        return self.stages[0].objective_new
 
     @property
     def stage_secant_gaps(self) -> np.ndarray:
@@ -332,12 +343,10 @@ class _StageWorkspace:
         self.trials = None
         self.first_trial = "none"
         self.tail_calls = 0
-        self.tail_row_stages = 0
 
     def _tail_values(self, **line):
         """One simulation of the line from the sampled states: (values, trajectory)."""
         self.tail_calls += 1
-        self.tail_row_stages += self.states.shape[0] * self.trials.stage_count
         return self.trials.values(self.states, kernel_values=self.cross, **line)
 
     def _line(self, direction=None) -> TailEvaluator:
@@ -402,10 +411,8 @@ def _result(
     path is the trajectory of the accepted trial; a rejected step hands over
     the one at c_old.  With the trajectory goes the line's tail, settled at
     a.  The policy values move by a P, so value_step_sq is a^2 ||P||^2.
-    The handed trajectory was walked back once, over all its stages.
     """
-    accepted = a is not None
-    if accepted:
+    if a is not None:
         c_new = ws.c_old + a * ws.V
         value_sq = (a * a) * ws.p2
         gap = abs(J1 - J0 + value_sq / ws.solver.cfg.delta_lr)
@@ -418,11 +425,8 @@ def _result(
         objective_old=J0,
         objective_new=J1,
         tail_calls=ws.tail_calls,
-        tail_row_stages=ws.tail_row_stages,
-        backward_row_stages=ws.states.shape[0] * ws.handed.stage_count,
         value_step_sq=value_sq,
         secant_gap=gap,
-        accepted=accepted,
         reason=reason,
         first_trial=ws.first_trial,
         curvature=curvature,
@@ -649,7 +653,7 @@ def run_policy_iteration(
         check_guard(states[:, horizon], horizon)
         cost_k = float(handed.values.mean())
         theta = [0.0] * (horizon + 1)  # each stage's last curvature; none past the last stage
-        for k in range(cfg.max_outer_iters):
+        for _ in range(cfg.max_outer_iters):
             t0 = time.perf_counter()
             stage_results = [None] * horizon
             tail, handed = terminal, handed.terminal()
@@ -669,15 +673,7 @@ def run_policy_iteration(
                 stage_results[t] = res
             wall = time.perf_counter() - t0
 
-            records.append(
-                IterationRecord(
-                    iteration=k,
-                    cost=cost_k,
-                    cost_after=stage_results[0].objective_new,
-                    stages=stage_results,
-                    wall_time=wall,
-                )
-            )
+            records.append(IterationRecord(cost=cost_k, stages=stage_results, wall_time=wall))
             states, costs = handed.states(), handed.stage_costs
             check_guard(states[:, horizon], horizon)
             if cfg.convergence_tol > 0:
@@ -727,10 +723,11 @@ def complexity_probe(points: Sequence[tuple], iterations: int = 2, seed: int = 0
 
     Runs a small two-vehicle crossing instance at each grid point and reports
     the mean sweep time, skipping the first iteration (it pays one-off setup
-    costs), and the mean row-stages those sweeps re-simulated or walked back
-    (StageUpdateResult.tail_row_stages plus backward_row_stages), a count
-    that does not depend on the machine.  Timing rows are informational; no
-    hard bounds are asserted here.
+    costs), and the mean row-stages those sweeps re-simulated or walked back,
+    a count that does not depend on the machine: the update of stage t
+    simulates its N rows through T - t stages once per tail call and walks
+    them back once over the T - t - 1 stages after it.  Timing rows are
+    informational; no hard bounds are asserted here.
     """
     from .intersection import ScenarioConfig, build_intersection, sample_initial_states
 
@@ -761,8 +758,10 @@ def complexity_probe(points: Sequence[tuple], iterations: int = 2, seed: int = 0
             seed=seed,
         )
         timed = records[1:] if len(records) > 1 else records
+        N, T = cfg.mc_samples, int(horizon)
         row_stages = [
-            sum(s.tail_row_stages + s.backward_row_stages for s in r.stages) for r in timed
+            N * sum(s.tail_calls * (T - t) + T - t - 1 for t, s in enumerate(r.stages))
+            for r in timed
         ]
         rows.append(
             ProbeRow(

@@ -96,8 +96,13 @@ def excitation_input(rng: np.random.Generator, sigma_exc: float, base):
 
 @dataclass
 class WindowResult:
-    stages: list  # StagePolicy for t = s .. window_end - 1
-    window_end: int
+    """One planned window: its stages from s on, so it ends at s + len(stages).
+
+    A rejected window, whose predicted simulation diverged, holds its warm
+    start and infinite costs.
+    """
+
+    stages: list  # StagePolicy for t = s .. s + len(stages) - 1
     cost_before: float
     cost_after: float
     step_sq: float
@@ -124,8 +129,7 @@ def plan_window(
     if the predicted simulation diverges the warm start itself is returned.
     """
     x_s = np.asarray(x_s, dtype=float).ravel()
-    end = min(cfg.horizon, s + cfg.window)
-    h = end - s
+    h = min(cfg.horizon, s + cfg.window) - s
     if h < 1:
         raise ValueError("empty planning window")
     if len(warm_start) != h:
@@ -138,7 +142,6 @@ def plan_window(
     except PolicyIterationDiverged:
         return WindowResult(
             stages=warm_start,
-            window_end=end,
             cost_before=math.inf,
             cost_after=math.inf,
             step_sq=0.0,
@@ -146,7 +149,6 @@ def plan_window(
         )
     return WindowResult(
         stages=policy.stages,
-        window_end=end,
         cost_before=records[0].cost,
         cost_after=records[-1].cost_after,
         step_sq=float(sum(r.total_step_sq for r in records)),

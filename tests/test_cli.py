@@ -311,8 +311,7 @@ def test_offline_command_exports_aligned_tables(tmp_path):
     assert (out / "metadata.yaml").exists() and (out / "runtime.yaml").exists()
     trace = (out / "stage_trace.csv").read_text().strip().splitlines()
     assert trace[0] == (
-        "iteration,stage,accepted,reason,first_trial,evals,tail_calls,tail_row_stages,"
-        "backward_row_stages,value_step_sq,secant_gap"
+        "iteration,stage,accepted,reason,first_trial,tail_calls,value_step_sq,secant_gap"
     )
     assert len(trace) == 1 + 3 * 6  # one row per stage update
     assert [tuple(map(int, l.split(",")[:2])) for l in trace[1:7]] == [(0, t) for t in range(6)]
@@ -408,6 +407,21 @@ def test_zero_ridge_on_a_rank_deficient_gram_is_a_config_error(tmp_path, capsys)
     assert len(err) == 1
     assert err[0].startswith("config error: solver.ridge: ")
     assert "stage" in err[0]
+
+
+def test_a_negative_polynomial_offset_is_refused_before_any_output(tmp_path, capsys):
+    # (x . y + c)^d with c < 0 is an indefinite kernel, whose Gram matrices
+    # no small ridge shift makes positive definite: it is refused at load,
+    # before main makes the output directory
+    cfg = _tiny_offline_config(tmp_path / "run")
+    data = dump_config(cfg)
+    data["solver"].update(kernel_family="polynomial", poly_degree=2, poly_offset=-1.0)
+    p = tmp_path / "neg_offset.yaml"
+    p.write_text(yaml.safe_dump(data))
+    assert main(["offline", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solver") and "poly_offset" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_importing_the_cli_loads_no_scipy():

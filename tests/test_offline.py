@@ -547,14 +547,50 @@ def test_stage_solver_directions_descend_and_match_a_direct_solve(seed, family, 
         assert np.linalg.norm(V - V_ref) <= 1e-9 * np.linalg.norm(V_ref)
 
 
-def test_complexity_probe_single_point():
-    rows = complexity_probe([(4, 3, 3)], iterations=1, seed=0)
+def test_complexity_probe_single_point(monkeypatch):
+    # the probe derives its row-stages from each update's tail calls; count
+    # them here from the simulations and walks the updates actually run:
+    # rows times the evaluator's stages for every tail simulation inside an
+    # update, and rows times the trajectory's stages for every walk back
+    import kernelpi.costs as costs
+    import kernelpi.offline as offline
+
+    counts, running = [], []  # one count per finished update; the running update's
+    update, values, backward = (
+        offline.solve_implicit_update,
+        costs.TailEvaluator.values,
+        costs.Trajectory._backward,
+    )
+
+    def counted_update(*args, **kwargs):
+        running.append(0)
+        res = update(*args, **kwargs)
+        counts.append(running.pop())
+        return res
+
+    def counted_values(tail, states, *args, **kwargs):
+        if running:
+            running[0] += np.atleast_2d(states).shape[0] * tail.stage_count
+        return values(tail, states, *args, **kwargs)
+
+    def counted_backward(path):
+        if running:
+            running[0] += path._W.shape[-1] * path.stage_count
+        return backward(path)
+
+    monkeypatch.setattr(offline, "solve_implicit_update", counted_update)
+    monkeypatch.setattr(costs.TailEvaluator, "values", counted_values)
+    monkeypatch.setattr(costs.Trajectory, "_backward", counted_backward)
+    rows = complexity_probe([(4, 3, 3)], iterations=2, seed=0)
     assert len(rows) == 1
     assert rows[0].mc_samples == 4 and rows[0].dict_size == 3 and rows[0].horizon == 3
     assert rows[0].seconds_per_iteration > 0
+    assert len(counts) == 3 * 3  # three iterations of three stage updates
+    timed = [sum(counts[3 * k : 3 * k + 3]) for k in (1, 2)]  # the first is not timed
+    assert rows[0].row_stages_per_iteration == np.mean(timed) > 0
     # the work counter, unlike the time, repeats exactly
-    assert rows[0].row_stages_per_iteration > 0
-    again = complexity_probe([(4, 3, 3)], iterations=1, seed=0)
+    monkeypatch.undo()
+    again = complexity_probe([(4, 3, 3)], iterations=2, seed=0)
     assert again[0].row_stages_per_iteration == rows[0].row_stages_per_iteration
 
 
@@ -614,11 +650,9 @@ def test_probe_at_the_edge_of_the_guard_takes_the_exact_gradient():
     continuation = lambda Y: tail.values(Y)[0]
     J_old = empirical_stage_objective(c_old, states, continuation, sys_, spec, cross)
     assert J0 == pytest.approx(J_old, rel=1e-12)
-    assert (ws.tail_calls, ws.tail_row_stages) == (0, 0)  # the probe simulates nothing
+    assert ws.tail_calls == 0  # the probe simulates nothing
     res = solve_implicit_update(solver, c_old, tail, states, handed, stage_costs)
     assert res.accepted and res.objective_new < res.objective_old
-    assert res.backward_row_stages == 2 * 3
-    assert res.tail_row_stages == res.tail_calls * 2 * 4  # this stage and the tail's three
 
 
 def test_probe_with_non_finite_slopes_keeps_c_old_with_the_objective_at_c_old():
@@ -1016,6 +1050,7 @@ def test_an_update_leaves_its_solver_as_it_was_and_returns_its_curvature(monkeyp
             assert res.curvature == 2.0 * (Ja - res.objective_old - ws.s0 * a) / ((a * a) * ws.p2)
         else:
             assert res.curvature == 0.0
+        assert res.accepted == (res.objective_new < res.objective_old)
         reasons.append(res.reason)
         return res
 
